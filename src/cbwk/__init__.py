@@ -34,7 +34,6 @@ from .oracles import (
     bound_spec,
     make_predictor,
     make_vector_predictor,
-    nonparametric_regret_rate,
     online_to_batch,
 )
 from .policy import (

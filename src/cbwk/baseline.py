@@ -2,8 +2,10 @@
 
 Ridge regression per target (reward plus each cost coordinate) with ellipsoid
 confidence widths: the arm maximizing optimistic reward plus priced pessimistic
-budget slack is pulled deterministically.  Budget stopping and the dual update
-are shared with the IGW policy.
+budget slack is pulled deterministically.  All targets are regressed on the
+same pulled features, so they share one inverse Gram matrix and one set of
+confidence widths.  Budget stopping and the dual update are shared with the
+IGW policy.
 """
 
 import math
@@ -38,7 +40,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     budget_rate = inst.budget_rate
     n_targets = 1 + d
 
-    a_inv = np.broadcast_to(np.eye(m) / config.ridge, (n_targets, m, m)).copy()
+    a_inv = np.eye(m) / config.ridge
     b_vec = np.zeros((n_targets, m))
 
     dual = dual_init(d, T / B, T)
@@ -59,12 +61,12 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     exit_level = B - 1.0
 
     for t in range(T):
-        theta_hat = np.einsum("nij,nj->ni", a_inv, b_vec)  # (n_targets, m)
+        theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (n_targets, m)
         means = Phi @ theta_hat.T  # (K, n_targets)
-        widths = np.sqrt(np.einsum("ki,nij,kj->kn", Phi, a_inv, Phi))
+        widths = np.sqrt(np.einsum("ki,ij,kj->k", Phi, a_inv, Phi))
         beta = confidence_width(m, t + 1, config.confidence_scale)
-        ucb_reward = means[:, 0] + beta * widths[:, 0]
-        lcb_cost = means[:, 1:] - beta * widths[:, 1:]
+        ucb_reward = means[:, 0] + beta * widths
+        lcb_cost = means[:, 1:] - beta * widths[:, None]
         lam = dual_lambda(dual)
         scores = ucb_reward + (budget_rate - lcb_cost) @ lam
         arm = int(np.argmax(scores))
@@ -83,9 +85,8 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
         cum_cost += outcome.cost
 
         phi = Phi[arm]
-        q = a_inv @ phi  # (n_targets, m)
-        denom = 1.0 + q @ phi
-        a_inv -= q[:, :, None] * q[:, None, :] / denom[:, None, None]
+        q = a_inv @ phi
+        a_inv -= q[:, None] * q / (1.0 + q @ phi)
         targets = np.concatenate([[outcome.reward], outcome.cost])
         b_vec += targets[:, None] * phi
 

@@ -92,6 +92,66 @@ class ExperimentConfig:
         params["B"] = self.resolve_budget(params["T"])
         return params
 
+    def validate(self) -> None:
+        """Raise ConfigurationError listing every constraint the config breaks.
+
+        The environment constraints are checked for the base values and for
+        every sweep value, so a sweep grid overridden after parsing is held to
+        the same rules as one read from the file.
+        """
+        problems = []
+        if self.family != "fixed_linear":
+            problems.append(f"environment.family must be fixed_linear (got {self.family!r})")
+        if self.mode not in ("replication", "bounded"):
+            problems.append(f"environment.mode must be replication or bounded (got {self.mode!r})")
+        for alg in self.algorithms:
+            if alg not in KNOWN_ALGORITHMS:
+                problems.append(f"unknown algorithm {alg!r} (known: {', '.join(KNOWN_ALGORITHMS)})")
+        if not self.algorithms:
+            problems.append("algorithm.list is empty")
+        if self.twostage_oracle not in ("glmtron", "ogd"):
+            problems.append("algorithm.twostage_oracle must be glmtron or ogd "
+                            f"(got {self.twostage_oracle!r})")
+        if self.seeds_count < 1:
+            problems.append(f"seeds.count must be >= 1 (got {self.seeds_count})")
+        if self.sweep_param not in ("m", "K", "T"):
+            problems.append(f"sweep.param must be one of m, K, T (got {self.sweep_param!r})")
+        if not self.sweep_values:
+            problems.append("sweep.values is empty")
+        base = {"m": self.m, "K": self.K, "d": self.d, "T": self.T}
+        problems += _environment_violations(base, self.budget_spec, "")
+        if self.noise_variance < 0:
+            problems.append(f"noise_variance >= 0 violated (got {self.noise_variance})")
+        for v in self.sweep_values:
+            problems += _environment_violations({**base, self.sweep_param: v},
+                                                self.budget_spec, f"sweep value {v}: ")
+        if problems:
+            raise ConfigurationError(problems)
+
+
+def _environment_violations(params: dict, budget_spec: str, tag: str) -> list:
+    """Constraints of the fixed-linear environment broken by one (m, K, d, T)."""
+    m, K, d, T = params["m"], params["K"], params["d"], params["T"]
+    problems = []
+    if m < 6:
+        problems.append(f"{tag}m >= 6 violated (m={m})")
+    if K < 2:
+        problems.append(f"{tag}K >= 2 violated (K={K})")
+    if K > m - 1:
+        problems.append(f"{tag}K <= m-1 violated (K={K}, m={m})")
+    if not 4 <= d <= m - 1:
+        problems.append(f"{tag}4 <= d <= m-1 violated (d={d}, m={m})")
+    if T < 1:
+        problems.append(f"{tag}T >= 1 violated (T={T})")
+    else:
+        try:
+            B = _resolve_budget(budget_spec, T)
+            if not 1 <= B <= T:
+                problems.append(f"{tag}1 <= B <= T violated (B={B}, T={T})")
+        except ValueError:
+            problems.append(f"environment.B: cannot parse {budget_spec!r}")
+    return problems
+
 
 def _resolve_budget(spec: str, T: int) -> float:
     spec = spec.strip()
@@ -172,65 +232,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if sweep_param is None:
         sweep_param, sweep_values = "T", (T,) if T is not None else ()
     else:
-        if sweep_param not in ("m", "K", "T"):
-            problems.append(f"sweep.param must be one of m, K, T (got {sweep_param!r})")
         sweep_values = tuple(
             v for v in (
                 _parse_scalar(x.strip(), int, "sweep.values", problems)
                 for x in sweep_values_raw.split(",") if x.strip()
             ) if v is not None
         )
-        if not sweep_values:
-            problems.append("sweep.values is empty")
 
     if problems:
         raise ConfigurationError(problems)
 
-    if family != "fixed_linear":
-        problems.append(f"environment.family must be fixed_linear (got {family!r})")
-    if mode not in ("replication", "bounded"):
-        problems.append(f"environment.mode must be replication or bounded (got {mode!r})")
-    for alg in algorithms:
-        if alg not in KNOWN_ALGORITHMS:
-            problems.append(f"unknown algorithm {alg!r} (known: {', '.join(KNOWN_ALGORITHMS)})")
-    if not algorithms:
-        problems.append("algorithm.list is empty")
-    if twostage_oracle not in ("glmtron", "ogd"):
-        problems.append(f"algorithm.twostage_oracle must be glmtron or ogd (got {twostage_oracle!r})")
-    if seeds_count < 1:
-        problems.append(f"seeds.count must be >= 1 (got {seeds_count})")
-
-    def check_env(m_, K_, d_, T_, tag):
-        if m_ < 6:
-            problems.append(f"{tag}m >= 6 violated (m={m_})")
-        if K_ < 2:
-            problems.append(f"{tag}K >= 2 violated (K={K_})")
-        if K_ > m_ - 1:
-            problems.append(f"{tag}K <= m-1 violated (K={K_}, m={m_})")
-        if not 4 <= d_ <= m_ - 1:
-            problems.append(f"{tag}4 <= d <= m-1 violated (d={d_}, m={m_})")
-        if T_ < 1:
-            problems.append(f"{tag}T >= 1 violated (T={T_})")
-        else:
-            try:
-                B_ = _resolve_budget(budget_spec, T_)
-                if not 1 <= B_ <= T_:
-                    problems.append(f"{tag}1 <= B <= T violated (B={B_}, T={T_})")
-            except ValueError:
-                problems.append(f"environment.B: cannot parse {budget_spec!r}")
-
-    check_env(m, K, d, T, "")
-    if noise < 0:
-        problems.append(f"noise_variance >= 0 violated (got {noise})")
-    for v in sweep_values:
-        params = {"m": m, "K": K, "d": d, "T": T, sweep_param: v}
-        check_env(params["m"], params["K"], params["d"], params["T"],
-                  f"sweep value {v}: ")
-
-    if problems:
-        raise ConfigurationError(problems)
-
-    return ExperimentConfig(
+    config = ExperimentConfig(
         family=family, m=m, K=K, d=d, T=T, budget_spec=budget_spec,
         noise_variance=noise, mode=mode, null_arm=null_arm, algorithms=algorithms,
         gamma=opt.get("gamma"), z=opt.get("z"), t0=opt.get("t0"),
@@ -240,6 +252,8 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_values=sweep_values, seeds_count=seeds_count, seeds_base=seeds_base,
         output_dir=pairs.get("output.dir", "results"),
     )
+    config.validate()
+    return config
 
 
 @dataclass

@@ -64,14 +64,22 @@ class LpSolution:
     x: np.ndarray | None = None
     iterations: int = 0
     dual_ub: np.ndarray | None = None  # multipliers of the inequality rows
-    dual_eq: np.ndarray | None = None
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make ``col`` basic in ``row`` by Gauss-Jordan elimination.
+
+    Only rows with a nonzero entry in the pivot column are updated; the
+    empirical program's equality rows are almost all zero there.  Subtracting
+    0 * pivot row would leave a skipped row's values unchanged, so the result
+    can differ from a full update only in the sign of a zero (x - 0*y turns a
+    -0.0 into +0.0).
+    """
     tableau[row] /= tableau[row, col]
     colvals = tableau[:, col].copy()
     colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
+    rows = np.flatnonzero(colvals)
+    tableau[rows] -= np.outer(colvals[rows], tableau[row])
     basis[row] = col
 
 
@@ -192,7 +200,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x=x[:n],
         iterations=iterations,
         dual_ub=dual_ub,
-        dual_eq=None,
     )
 
 

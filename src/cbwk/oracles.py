@@ -8,10 +8,13 @@ Two families are provided, both producing predictions clipped to [0, 1]:
   of A_t = I + sum_s phi_s phi_s^T (maintained by rank-one updates), followed
   by projection onto the unit ball in the metric induced by A_{t+1}.
 
-Scalar predictors and d-coordinate vector predictors share one stacked
-implementation: a predictor holds ``n`` independent parameter rows updated
-against the same feature vector, which keeps the per-round cost of the
-d cost coordinates at a single batched matrix operation.
+A predictor is a stack of target rows over one feature map, all updated with
+the same feature vector.  The rows therefore share one step count and, under
+GLMtron, one Gram matrix A_t and its inverse, kept by a single Sherman-Morrison
+update per sample however many rows the stack has.  The policy fits its reward
+and its d costs as one (1+d)-row stack when both use the same features, and
+online-to-batch fits every target of an arm in one pass.  A scalar oracle is a
+one-row stack.
 """
 
 from dataclasses import dataclass
@@ -57,106 +60,125 @@ def _check_phi(phi, dim):
     return phi
 
 
-class _StackedPredictor:
-    """n independent parameter rows of one oracle family, updated in lockstep."""
+def _row_norms(v):
+    """Euclidean norm of each row: np.linalg.norm(v, axis=1) without its dispatch cost."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
-    def __init__(self, kind: str, dim: int, n: int, link: str, eta_scale: float):
+
+class VectorPredictor:
+    """d target rows of one oracle family that share a feature map.
+
+    Every row is updated with the same feature vector, so the rows share one
+    step count and, under GLMtron, one Gram matrix A and its inverse: the
+    Sherman-Morrison update, the reinitialization test and the eigenbasis of
+    the A-norm projection are computed once per sample, not once per row.
+    Each row's parameter still depends only on its own targets.  Inner
+    products are taken with einsum, whose per-element kernel does not depend
+    on the number of rows, so a d-row stack is bitwise equal to d one-row
+    stacks fed the same stream.
+    """
+
+    def __init__(self, kind: str, d: int, dim: int, *, link: str = "identity",
+                 eta_scale: float = 1.0):
         if kind not in ("ogd", "glmtron"):
             raise ConfigurationError(f"unknown oracle kind {kind!r}")
         if link not in _LINKS:
             raise ConfigurationError(f"unknown link {link!r}")
+        if d < 1:
+            raise ConfigurationError(f"d must be >= 1 (got {d})")
         self.kind = kind
         self.dim = dim
-        self.n = n
         self.link = link
         self.eta_scale = eta_scale
-        self.theta = np.zeros((n, dim))
-        self.t = np.zeros(n, dtype=np.int64)
-        self.reinit_count = 0
+        self.theta = np.zeros((d, dim))
+        self.t = 0
+        self.reinit_count = 0  # rebuilds of the shared inverse Gram matrix
         if kind == "glmtron":
-            self.A = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
-            self.A_inv = self.A.copy()
+            self.A = np.eye(dim)
+            self.A_inv = np.eye(dim)
+
+    @property
+    def d(self) -> int:
+        return self.theta.shape[0]
 
     # -- prediction ---------------------------------------------------------
 
-    def raw_values(self, phis: np.ndarray) -> np.ndarray:
-        return _LINKS[self.link][0](phis @ self.theta.T)
-
-    def predict_matrix(self, phis: np.ndarray) -> np.ndarray:
-        """Clipped predictions for a (K, dim) feature matrix, shape (K, n)."""
+    def _predict(self, phis) -> np.ndarray:
         phis = np.atleast_2d(np.asarray(phis, dtype=float))
         if phis.shape[1] != self.dim:
             raise ConfigurationError(
                 f"feature matrix has {phis.shape[1]} columns, expected {self.dim}"
             )
-        return np.clip(self.raw_values(phis), 0.0, 1.0)
+        return np.clip(_LINKS[self.link][0](np.einsum("kj,nj->kn", phis, self.theta)), 0.0, 1.0)
+
+    def predict(self, phi) -> np.ndarray:
+        return self._predict(_check_phi(phi, self.dim)[None, :])[0]
+
+    def predict_matrix(self, phis) -> np.ndarray:
+        """(K, dim) features -> (K, d) clipped predictions."""
+        return self._predict(phis)
 
     # -- updates ------------------------------------------------------------
 
-    def update_rows(self, rows, phi: np.ndarray, y: np.ndarray) -> None:
-        phi = _check_phi(phi, self.dim)
+    def update(self, phi, y) -> None:
         y = np.asarray(y, dtype=float)
+        if y.shape != (self.d,):
+            raise ConfigurationError(f"target vector has shape {y.shape}, expected ({self.d},)")
+        self._step(_check_phi(phi, self.dim), y)
+
+    def _step(self, phi, y):
         if self.kind == "ogd":
-            self._ogd_step(rows, phi, y)
+            self._ogd_step(phi, y)
         else:
-            self._glmtron_step(rows, phi, y)
+            self._glmtron_step(phi, y)
 
-    def _ogd_step(self, rows, phi, y):
+    def _ogd_step(self, phi, y):
         link, slope = _LINKS[self.link]
-        z = self.theta[rows] @ phi
-        self.t[rows] += 1
-        eta = self.eta_scale / np.sqrt(self.t[rows].astype(float))
+        z = np.einsum("nj,j->n", self.theta, phi)
+        self.t += 1
+        eta = self.eta_scale / np.sqrt(float(self.t))
         coeff = eta * 2.0 * (link(z) - y) * slope(z)
-        theta = self.theta[rows] - coeff[:, None] * phi
-        norms = np.linalg.norm(theta, axis=1)
-        theta /= np.maximum(norms, 1.0)[:, None]
-        self.theta[rows] = theta
+        theta = self.theta - coeff[:, None] * phi
+        theta /= np.maximum(_row_norms(theta), 1.0)[:, None]
+        self.theta = theta
 
-    def _glmtron_step(self, rows, phi, y):
+    def _glmtron_step(self, phi, y):
         link = _LINKS[self.link][0]
         with np.errstate(over="ignore", invalid="ignore"):
-            z = self.theta[rows] @ phi
-            resid = link(z) - y
+            resid = link(np.einsum("nj,j->n", self.theta, phi)) - y
             grad = resid[:, None] * phi
 
-            q = self.A_inv[rows] @ phi
+            q = self.A_inv @ phi
             denom = 1.0 + q @ phi
-            self.A[rows] += np.outer(phi, phi)
-            bad = (denom <= _REINIT_DENOM_TOL) | ~np.isfinite(denom)
-            denom = np.where(bad, 1.0, denom)
-            a_inv = self.A_inv[rows] - q[:, :, None] * q[:, None, :] / denom[:, None, None]
-            bad |= ~np.isfinite(a_inv).all(axis=(1, 2))
-            self.A_inv[rows] = a_inv
-            if bad.any():
-                self._reinitialize(np.asarray(rows if not isinstance(rows, slice) else
-                                              np.arange(self.n)[rows])[bad])
+            self.A += phi[:, None] * phi
+            bad = denom <= _REINIT_DENOM_TOL or not np.isfinite(denom)
+            self.A_inv -= q[:, None] * q / (1.0 if bad else denom)
+            if bad or not np.isfinite(self.A_inv).all():
+                self._reinitialize()
 
-            step = np.einsum("nij,nj->ni", self.A_inv[rows], grad)
-            v = self.theta[rows] - step
+            v = self.theta - np.einsum("ij,nj->ni", self.A_inv, grad)
             broken = ~np.isfinite(v).all(axis=1)
             if broken.any():
                 v[broken] = 0.0
-            norms = np.linalg.norm(v, axis=1)
+            norms = _row_norms(v)
             over = norms > 1.0
             if over.any():
-                v[over] = _project_a_norm(self.A[rows][over], v[over], norms[over])
-            self.theta[rows] = v
-            self.t[rows] += 1
+                v[over] = _project_a_norm(self.A, v[over], norms[over])
+            self.theta = v
+            self.t += 1
 
-    def _reinitialize(self, row_indices):
-        """Rebuild inverse matrices by direct inversion; reset corrupt rows."""
-        for i in np.atleast_1d(row_indices):
-            self.reinit_count += 1
-            if np.isfinite(self.A[i]).all():
-                try:
-                    self.A_inv[i] = np.linalg.inv(self.A[i])
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-            self.A[i] = np.eye(self.dim)
-            self.A_inv[i] = np.eye(self.dim)
-            if not np.isfinite(self.theta[i]).all():
-                self.theta[i] = 0.0
+    def _reinitialize(self):
+        """Rebuild the inverse by direct inversion; reset a corrupt Gram matrix."""
+        self.reinit_count += 1
+        if np.isfinite(self.A).all():
+            try:
+                self.A_inv = np.linalg.inv(self.A)
+                return
+            except np.linalg.LinAlgError:
+                pass
+        self.A = np.eye(self.dim)
+        self.A_inv = np.eye(self.dim)
+        self.theta[~np.isfinite(self.theta).all(axis=1)] = 0.0
 
 
 def _project_a_norm(A, v, norms):
@@ -164,15 +186,14 @@ def _project_a_norm(A, v, norms):
 
     Minimizes (w - v)^T A (w - v) over ||w|| <= 1.  The stationarity condition
     gives w(mu) = (A + mu I)^{-1} A v with ||w(mu)|| decreasing in mu, solved by
-    bisection in A's eigenbasis.  mu = lambda_max (||v|| - 1) already forces
-    ||w|| <= 1, so [0, that] brackets the root; the upper end of the final
-    bracket is returned so the constraint is never violated.
+    bisection in A's eigenbasis, which all rows share.  mu = lambda_max (||v|| - 1)
+    already forces ||w|| <= 1, so [0, that] brackets the root; the upper end of
+    the final bracket is returned so the constraint is never violated.
     """
     eigvals, Q = np.linalg.eigh(A)
-    u = np.einsum("rji,rj->ri", Q, v)
-    lz = eigvals * u
-    lo = np.zeros(A.shape[0])
-    hi = eigvals[:, -1] * (norms - 1.0)
+    lz = eigvals * np.einsum("ji,rj->ri", Q, v)
+    lo = np.zeros(v.shape[0])
+    hi = eigvals[-1] * (norms - 1.0)
     for _ in range(PROJECTION_BISECTIONS):
         mid = 0.5 * (lo + hi)
         f = ((lz / (eigvals + mid[:, None])) ** 2).sum(axis=1)
@@ -180,135 +201,23 @@ def _project_a_norm(A, v, norms):
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     coords = lz / (eigvals + hi[:, None])
-    return np.einsum("rji,ri->rj", Q, coords)
+    return np.einsum("ji,ri->rj", Q, coords)
 
 
-class OnlinePredictor:
-    """Scalar online regression oracle (one target)."""
+class OnlinePredictor(VectorPredictor):
+    """Scalar online regression oracle: a one-row stack with scalar targets."""
 
     def __init__(self, kind: str, dim: int, *, link: str = "identity", eta_scale: float = 1.0):
-        self._core = _StackedPredictor(kind, dim, 1, link, eta_scale)
-
-    @property
-    def kind(self):
-        return self._core.kind
-
-    @property
-    def dim(self):
-        return self._core.dim
-
-    @property
-    def link(self):
-        return self._core.link
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._core.theta[0]
-
-    @property
-    def step_count(self) -> int:
-        return int(self._core.t[0])
-
-    @property
-    def a_inv(self) -> np.ndarray:
-        return self._core.A_inv[0]
-
-    @property
-    def a_matrix(self) -> np.ndarray:
-        return self._core.A[0]
-
-    @property
-    def reinit_count(self) -> int:
-        return self._core.reinit_count
+        super().__init__(kind, 1, dim, link=link, eta_scale=eta_scale)
 
     def predict(self, phi) -> float:
-        phi = _check_phi(phi, self.dim)
-        return float(self._core.predict_matrix(phi[None, :])[0, 0])
+        return float(self._predict(_check_phi(phi, self.dim)[None, :])[0, 0])
 
     def predict_matrix(self, phis) -> np.ndarray:
-        return self._core.predict_matrix(phis)[:, 0]
+        return self._predict(phis)[:, 0]
 
     def update(self, phi, y: float) -> None:
-        self._core.update_rows(slice(None), phi, np.array([float(y)]))
-
-
-class VectorPredictor:
-    """d independent scalar oracles, one per cost coordinate.
-
-    All coordinates share kind, dimension, and link; updates against the same
-    feature vector are carried out as one batched operation, but each
-    coordinate's state depends only on the targets it has seen.
-    """
-
-    def __init__(self, kind: str, d: int, dim: int, *, link: str = "identity",
-                 eta_scale: float = 1.0):
-        if d < 1:
-            raise ConfigurationError(f"d must be >= 1 (got {d})")
-        self._core = _StackedPredictor(kind, dim, d, link, eta_scale)
-
-    @classmethod
-    def from_scalars(cls, states: "list[OnlinePredictor]") -> "VectorPredictor":
-        """Lift d scalar oracles into one vector oracle (states are copied)."""
-        if not states:
-            raise ConfigurationError("need at least one scalar state")
-        first = states[0]
-        if any(s.kind != first.kind or s.dim != first.dim or s.link != first.link
-               for s in states):
-            raise ConfigurationError("all sub-states must share kind, dimension, and link")
-        out = cls(first.kind, len(states), first.dim, link=first.link,
-                  eta_scale=first._core.eta_scale)
-        for i, s in enumerate(states):
-            out._core.theta[i] = s._core.theta[0]
-            out._core.t[i] = s._core.t[0]
-            if first.kind == "glmtron":
-                out._core.A[i] = s._core.A[0]
-                out._core.A_inv[i] = s._core.A_inv[0]
-        return out
-
-    @property
-    def kind(self):
-        return self._core.kind
-
-    @property
-    def d(self) -> int:
-        return self._core.n
-
-    @property
-    def dim(self):
-        return self._core.dim
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._core.theta
-
-    @property
-    def reinit_count(self) -> int:
-        return self._core.reinit_count
-
-    def coordinate_snapshot(self, i: int) -> dict:
-        """Bitwise copy of sub-state i, for independence checks."""
-        snap = {"theta": self._core.theta[i].copy(), "t": int(self._core.t[i])}
-        if self.kind == "glmtron":
-            snap["A"] = self._core.A[i].copy()
-            snap["A_inv"] = self._core.A_inv[i].copy()
-        return snap
-
-    def predict(self, phi) -> np.ndarray:
-        phi = _check_phi(phi, self.dim)
-        return self._core.predict_matrix(phi[None, :])[0]
-
-    def predict_matrix(self, phis) -> np.ndarray:
-        """(K, dim) features -> (K, d) clipped predictions."""
-        return self._core.predict_matrix(phis)
-
-    def update(self, phi, cost) -> None:
-        cost = np.asarray(cost, dtype=float)
-        if cost.shape != (self.d,):
-            raise ConfigurationError(f"cost vector has shape {cost.shape}, expected ({self.d},)")
-        self._core.update_rows(slice(None), phi, cost)
-
-    def update_coordinate(self, i: int, phi, y: float) -> None:
-        self._core.update_rows(np.array([i]), phi, np.array([float(y)]))
+        self._step(_check_phi(phi, self.dim), np.array([float(y)]))
 
 
 def make_predictor(kind: str, dim: int, *, link: str = "identity",
@@ -338,33 +247,33 @@ class BatchPredictor:
         vals = np.clip(_LINKS[self.link][0](self.params @ phis.T), 0.0, 1.0)
         return vals.mean(axis=0)
 
-    def iterate_values(self, phi) -> np.ndarray:
-        """Clipped prediction of each recorded iterate at one point."""
-        phi = _check_phi(phi, self.params.shape[1])
-        return np.clip(_LINKS[self.link][0](self.params @ phi), 0.0, 1.0)
-
 
 def online_to_batch(kind: str, features, targets, *, link: str = "identity",
-                    eta_scale: float = 1.0) -> BatchPredictor:
+                    eta_scale: float = 1.0):
     """Run the online oracle once through the dataset and average its iterates.
 
     The i-th recorded iterate is the predictor *before* consuming sample i, so
     the result is the uniform average of the M prediction functions the online
-    oracle would have played.
+    oracle would have played.  Targets of shape (M,) give one BatchPredictor;
+    targets of shape (M, n) are fitted in one pass of an n-row stack over the
+    shared features and give a list of n, one per column.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     targets = np.asarray(targets, dtype=float)
-    M = targets.size
-    if M < 1:
+    if targets.ndim not in (1, 2) or targets.shape[0] < 1:
         raise ConfigurationError("online-to-batch conversion needs a nonempty dataset")
+    M = targets.shape[0]
     if features.shape[0] != M:
         raise ConfigurationError("features and targets disagree on sample count")
-    oracle = OnlinePredictor(kind, features.shape[1], link=link, eta_scale=eta_scale)
-    params = np.empty((M, features.shape[1]))
+    columns = targets.reshape(M, -1)
+    oracle = VectorPredictor(kind, columns.shape[1], features.shape[1], link=link,
+                             eta_scale=eta_scale)
+    params = np.empty((columns.shape[1], M, features.shape[1]))
     for i in range(M):
-        params[i] = oracle.theta
-        oracle.update(features[i], targets[i])
-    return BatchPredictor(params, link)
+        params[:, i] = oracle.theta
+        oracle.update(features[i], columns[i])
+    fits = [BatchPredictor(p, link) for p in params]
+    return fits[0] if targets.ndim == 1 else fits
 
 
 @dataclass(frozen=True)
@@ -393,11 +302,3 @@ def bound_spec(kind: str, m1: int, m2: int, d: int, scale: float = 1.0) -> Oracl
         )
     raise ConfigurationError(f"unknown oracle kind {kind!r}")
 
-
-def nonparametric_regret_rate(K: int, T: float, p: float) -> float:
-    """Regression-regret growth rate for a p-nonparametric function class.
-
-    Exposed for learning-rate experiments only; no online oracle for these
-    classes is implemented here.
-    """
-    return float((K * T) ** ((1.0 + p) / (2.0 + p)))

@@ -73,12 +73,16 @@ def _sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
-                   rng: np.random.Generator, *,
-                   reward_oracle=None, cost_oracle=None) -> RunTrace:
+                   rng: np.random.Generator, *, oracle=None) -> RunTrace:
     """Run the IGW policy for up to T rounds or until a budget nearly runs out.
 
-    Pre-built oracles may be injected (warm starts, instrumentation); by
-    default fresh ones are created for the configured family.
+    When the reward and cost feature maps are one array, the reward and the d
+    costs are learned by one (1+d)-row oracle stack, row 0 the reward and rows
+    1..d the costs, so all targets share one Gram matrix.  Otherwise a reward
+    oracle and a d-row cost oracle each learn over their own map.  A pre-built
+    (1+d)-row stack may be injected as ``oracle`` (warm starts,
+    instrumentation) when the maps coincide; by default a fresh one is created
+    for the configured family.
     """
     started = time.perf_counter()
     inst = env.instance
@@ -92,12 +96,17 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     bounds = bound_spec(config.oracle, m1, m2, d, config.bound_scale)
     gamma = config.gamma if config.gamma is not None else gamma_default(K, T, bounds, Z)
 
-    if reward_oracle is None:
-        reward_oracle = make_predictor(config.oracle, m1, link=env.link,
-                                       eta_scale=config.eta_scale)
-    if cost_oracle is None:
-        cost_oracle = make_vector_predictor(config.oracle, d, m2, link=env.link,
-                                            eta_scale=config.eta_scale)
+    # (feature map, oracle, target rows it learns) per oracle
+    kw = {"link": env.link, "eta_scale": config.eta_scale}
+    if feats.reward is feats.cost:
+        if oracle is None:
+            oracle = make_vector_predictor(config.oracle, 1 + d, m1, **kw)
+        groups = ((feats.reward, oracle, slice(None)),)
+    elif oracle is not None:
+        raise ConfigurationError("an injected oracle needs one shared reward and cost feature map")
+    else:
+        groups = ((feats.reward, make_predictor(config.oracle, m1, **kw), 0),
+                  (feats.cost, make_vector_predictor(config.oracle, d, m2, **kw), slice(1, None)))
     dual = dual_init(d, Z, T)
 
     arms = np.empty(T, dtype=np.int64)
@@ -109,6 +118,7 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     lam_log = np.empty((T, d))
     score_log = np.empty((T, K))
 
+    targets = np.empty(1 + d)
     cum_cost = np.zeros(d)
     total_reward = 0.0
     tau = T
@@ -116,8 +126,8 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     exit_level = B - 1.0
 
     for t in range(T):
-        rhat = reward_oracle.predict_matrix(feats.reward)
-        chat = cost_oracle.predict_matrix(feats.cost)
+        preds = np.column_stack([o.predict_matrix(phis) for phis, o, _ in groups])
+        rhat, chat = preds[:, 0], preds[:, 1:]
         lam = dual_lambda(dual)
         scores = lagrangian_scores(rhat, chat, lam, budget_rate)
         p = igw_distribution(scores, gamma)
@@ -136,8 +146,10 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
         total_reward += outcome.reward
         cum_cost += outcome.cost
 
-        reward_oracle.update(feats.reward[arm], outcome.reward)
-        cost_oracle.update(feats.cost[arm], outcome.cost)
+        targets[0] = outcome.reward
+        targets[1:] = outcome.cost
+        for phis, o, rows in groups:
+            o.update(phis[arm], targets[rows])
         dual_update(dual, outcome.cost, budget_rate)
 
         if (cum_cost >= exit_level).any():

@@ -247,18 +247,19 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
                               cost_predictors=None, opt_hat=None, err_f=err_f,
                               err_g=err_g, m_val=m_val, z=None, aborted=True)
 
+    # One pass per arm fits the reward and every cost when they share features.
+    kw = {"link": env.link, "eta_scale": cfg.eta_scale}
     reward_predictors = []
     cost_predictors = []
     for a in range(inst.K):
-        reward_predictors.append(
-            online_to_batch(cfg.oracle, expl.reward_features[a], expl.rewards[a],
-                            link=env.link, eta_scale=cfg.eta_scale)
-        )
-        cost_predictors.append([
-            online_to_batch(cfg.oracle, expl.cost_features[a], expl.costs[a][:, j],
-                            link=env.link, eta_scale=cfg.eta_scale)
-            for j in range(inst.d)
-        ])
+        if env.contexts.reward is env.contexts.cost:
+            targets = np.column_stack([expl.rewards[a], expl.costs[a]])
+            fits = online_to_batch(cfg.oracle, expl.reward_features[a], targets, **kw)
+        else:
+            fits = [online_to_batch(cfg.oracle, expl.reward_features[a], expl.rewards[a], **kw),
+                    *online_to_batch(cfg.oracle, expl.cost_features[a], expl.costs[a], **kw)]
+        reward_predictors.append(fits[0])
+        cost_predictors.append(fits[1:])
 
     opt_hat = empirical_opt(reward_predictors, cost_predictors,
                             expl.context_sets_reward, expl.context_sets_cost,

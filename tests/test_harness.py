@@ -237,7 +237,7 @@ def test_cli_opt_prints_value(tmp_path, capsys):
     assert "OPT = " in out
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     from cbwk.cli import main
 
     bad = tmp_path / "bad.conf"
@@ -245,6 +245,26 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 1
     missing_csv = str(tmp_path / "nope.csv")
     assert main(["plot", missing_csv, "--out", str(tmp_path / "x.svg")]) == 2
+
+    # an overridden sweep grid goes through the config validator: K = 1 is
+    # rejected before any cell runs
+    out = tmp_path / "k1"
+    capsys.readouterr()
+    assert main(["sweep", os.path.join(CONFIG_DIR, "sweep_m.conf"), "--param", "K",
+                 "--values", "1", "--out", str(out)]) == 1
+    assert "sweep value 1: K >= 2 violated" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", _write_tiny(tmp_path), "--seeds", "0"]) == 1
+
+    # a sweep with failed cells still writes its CSV, but exits 2
+    failing = tmp_path / "failing.conf"
+    failing.write_text(TINY_CONFIG.replace("algorithm.list = ogd, linucb",
+                                           "algorithm.list = ogd, twostage")
+                       + "\nalgorithm.t0 = 50\n")
+    out = tmp_path / "failing"
+    assert main(["run", str(failing), "--out", str(out), "--seeds", "1"]) == 2
+    assert "2 of 4 cells failed" in capsys.readouterr().err
+    assert len(read_csv(str(out / "results.csv")).rows) == 4
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cbwk import oracles
 from cbwk.errors import ConfigurationError
 from cbwk.oracles import (
     OnlinePredictor,
     VectorPredictor,
     bound_spec,
-    nonparametric_regret_rate,
     online_to_batch,
 )
 
@@ -22,7 +22,7 @@ def test_predict_zero_parameter():
 
 def test_predict_inner_product_and_clipping():
     o = OnlinePredictor("ogd", 3)
-    o._core.theta[0] = E1
+    o.theta[0] = E1
     assert o.predict(0.7 * E1) == pytest.approx(0.7, abs=1e-12)
     assert o.predict(1.4 * E1) == 1.0
 
@@ -44,7 +44,7 @@ def test_ogd_one_step_hand_value():
     o = OnlinePredictor("ogd", 3)
     o.update(E1, 1.0)
     assert np.allclose(o.theta, E1, atol=1e-12)
-    assert o.step_count == 1
+    assert o.t == 1
 
 
 def test_ogd_projection_contract():
@@ -55,7 +55,7 @@ def test_ogd_projection_contract():
 
 def test_glmtron_zero_residual_noop():
     o = OnlinePredictor("glmtron", 2)
-    o._core.theta[0] = np.array([0.5, 0.0])
+    o.theta[0] = np.array([0.5, 0.0])
     phi = np.array([0.8, 0.0])
     o.update(phi, 0.4)  # prediction exactly 0.4
     assert np.allclose(o.theta, [0.5, 0.0], atol=1e-12)
@@ -64,8 +64,8 @@ def test_glmtron_zero_residual_noop():
 def test_glmtron_sherman_morrison_hand_value():
     o = OnlinePredictor("glmtron", 2)
     o.update(np.array([1.0, 0.0]), 1.0)
-    assert np.allclose(o.a_matrix, [[2.0, 0.0], [0.0, 1.0]], atol=1e-12)
-    assert np.allclose(o.a_inv, [[0.5, 0.0], [0.0, 1.0]], atol=1e-12)
+    assert np.allclose(o.A, [[2.0, 0.0], [0.0, 1.0]], atol=1e-12)
+    assert np.allclose(o.A_inv, [[0.5, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_rank_one_updates_match_direct_inversion():
@@ -79,9 +79,9 @@ def test_rank_one_updates_match_direct_inversion():
         acc += np.outer(phi, phi)
         o.update(phi, rng.random())
     direct = np.linalg.inv(acc)
-    assert np.linalg.norm(o.a_inv - direct) <= 1e-6
+    assert np.linalg.norm(o.A_inv - direct) <= 1e-6
     # still positive definite
-    np.linalg.cholesky(o.a_inv)
+    np.linalg.cholesky(o.A_inv)
 
 
 def test_projection_invariant_adversarial_updates():
@@ -149,37 +149,88 @@ def test_vector_degenerate_lift_matches_scalar():
         y = rng.random()
         scalar.update(phi, y)
         vec.update(phi, np.array([y]))
-    assert (scalar.theta == vec.theta[0]).all()
-    assert (scalar.a_inv == vec._core.A_inv[0]).all()
+    assert (scalar.theta == vec.theta).all()
+    assert (scalar.A_inv == vec.A_inv).all()
 
 
 def test_vector_coordinate_independence():
-    vec = VectorPredictor("glmtron", 3, 4)
+    # two stacks fed the same features and targets, except that one target of
+    # the last sample differs: only that row may change
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        vec.update(rng.normal(size=4) / 2, rng.random(3))
-    before_0 = vec.coordinate_snapshot(0)
-    before_2 = vec.coordinate_snapshot(2)
-    vec.update_coordinate(1, rng.normal(size=4) / 2, 0.7)
-    after_0 = vec.coordinate_snapshot(0)
-    after_2 = vec.coordinate_snapshot(2)
-    for before, after in ((before_0, after_0), (before_2, after_2)):
-        assert (before["theta"] == after["theta"]).all()
-        assert (before["A_inv"] == after["A_inv"]).all()
-        assert before["t"] == after["t"]
+    stream = [(rng.normal(size=4) / 2, rng.random(3)) for _ in range(21)]
+    vecs = [VectorPredictor("glmtron", 3, 4) for _ in range(2)]
+    for i, vec in enumerate(vecs):
+        for t, (phi, y) in enumerate(stream):
+            y = y.copy()
+            if i == 1 and t == len(stream) - 1:
+                y[1] += 0.7
+            vec.update(phi, y)
+    first, second = vecs
+    assert (first.theta[[0, 2]] == second.theta[[0, 2]]).all()
+    assert (first.theta[1] != second.theta[1]).any()
+    assert (first.A_inv == second.A_inv).all()
+    assert first.t == second.t
 
 
-def test_vector_lift_from_scalars_and_shape_errors():
-    scalars = [OnlinePredictor("ogd", 3) for _ in range(2)]
-    scalars[0].update(E1, 1.0)
-    vec = VectorPredictor.from_scalars(scalars)
-    assert vec.d == 2
-    assert (vec.theta[0] == scalars[0].theta).all()
-    with pytest.raises(ConfigurationError):
-        VectorPredictor.from_scalars([OnlinePredictor("ogd", 3),
-                                      OnlinePredictor("glmtron", 3)])
+def test_vector_shape_errors():
+    vec = VectorPredictor("ogd", 2, 3)
     with pytest.raises(ConfigurationError):
         vec.update(E1, np.ones(3))
+    with pytest.raises(ConfigurationError):
+        vec.predict_matrix(np.ones((2, 4)))
+    with pytest.raises(ConfigurationError):
+        VectorPredictor("ogd", 0, 3)
+    with pytest.raises(ConfigurationError):
+        VectorPredictor("sgd", 2, 3)
+
+
+def _adversarial_stream(rng, n, dim, length):
+    # large targets and mixed feature scales push iterates outside the unit ball
+    for _ in range(length):
+        phi = rng.normal(size=dim) * rng.choice([0.1, 1.0, 3.0])
+        yield phi, rng.choice([-3.0, 0.0, 0.5, 1.0, 4.0], size=n)
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("kind", ["glmtron", "ogd"])
+def test_fused_stack_matches_independent_scalars(kind, link, monkeypatch):
+    """An n-row stack is bitwise equal to n one-row oracles fed the same stream."""
+    projected = []
+    project = oracles._project_a_norm
+
+    def counting_project(A, v, norms):
+        projected.append(len(v))
+        return project(A, v, norms)
+
+    monkeypatch.setattr(oracles, "_project_a_norm", counting_project)
+    n, dim, length = 4, 6, 300
+    rng = np.random.default_rng(8)
+    stream = list(_adversarial_stream(rng, n, dim, length))
+    probe = rng.normal(size=(5, dim))
+
+    fused = VectorPredictor(kind, n, dim, link=link)
+    scalars = [OnlinePredictor(kind, dim, link=link) for _ in range(n)]
+    for phi, y in stream:
+        assert (fused.predict_matrix(probe)
+                == np.column_stack([s.predict_matrix(probe) for s in scalars])).all()
+        fused.update(phi, y)
+        for s, target in zip(scalars, y):
+            s.update(phi, target)
+    assert (fused.theta == np.vstack([s.theta for s in scalars])).all()
+    assert fused.t == scalars[0].t == length
+    if kind == "glmtron":
+        assert sum(projected) > 0
+        assert all((fused.A_inv == s.A_inv).all() for s in scalars)
+
+    X = np.array([phi for phi, _ in stream])
+    Y = np.array([y for _, y in stream])
+    fits = online_to_batch(kind, X, Y, link=link)
+    assert len(fits) == n
+    for j, fit in enumerate(fits):
+        alone = online_to_batch(kind, X, Y[:, j], link=link)
+        assert fit.params.flags.c_contiguous
+        assert (fit.params == alone.params).all()
+        assert (fit.predict_matrix(probe) == alone.predict_matrix(probe)).all()
 
 
 def test_vector_regret_decomposition():
@@ -260,6 +311,3 @@ def test_bound_spec_monotone_positive():
         assert all(a <= b + 1e-12 for a, b in zip(rvals, rvals[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(cvals, cvals[1:]))
 
-
-def test_nonparametric_rate_formula():
-    assert nonparametric_regret_rate(2, 8, 2.0) == pytest.approx(16.0 ** 0.75)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
 from cbwk.errors import ConfigurationError
-from cbwk.oracles import OnlinePredictor, OracleBoundSpec, VectorPredictor
+from cbwk.oracles import OracleBoundSpec, VectorPredictor
 from cbwk.policy import (
     PolicyConfig,
     gamma_default,
@@ -127,50 +128,56 @@ def test_probabilities_valid_every_round():
         assert (trace.probs >= 0).all()
 
 
-class _CountingScalar(OnlinePredictor):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.updates = []
-
-    def update(self, phi, y):
-        self.updates.append(np.array(phi))
-        super().update(phi, y)
-
-
 class _CountingVector(VectorPredictor):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.updates = []
 
-    def update(self, phi, cost):
-        self.updates.append(np.array(phi))
-        super().update(phi, cost)
+    def update(self, phi, y):
+        self.updates.append((np.array(phi), np.array(y)))
+        super().update(phi, y)
 
 
 def test_oracle_feed_discipline():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=120, B=60, bounded=True)
-    reward_oracle = _CountingScalar("glmtron", 10)
-    cost_oracle = _CountingVector("glmtron", 4, 10)
-    trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(3),
-                           reward_oracle=reward_oracle, cost_oracle=cost_oracle)
-    # update count equals tau, including the exit round, and every update
-    # used the pulled arm's features
-    assert len(reward_oracle.updates) == trace.tau
-    assert len(cost_oracle.updates) == trace.tau
+    oracle = _CountingVector("glmtron", 5, 10)
+    trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(3), oracle=oracle)
+    # one update per round, including the exit round; each used the pulled
+    # arm's features and the realized reward (row 0) and costs (rows 1..d)
+    assert len(oracle.updates) == trace.tau
     feats = env.features()
-    for t, phi in enumerate(reward_oracle.updates):
+    for t, (phi, y) in enumerate(oracle.updates):
         assert (phi == feats.reward[trace.arms[t]]).all()
+        assert y[0] == trace.rewards[t]
+        assert (y[1:] == trace.costs[t]).all()
+
+
+def test_separate_feature_maps_match_the_fused_stack():
+    # equal but distinct reward and cost arrays take the two-oracle path,
+    # which must reproduce the fused (1+d)-row stack bit for bit
+    shared = make_fixed_linear_env(10, 3, 4, 0.2, T=300, B=150)
+    feats = shared.contexts
+    split = replace(shared, contexts=ArmFeatures(reward=feats.reward, cost=feats.cost.copy(),
+                                                 norm_bound=feats.norm_bound))
+    assert split.contexts.reward is not split.contexts.cost
+    for kind in ("glmtron", "ogd"):
+        a = run_squarecbwk(shared, PolicyConfig(oracle=kind), np.random.default_rng(9))
+        b = run_squarecbwk(split, PolicyConfig(oracle=kind), np.random.default_rng(9))
+        assert a.tau == b.tau
+        for field in ("arms", "rewards", "probs", "rhat", "chat", "scores"):
+            assert (getattr(a, field) == getattr(b, field)).all(), field
+    with pytest.raises(ConfigurationError):
+        run_squarecbwk(split, PolicyConfig(), np.random.default_rng(9),
+                       oracle=VectorPredictor("glmtron", 5, 10))
 
 
 def test_high_gamma_with_perfect_predictions_is_greedy():
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=200, B=200)
-    reward_oracle = OnlinePredictor("glmtron", 10)
-    cost_oracle = VectorPredictor("glmtron", 4, 10)
-    reward_oracle._core.theta[0] = env.theta_reward
-    cost_oracle._core.theta[:] = env.theta_cost
+    oracle = VectorPredictor("glmtron", 5, 10)
+    oracle.theta[0] = env.theta_reward
+    oracle.theta[1:] = env.theta_cost
     trace = run_squarecbwk(env, PolicyConfig(gamma=1e9),
-                           np.random.default_rng(4),
-                           reward_oracle=reward_oracle, cost_oracle=cost_oracle)
+                           np.random.default_rng(4), oracle=oracle)
     # arm 1 dominates: reward 1.21 (clipped prediction 1.0) vs 0.5
     assert np.mean(trace.arms == 0) >= 0.99
     assert trace.probs[:, 0].min() >= 1 - 1e-8

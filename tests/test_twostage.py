@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ def test_phase_one_datasets_and_estimates():
     assert all(r.size == p1.t0 for r in p1.exploration.rewards)
     assert p1.opt_hat is not None and p1.z is not None
     assert p1.z == pytest.approx((2000 / 1000) * (p1.opt_hat + p1.m_val))
+    # equal but distinct reward and cost maps are fitted in separate passes,
+    # which must give the fused pass's predictors and estimate exactly
+    feats = env.contexts
+    split = replace(env, contexts=ArmFeatures(reward=feats.reward, cost=feats.cost.copy(),
+                                              norm_bound=feats.norm_bound))
+    p1_split = phase_one(split, TwoStageConfig(), np.random.default_rng(7))
+    assert p1_split.opt_hat == p1.opt_hat
+    for a in range(3):
+        fused = [p1.reward_predictors[a], *p1.cost_predictors[a]]
+        alone = [p1_split.reward_predictors[a], *p1_split.cost_predictors[a]]
+        assert len(fused) == len(alone) == 5
+        assert all((f.params == g.params).all() for f, g in zip(fused, alone))
 
 
 def test_radius_sandwich_quick():
