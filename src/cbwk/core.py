@@ -288,28 +288,22 @@ def sample_outcome(
 
 @dataclass
 class RunTrace:
-    """Complete record of one policy run.
+    """Record of one policy run.
 
-    Per-round arrays are truncated at the stopping time tau.  ``rhat``,
-    ``chat``, ``lam``, and ``scores`` hold NaN for rounds where the policy
-    made no oracle prediction (e.g. forced-exploration rounds).
+    Per-round arrays are truncated at the stopping time tau.  ``rhat`` and
+    ``lam`` hold NaN for rounds where the policy made no oracle prediction
+    (e.g. forced-exploration rounds).
     """
 
-    horizon: int
-    budget: float
-    arm_features: ArmFeatures
     arms: np.ndarray  # (tau,) int
     rewards: np.ndarray  # (tau,)
     costs: np.ndarray  # (tau, d)
     probs: np.ndarray  # (tau, K)
     rhat: np.ndarray  # (tau, K)
-    chat: np.ndarray  # (tau, K, d)
     lam: np.ndarray  # (tau, d)
-    scores: np.ndarray  # (tau, K)
     tau: int
     total_reward: float
     total_cost: np.ndarray  # (d,)
-    duration_s: float = 0.0
     stopped_early: bool = False
     aborted_in_exploration: bool = False
     gamma: float = field(default=float("nan"))

@@ -7,7 +7,7 @@ resource coordinates see gradient (B/T - c_t); the slack coordinate sees zero.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

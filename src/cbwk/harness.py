@@ -10,9 +10,9 @@ is fixed to 0 and measured runtimes stay on the in-memory result rows.
 """
 
 import math
-import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -304,9 +304,7 @@ def build_env(config: ExperimentConfig, value=None):
 
 
 def _run_cell(spec: dict) -> SweepRow:
-    import time as _time
-
-    started = _time.perf_counter()
+    started = time.perf_counter()
     config: ExperimentConfig = spec["config"]
     alg, value, seed = spec["algorithm"], spec["value"], spec["seed"]
     try:
@@ -338,12 +336,12 @@ def _run_cell(spec: dict) -> SweepRow:
         return SweepRow(algorithm=alg, sweep_param=config.sweep_param,
                         sweep_value=int(value), seed=seed, regret=float(regret),
                         tau=int(trace.tau), total_reward=float(trace.total_reward),
-                        runtime_ms=(_time.perf_counter() - started) * 1e3)
+                        runtime_ms=(time.perf_counter() - started) * 1e3)
     except Exception as exc:  # per-row failure, never fatal to the sweep
         return SweepRow(algorithm=alg, sweep_param=config.sweep_param,
                         sweep_value=int(value), seed=seed, regret=float("nan"),
                         tau=0, total_reward=float("nan"),
-                        runtime_ms=(_time.perf_counter() - started) * 1e3,
+                        runtime_ms=(time.perf_counter() - started) * 1e3,
                         error=f"{type(exc).__name__}: {exc}")
 
 

@@ -7,7 +7,7 @@ Exact vertex solutions make the surrounding estimates easy to test, which is
 why this is hand-rolled rather than delegated to an interior-point code.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

@@ -4,17 +4,17 @@ Each round the policy predicts rewards and costs for every arm, combines them
 into a price-penalized score, samples an arm with probability inversely
 proportional to its score gap from the greedy arm, then feeds the realized
 outcome back into the oracles and the dual update.  The run stops the first
-round any resource's cumulative consumption reaches B - 1.
+round any resource's cumulative consumption reaches B - 1.  ``run_rounds`` is
+that round; the LinUCB baseline runs it with its own estimator and chooser.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
-from .dual import dual_init, dual_lambda, dual_update
+from .dual import DualState, dual_init, dual_lambda, dual_update
 from .errors import ConfigurationError
 from .oracles import OracleBoundSpec, bound_spec, make_predictor, make_vector_predictor
 
@@ -72,6 +72,65 @@ def _sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(np.searchsorted(np.cumsum(p), r), p.size - 1))
 
 
+def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
+               rng: np.random.Generator, **summary) -> RunTrace:
+    """The primal-dual round shared by every policy, run until T or B - 1.
+
+    Each round ``estimate(t)`` gives every arm's reward and cost estimates
+    (K,) and (K, d), the dual prices turn them into Lagrangian scores,
+    ``choose(scores)`` picks an arm and its selection distribution, the
+    outcome is sampled, ``learn(arm, outcome)`` updates the estimator and the
+    dual takes its step.  The run stops the first round any resource's
+    cumulative consumption reaches B - 1.  ``summary`` (``gamma``,
+    ``dual_radius``) is copied onto the trace.
+    """
+    inst = env.instance
+    T, B, d, K = inst.T, inst.B, inst.d, inst.K
+    feats = env.features()
+    budget_rate = inst.budget_rate
+
+    arms = np.empty(T, dtype=np.int64)
+    rewards = np.empty(T)
+    costs = np.empty((T, d))
+    probs = np.empty((T, K))
+    rhat_log = np.empty((T, K))
+    lam_log = np.empty((T, d))
+
+    cum_cost = np.zeros(d)
+    total_reward = 0.0
+    tau = T
+    exit_level = B - 1.0
+
+    for t in range(T):
+        rhat, chat = estimate(t)
+        lam = dual_lambda(dual)
+        scores = lagrangian_scores(rhat, chat, lam, budget_rate)
+        arm, p = choose(scores)
+        outcome = sample_outcome(env, feats, arm, rng)
+
+        arms[t] = arm
+        rewards[t] = outcome.reward
+        costs[t] = outcome.cost
+        probs[t] = p
+        rhat_log[t] = rhat
+        lam_log[t] = lam
+
+        total_reward += outcome.reward
+        cum_cost += outcome.cost
+
+        learn(arm, outcome)
+        dual_update(dual, outcome.cost, budget_rate)
+
+        if (cum_cost >= exit_level).any():
+            tau = t + 1
+            break
+
+    return RunTrace(arms=arms[:tau], rewards=rewards[:tau], costs=costs[:tau],
+                    probs=probs[:tau], rhat=rhat_log[:tau], lam=lam_log[:tau],
+                    tau=tau, total_reward=total_reward, total_cost=cum_cost,
+                    stopped_early=tau < T, **summary)
+
+
 def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
                    rng: np.random.Generator, *, oracle=None) -> RunTrace:
     """Run the IGW policy for up to T rounds or until a budget nearly runs out.
@@ -84,11 +143,9 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     instrumentation) when the maps coincide; by default a fresh one is created
     for the configured family.
     """
-    started = time.perf_counter()
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
     feats = env.features()
-    budget_rate = inst.budget_rate
 
     Z = config.z if config.z is not None else T / B
     m1 = feats.reward.shape[1]
@@ -107,73 +164,21 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     else:
         groups = ((feats.reward, make_predictor(config.oracle, m1, **kw), 0),
                   (feats.cost, make_vector_predictor(config.oracle, d, m2, **kw), slice(1, None)))
-    dual = dual_init(d, Z, T)
-
-    arms = np.empty(T, dtype=np.int64)
-    rewards = np.empty(T)
-    costs = np.empty((T, d))
-    probs = np.empty((T, K))
-    rhat_log = np.empty((T, K))
-    chat_log = np.empty((T, K, d))
-    lam_log = np.empty((T, d))
-    score_log = np.empty((T, K))
-
     targets = np.empty(1 + d)
-    cum_cost = np.zeros(d)
-    total_reward = 0.0
-    tau = T
-    stopped_early = False
-    exit_level = B - 1.0
 
-    for t in range(T):
+    def estimate(t):
         preds = np.column_stack([o.predict_matrix(phis) for phis, o, _ in groups])
-        rhat, chat = preds[:, 0], preds[:, 1:]
-        lam = dual_lambda(dual)
-        scores = lagrangian_scores(rhat, chat, lam, budget_rate)
+        return preds[:, 0], preds[:, 1:]
+
+    def choose(scores):
         p = igw_distribution(scores, gamma)
-        arm = _sample_arm(p, rng)
-        outcome = sample_outcome(env, feats, arm, rng)
+        return _sample_arm(p, rng), p
 
-        arms[t] = arm
-        rewards[t] = outcome.reward
-        costs[t] = outcome.cost
-        probs[t] = p
-        rhat_log[t] = rhat
-        chat_log[t] = chat
-        lam_log[t] = lam
-        score_log[t] = scores
-
-        total_reward += outcome.reward
-        cum_cost += outcome.cost
-
+    def learn(arm, outcome):
         targets[0] = outcome.reward
         targets[1:] = outcome.cost
         for phis, o, rows in groups:
             o.update(phis[arm], targets[rows])
-        dual_update(dual, outcome.cost, budget_rate)
 
-        if (cum_cost >= exit_level).any():
-            tau = t + 1
-            stopped_early = tau < T
-            break
-
-    return RunTrace(
-        horizon=T,
-        budget=B,
-        arm_features=feats,
-        arms=arms[:tau],
-        rewards=rewards[:tau],
-        costs=costs[:tau],
-        probs=probs[:tau],
-        rhat=rhat_log[:tau],
-        chat=chat_log[:tau],
-        lam=lam_log[:tau],
-        scores=score_log[:tau],
-        tau=tau,
-        total_reward=total_reward,
-        total_cost=cum_cost,
-        duration_s=time.perf_counter() - started,
-        stopped_early=stopped_early,
-        gamma=gamma,
-        dual_radius=Z,
-    )
+    return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
+                      gamma=gamma, dual_radius=Z)

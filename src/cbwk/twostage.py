@@ -8,7 +8,6 @@ parameterizes a fresh IGW policy run on the remaining horizon and budget.
 """
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .errors import ConfigurationError, InfeasibleError
 from .lp import LpProblem, solve_lp
-from .oracles import BatchPredictor, online_to_batch
+from .oracles import online_to_batch
 from .policy import PolicyConfig, run_squarecbwk
 
 
@@ -235,8 +234,6 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     inst = env.instance
     m1 = env.contexts.reward.shape[1]
     t0 = cfg.t0 if cfg.t0 is not None else t0_default("linear", m1, inst.d, inst.K, inst.T)
-    if (K1 := (inst.K + 1) * t0) > inst.T:
-        raise ConfigurationError(f"(K+1)*T0 = {K1} exceeds T = {inst.T}")
 
     err_f, err_g = estimation_errors(cfg.oracle, m1, inst.d, t0, inst.T, cfg.err_scale)
     m_val = m_t0(t0, inst.K, inst.d, err_f, err_g, inst.T)
@@ -270,14 +267,19 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
                           err_g=err_g, m_val=m_val, z=z, aborted=False)
 
 
+_PER_ROUND = ("arms", "rewards", "costs", "probs", "rhat", "lam")
+
+
 def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
                  rng: np.random.Generator,
                  policy_overrides: PolicyConfig | None = None) -> RunTrace:
-    """Full two-stage run: phase-1 estimation, then the IGW policy on the rest."""
-    started = time.perf_counter()
+    """Full two-stage run: phase-1 estimation, then the IGW policy on the rest.
+
+    Exploration rounds are one-hot pulls without estimates, so their ``rhat``
+    and ``lam`` rows are NaN.
+    """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    feats = env.features()
 
     p1 = phase_one(env, cfg, rng)
     t0 = p1.t0
@@ -293,24 +295,17 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
 
     expl = p1.exploration
     n1 = expl.arms.size
-    K_arms = K
-    nan_r = np.full((n1, K_arms), np.nan)
-    nan_c = np.full((n1, K_arms, d), np.nan)
-    nan_l = np.full((n1, d), np.nan)
-    probs1 = np.zeros((n1, K_arms))
+    probs1 = np.zeros((n1, K))
     probs1[np.arange(n1), expl.arms] = 1.0
-
+    head = RunTrace(
+        arms=expl.arms, rewards=expl.round_rewards, costs=expl.round_costs, probs=probs1,
+        rhat=np.full((n1, K), np.nan), lam=np.full((n1, d), np.nan),
+        tau=n1, total_reward=float(expl.round_rewards.sum()), total_cost=expl.consumed.copy(),
+        stopped_early=p1.aborted, aborted_in_exploration=p1.aborted,
+        dual_radius=p1.z if p1.z is not None else float("nan"),
+    )
     if p1.aborted or phase1_rounds == T:
-        total_reward = float(expl.round_rewards.sum())
-        return RunTrace(
-            horizon=T, budget=B, arm_features=feats,
-            arms=expl.arms, rewards=expl.round_rewards, costs=expl.round_costs,
-            probs=probs1, rhat=nan_r, chat=nan_c, lam=nan_l, scores=nan_r.copy(),
-            tau=n1, total_reward=total_reward, total_cost=expl.consumed.copy(),
-            duration_s=time.perf_counter() - started,
-            stopped_early=p1.aborted, aborted_in_exploration=p1.aborted,
-            dual_radius=p1.z if p1.z is not None else float("nan"),
-        )
+        return head
 
     t2 = T - phase1_rounds
     b2 = B - phase1_rounds
@@ -320,25 +315,13 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
         )
     env2 = replace(env, instance=type(inst)(T=t2, B=b2, d=d, K=K))
     base = policy_overrides if policy_overrides is not None else PolicyConfig(oracle=cfg.oracle)
-    pc = replace(base, z=base.z if base.z is not None else p1.z,
-                 oracle=base.oracle if policy_overrides is not None else cfg.oracle)
-    trace2 = run_squarecbwk(env2, pc, rng)
+    pc = replace(base, z=base.z if base.z is not None else p1.z)
+    tail = run_squarecbwk(env2, pc, rng)
 
-    return RunTrace(
-        horizon=T, budget=B, arm_features=feats,
-        arms=np.concatenate([expl.arms, trace2.arms]),
-        rewards=np.concatenate([expl.round_rewards, trace2.rewards]),
-        costs=np.vstack([expl.round_costs, trace2.costs]),
-        probs=np.vstack([probs1, trace2.probs]),
-        rhat=np.vstack([nan_r, trace2.rhat]),
-        chat=np.concatenate([nan_c, trace2.chat], axis=0),
-        lam=np.vstack([nan_l, trace2.lam]),
-        scores=np.vstack([nan_r.copy(), trace2.scores]),
-        tau=n1 + trace2.tau,
-        total_reward=float(expl.round_rewards.sum()) + trace2.total_reward,
-        total_cost=expl.consumed + trace2.total_cost,
-        duration_s=time.perf_counter() - started,
-        stopped_early=trace2.stopped_early,
-        gamma=trace2.gamma,
-        dual_radius=trace2.dual_radius,
+    return replace(
+        tail,
+        **{f: np.concatenate([getattr(head, f), getattr(tail, f)]) for f in _PER_ROUND},
+        tau=head.tau + tail.tau,
+        total_reward=head.total_reward + tail.total_reward,
+        total_cost=head.total_cost + tail.total_cost,
     )

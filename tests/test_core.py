@@ -156,13 +156,11 @@ def test_feature_norm_bound_enforced():
                     norm_bound=1.0)
 
 
-def _dummy_trace(total_reward, tau, T=1000, B=1000.0):
+def _dummy_trace(total_reward, tau):
     z = np.zeros
-    return RunTrace(horizon=T, budget=B, arm_features=None, arms=z(tau, dtype=int),
-                    rewards=z(tau), costs=z((tau, 1)), probs=z((tau, 2)),
-                    rhat=z((tau, 2)), chat=z((tau, 2, 1)), lam=z((tau, 1)),
-                    scores=z((tau, 2)), tau=tau, total_reward=total_reward,
-                    total_cost=z(1))
+    return RunTrace(arms=z(tau, dtype=int), rewards=z(tau), costs=z((tau, 1)),
+                    probs=z((tau, 2)), rhat=z((tau, 2)), lam=z((tau, 1)), tau=tau,
+                    total_reward=total_reward, total_cost=z(1))
 
 
 def test_realized_regret_arithmetic():

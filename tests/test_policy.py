@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cbwk.baseline import LinUcbConfig, run_linucb
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
 from cbwk.errors import ConfigurationError
 from cbwk.oracles import OracleBoundSpec, VectorPredictor
@@ -100,6 +101,27 @@ def test_exit_fires_at_budget_minus_one():
     assert trace.total_cost[0] == pytest.approx(9.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alg", ["glmtron", "ogd", "linucb"])
+def test_budget_stop_rule_bounded_mode(alg):
+    # bounded outcomes cost at most 1 per round, so stopping at B-1 keeps
+    # every resource under B
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=600, B=300, bounded=True)
+    stops = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        trace = (run_linucb(env, LinUcbConfig(), rng) if alg == "linucb"
+                 else run_squarecbwk(env, PolicyConfig(oracle=alg), rng))
+        # before the exit round every resource was strictly under B-1
+        assert (trace.costs[:trace.tau - 1].sum(axis=0) < 299.0).all()
+        assert trace.total_cost.max() < 300.0
+        if trace.stopped_early:
+            stops += 1
+            assert (trace.costs.sum(axis=0) >= 299.0).any()
+        else:
+            assert trace.tau == 600
+    assert stops > 0
+
+
 def test_budget_never_binds_with_zero_costs():
     env = _constant_cost_env(0.0, T=40, B=40.0)
     trace = run_squarecbwk(env, PolicyConfig(gamma=1.0), np.random.default_rng(0))
@@ -164,7 +186,7 @@ def test_separate_feature_maps_match_the_fused_stack():
         a = run_squarecbwk(shared, PolicyConfig(oracle=kind), np.random.default_rng(9))
         b = run_squarecbwk(split, PolicyConfig(oracle=kind), np.random.default_rng(9))
         assert a.tau == b.tau
-        for field in ("arms", "rewards", "probs", "rhat", "chat", "scores"):
+        for field in ("arms", "rewards", "probs", "rhat", "lam"):
             assert (getattr(a, field) == getattr(b, field)).all(), field
     with pytest.raises(ConfigurationError):
         run_squarecbwk(split, PolicyConfig(), np.random.default_rng(9),
