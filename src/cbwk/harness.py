@@ -9,6 +9,7 @@ The emitted CSV therefore contains no wall-clock data: the runtime_ms column
 is fixed to 0 and measured runtimes stay on the in-memory result rows.
 """
 
+import ctypes
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -345,8 +346,39 @@ def _run_cell(spec: dict) -> SweepRow:
                         error=f"{type(exc).__name__}: {exc}")
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run every OpenBLAS loaded in this worker on one thread.
+
+    The sweep's cells are its unit of parallelism, so BLAS threads inside a
+    worker only oversubscribe the cores.  A forked worker has numpy loaded
+    already and no longer reads OPENBLAS_NUM_THREADS, so the count is set at
+    run time through the library's own setter.  Without /proc or OpenBLAS
+    this does nothing: an initializer that raises breaks the whole pool.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
+        for path in sorted(libs):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+                    break
+    except OSError:
+        pass
+
+
 def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
-    """Execute every (algorithm, value, seed) cell; canonical row order."""
+    """Execute every (algorithm, value, seed) cell; canonical row order.
+
+    With ``parallelism`` > 1 the cells run in a process pool whose workers
+    use one OpenBLAS thread each; the calling process is left as it is.
+    """
+    if parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1 (got {parallelism})")
     specs = []
     index = 0
     for alg in config.algorithms:
@@ -355,10 +387,11 @@ def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
                 specs.append({"config": config, "algorithm": alg, "value": value,
                               "seed": config.seeds_base + index})
                 index += 1
-    if parallelism <= 1:
+    if parallelism == 1:
         rows = [_run_cell(s) for s in specs]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=parallelism,
+                                 initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_run_cell, specs, chunksize=1))
     result = SweepResult(sweep_param=config.sweep_param, rows=rows)
     result.recompute_aggregates()

@@ -191,9 +191,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     x = np.zeros(ncols2)
     x[basis] = tableau2[:-1, -1]
-    # Reduced costs under the slack columns are the inequality multipliers.
-    dual_full = tableau2[-1, n : n + mi].copy()
-    dual_ub = np.where(flip[:mi], -dual_full, dual_full)
+    # Reduced costs under the slack columns are the inequality multipliers.  A
+    # row flipped for b < 0 negates both its slack column and its multiplier,
+    # so the reduced cost needs no sign correction.
+    dual_ub = tableau2[-1, n : n + mi].copy()
     return LpSolution(
         status="optimal",
         value=float(problem.c @ x[:n]),

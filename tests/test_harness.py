@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -5,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from cbwk import harness
 from cbwk.errors import ConfigurationError
 from cbwk.harness import (
     CSV_HEADER,
+    SweepRow,
     parse_config,
     read_csv,
     render_plot,
@@ -119,6 +122,65 @@ def test_determinism_and_parallelism_invariance(tmp_path):
         write_csv(result, str(path))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+def _openblas_libs():
+    """(getter, setter) of the thread count of every OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("scipy_openblas_", ""), ("openblas_", "")):
+            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if getter is not None:
+                setter = getattr(lib, f"{prefix}set_num_threads{suffix}")
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                libs.append((getter, setter))
+                break
+    return libs
+
+
+def _openblas_threads():
+    return [get() for get, _ in _openblas_libs()]
+
+
+needs_openblas = pytest.mark.skipif(not _openblas_libs(), reason="no OpenBLAS library is loaded")
+
+
+def _threads_cell(spec):
+    """Stands in for a sweep cell and reports the worker's OpenBLAS threads as tau."""
+    (threads,) = set(_openblas_threads())
+    return SweepRow(algorithm=spec["algorithm"], sweep_param="m",
+                    sweep_value=spec["value"], seed=spec["seed"], regret=0.0,
+                    tau=threads, total_reward=0.0)
+
+
+@needs_openblas
+def test_sweep_workers_run_one_blas_thread(monkeypatch):
+    # forked workers inherit the patched module, so each cell runs the probe
+    monkeypatch.setattr(harness, "_run_cell", _threads_cell)
+    result = run_sweep(parse_config(TINY_CONFIG), parallelism=2)
+    assert [r.tau for r in result.rows] == [1] * 8
+
+
+@needs_openblas
+def test_parallel_sweep_leaves_caller_blas_threads():
+    libs = _openblas_libs()
+    before = _openblas_threads()
+    try:
+        for _, set_threads in libs:
+            set_threads(2)  # not 1, so a pin that leaked into the caller would show
+        run_sweep(parse_config(TINY_CONFIG), parallelism=2)
+        assert _openblas_threads() == [2] * len(libs)
+    finally:
+        for (_, set_threads), threads in zip(libs, before):
+            set_threads(threads)
 
 
 def test_csv_format(tmp_path):
@@ -255,6 +317,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "sweep value 1: K >= 2 violated" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", _write_tiny(tmp_path), "--seeds", "0"]) == 1
+
+    # parallelism below 1 is refused before any cell runs, for run and sweep
+    for parallelism in ("0", "-5"):
+        out = tmp_path / f"p{parallelism}"
+        capsys.readouterr()
+        assert main(["run", _write_tiny(tmp_path), "--out", str(out),
+                     "--parallelism", parallelism]) == 1
+        assert main(["sweep", _write_tiny(tmp_path), "--param", "m", "--values", "10",
+                     "--out", str(out), "--parallelism", parallelism]) == 1
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     # a sweep with failed cells still writes its CSV, but exits 2
     failing = tmp_path / "failing.conf"

@@ -137,3 +137,56 @@ def test_lp_problem_validation():
         LpProblem(c=[np.inf])
     with pytest.raises(ConfigurationError):
         LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=None)
+
+
+def _differential_programs(rng):
+    """(kind, program) pairs: random, degenerate, infeasible and unbounded."""
+    def drawn(draw, n, mi, me):
+        ub = (draw((mi, n)), draw(mi)) if mi else (None, None)
+        eq = (draw((me, n)), draw(me)) if me else (None, None)
+        return LpProblem(draw(n), *ub, *eq)
+
+    def normal(size):
+        return rng.normal(size=size)
+
+    def small_int(size):
+        return rng.integers(-2, 3, size=size).astype(float)
+
+    for _ in range(150):  # mixed-sign real data: every status occurs
+        n, mi, me = int(rng.integers(1, 7)), int(rng.integers(0, 5)), int(rng.integers(0, 3))
+        yield "random", drawn(normal, n, mi, me)
+    for _ in range(150):  # small integers: ties, zero right-hand sides, degenerate vertices
+        n, mi, me = int(rng.integers(1, 7)), int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        yield "degenerate", drawn(small_int, n, mi, me)
+    for K in (2, 3, 5):  # duplicated arms, a null arm and a repeated simplex row
+        rewards = np.append(np.repeat(rng.random(K), 2), 0.0)
+        costs = np.vstack([np.repeat(rng.random((K, 2)), 2, axis=0), np.zeros((1, 2))])
+        yield "degenerate", LpProblem(rewards, costs.T, np.full(2, 0.3),
+                                      np.ones((2, 2 * K + 1)), np.ones(2))
+    for n in (2, 4):  # the simplex equality against a tighter mass cap
+        yield "infeasible", LpProblem(rng.random(n), np.ones((1, n)), np.array([0.5]),
+                                      np.ones((1, n)), np.array([1.0]))
+        yield "infeasible", LpProblem(rng.random(n), -np.eye(n), -np.ones(n),
+                                      np.ones((1, n)), np.array([1.0]))
+    for n in (1, 3, 5):  # feasible at 0 with no row bounding a profitable direction
+        yield "unbounded", LpProblem(np.abs(rng.normal(size=n)) + 0.1,
+                                     -np.abs(rng.normal(size=(2, n))), np.ones(2))
+
+
+def test_solve_lp_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    statuses = {}
+    for i, (kind, problem) in enumerate(_differential_programs(np.random.default_rng(2024))):
+        ours = solve_lp(problem)
+        ref = linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                      A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=(0, None),
+                      method="highs")
+        assert ours.status == highs_status[ref.status], f"{kind} program {i}: {ref.message}"
+        if ours.status == "optimal":
+            assert ours.value == pytest.approx(-ref.fun, abs=1e-7 * (1 + abs(ref.fun))), \
+                f"{kind} program {i}"
+        statuses.setdefault(kind, set()).add(ours.status)
+    every = {"optimal", "infeasible", "unbounded"}
+    assert statuses == {"random": every, "degenerate": every,
+                        "infeasible": {"infeasible"}, "unbounded": {"unbounded"}}
