@@ -40,6 +40,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
 
     a_inv = np.eye(m) / config.ridge
     b_vec = np.zeros((1 + d, m))
+    targets = np.empty(1 + d)
     one_hot = np.eye(K)
 
     def estimate(t):
@@ -50,7 +51,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
         return means[:, 0] + beta * widths, means[:, 1:] - beta * widths[:, None]
 
     def choose(scores):
-        arm = int(np.argmax(scores))
+        arm = int(scores.argmax())
         return arm, one_hot[arm]
 
     def learn(arm, outcome):
@@ -58,7 +59,8 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
         phi = Phi[arm]
         q = a_inv @ phi
         a_inv -= q[:, None] * q / (1.0 + q @ phi)
-        targets = np.concatenate([[outcome.reward], outcome.cost])
+        targets[0] = outcome.reward
+        targets[1:] = outcome.cost
         b_vec += targets[:, None] * phi
 
     return run_rounds(env, dual_init(d, T / B, T), estimate, choose, learn, rng,

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,18 @@ class EnvironmentSpec:
     def features(self) -> ArmFeatures:
         """Context set for one round (fixed across rounds)."""
         return self.contexts
+
+    @cached_property
+    def outcome_means(self) -> np.ndarray:
+        """Pre-noise [reward | costs] row of every arm for the fixed contexts, (K, 1+d).
+
+        Each row is computed by ``sample_outcome``'s own per-arm expressions,
+        so it is bitwise the row that function would build for that arm.
+        """
+        rows = np.array([_outcome_mean_row(self, self.contexts, a)
+                         for a in range(self.instance.K)])
+        rows.flags.writeable = False
+        return rows
 
     def _mean_matrix(self) -> np.ndarray:
         """Raw (pre-clip) expected [reward | costs] per arm, shape (K, 1+d)."""
@@ -262,27 +275,41 @@ def make_glm_env(
     )
 
 
+def _outcome_mean_row(env: EnvironmentSpec, features: ArmFeatures, arm: int) -> np.ndarray:
+    """Pre-noise [reward | costs] of one arm, link applied, shape (1+d,)."""
+    raw = np.empty(1 + env.instance.d)
+    raw[0] = features.reward[arm] @ env.theta_reward
+    raw[1:] = env.theta_cost @ features.cost[arm]
+    if env.link == "logistic":
+        raw = 1.0 / (1.0 + np.exp(-raw))
+    return raw
+
+
 def sample_outcome(
     env: EnvironmentSpec, features: ArmFeatures, arm: int, rng: np.random.Generator
 ) -> RoundOutcome:
-    """Draw one round's reward and cost vector for the pulled arm."""
+    """Draw one round's reward and cost vector for the pulled arm.
+
+    The arm's pre-noise row is read from the cached ``env.outcome_means`` when
+    ``features`` is the environment's own context set; any other feature set
+    is evaluated with the same per-arm expressions.
+    """
     K, d = env.instance.K, env.instance.d
     if not 0 <= arm < K:
         raise IndexError(f"arm {arm} out of range [0, {K})")
     if env.null_arm and arm == K - 1:
         return RoundOutcome(reward=0.0, cost=np.zeros(d))
 
-    raw = np.empty(1 + d)
-    raw[0] = features.reward[arm] @ env.theta_reward
-    raw[1:] = env.theta_cost @ features.cost[arm]
-    if env.link == "logistic":
-        raw = 1.0 / (1.0 + np.exp(-raw))
+    if features is env.contexts:
+        raw = env.outcome_means[arm]
+    else:
+        raw = _outcome_mean_row(env, features, arm)
     if env.outcome_model == "bernoulli":
         vals = (rng.random(1 + d) < raw).astype(float)
     else:
         vals = raw + rng.normal(0.0, math.sqrt(env.noise_variance), 1 + d)
         if env.bounded:
-            vals = np.clip(vals, 0.0, 1.0)
+            vals.clip(0.0, 1.0, out=vals)
     return RoundOutcome(reward=float(vals[0]), cost=vals[1:])
 
 

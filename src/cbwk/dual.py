@@ -4,10 +4,16 @@ The price vector lambda lives in {lambda >= 0, ||lambda||_1 <= Z}.  Adding a
 slack coordinate and dividing by Z turns that set into the probability simplex
 on d+1 coordinates, where normalized exponentiated gradient applies.  The
 resource coordinates see gradient (B/T - c_t); the slack coordinate sees zero.
+
+The state keeps unnormalized log-weights, so an update is one add, one max
+shift and one normalizing exp: the weights after t updates are
+exp(-eta * sum of gradients) up to normalization, however small a weight gets.
+A weight whose log-weight falls more than about 745 below the largest reads
+exactly 0, but its log-weight is kept, and it recovers when the gradients turn.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,14 +22,26 @@ from .errors import ConfigurationError
 
 @dataclass
 class DualState:
-    weights: np.ndarray  # (d+1,) probability vector; last entry is the slack
+    logw: np.ndarray  # (d+1,) unnormalized log-weights; last entry is the slack
     Z: float
     eta: float
     t: int = 0
+    weights: np.ndarray = field(init=False)  # (d+1,) normalized exp(logw)
+
+    def __post_init__(self):
+        self.logw = np.array(self.logw, dtype=float)
+        self._normalize()
+
+    def _normalize(self) -> None:
+        logw = self.logw
+        logw -= np.maximum.reduce(logw)
+        w = np.exp(logw)
+        w /= np.add.reduce(w)
+        self.weights = w
 
     @property
     def d(self) -> int:
-        return self.weights.size - 1
+        return self.logw.size - 1
 
 
 def dual_init(d: int, Z: float, T: int) -> DualState:
@@ -38,7 +56,7 @@ def dual_init(d: int, Z: float, T: int) -> DualState:
     if problems:
         raise ConfigurationError(problems)
     eta = math.sqrt(math.log(d + 1) / T)
-    return DualState(weights=np.full(d + 1, 1.0 / (d + 1)), Z=float(Z), eta=eta)
+    return DualState(logw=np.zeros(d + 1), Z=float(Z), eta=eta)
 
 
 def dual_lambda(state: DualState) -> np.ndarray:
@@ -49,18 +67,13 @@ def dual_lambda(state: DualState) -> np.ndarray:
 def dual_update(state: DualState, cost: np.ndarray, budget_rate: float) -> None:
     """Multiplicative update after observing one round's realized cost.
 
-    Over-consumption (c > B/T) raises the corresponding price; the update is
-    computed in log space with max subtraction before normalizing back onto
-    the simplex.
+    Over-consumption (c > B/T) raises the corresponding price: the resource
+    log-weights move by -eta (B/T - c), the slack's by zero, and the weights
+    are renormalized after shifting the largest log-weight to 0.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (state.d,):
         raise ConfigurationError(f"cost has shape {cost.shape}, expected ({state.d},)")
-    grad = np.zeros(state.d + 1)
-    grad[:-1] = budget_rate - cost
-    with np.errstate(divide="ignore"):
-        logw = np.log(state.weights) - state.eta * grad
-    logw -= logw.max()
-    w = np.exp(logw)
-    state.weights = w / w.sum()
+    state.logw[:-1] += state.eta * (cost - budget_rate)
+    state._normalize()
     state.t += 1

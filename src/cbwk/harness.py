@@ -57,6 +57,12 @@ _OPTIONAL_KEYS = (
 )
 
 
+# (field, comparison, bound) of each algorithm.* number; an unset gamma, z or
+# t0 is skipped.  NaN breaks every bound.
+_ALGORITHM_RANGES = (("gamma", ">", 0), ("z", ">", 0), ("t0", ">=", 1), ("eta_scale", ">", 0),
+                     ("bound_scale", ">=", 0), ("err_scale", ">=", 0), ("confidence", ">=", 0))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
@@ -113,6 +119,10 @@ class ExperimentConfig:
         if self.twostage_oracle not in ("glmtron", "ogd"):
             problems.append("algorithm.twostage_oracle must be glmtron or ogd "
                             f"(got {self.twostage_oracle!r})")
+        for key, op, lower in _ALGORITHM_RANGES:
+            value = getattr(self, key)
+            if value is not None and not (value > lower if op == ">" else value >= lower):
+                problems.append(f"algorithm.{key} {op} {lower} violated (got {value})")
         if self.seeds_count < 1:
             problems.append(f"seeds.count must be >= 1 (got {self.seeds_count})")
         if self.sweep_param not in ("m", "K", "T"):
@@ -121,7 +131,7 @@ class ExperimentConfig:
             problems.append("sweep.values is empty")
         base = {"m": self.m, "K": self.K, "d": self.d, "T": self.T}
         problems += _environment_violations(base, self.budget_spec, "")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:  # NaN too
             problems.append(f"noise_variance >= 0 violated (got {self.noise_variance})")
         for v in self.sweep_values:
             problems += _environment_violations({**base, self.sweep_param: v},

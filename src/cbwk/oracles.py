@@ -17,6 +17,7 @@ online-to-batch fits every target of an arm in one pass.  A scalar oracle is a
 one-row stack.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,7 +110,7 @@ class VectorPredictor:
             raise ConfigurationError(
                 f"feature matrix has {phis.shape[1]} columns, expected {self.dim}"
             )
-        return np.clip(_LINKS[self.link][0](np.einsum("kj,nj->kn", phis, self.theta)), 0.0, 1.0)
+        return _LINKS[self.link][0](np.einsum("kj,nj->kn", phis, self.theta)).clip(0.0, 1.0)
 
     def predict(self, phi) -> np.ndarray:
         return self._predict(_check_phi(phi, self.dim)[None, :])[0]
@@ -136,8 +137,10 @@ class VectorPredictor:
         link, slope = _LINKS[self.link]
         z = np.einsum("nj,j->n", self.theta, phi)
         self.t += 1
-        eta = self.eta_scale / np.sqrt(float(self.t))
-        coeff = eta * 2.0 * (link(z) - y) * slope(z)
+        eta = self.eta_scale / math.sqrt(self.t)
+        coeff = eta * 2.0 * (link(z) - y)
+        if link is not _identity:  # the identity's slope is 1
+            coeff *= slope(z)
         theta = self.theta - coeff[:, None] * phi
         theta /= np.maximum(_row_norms(theta), 1.0)[:, None]
         self.theta = theta
@@ -151,18 +154,18 @@ class VectorPredictor:
             q = self.A_inv @ phi
             denom = 1.0 + q @ phi
             self.A += phi[:, None] * phi
-            bad = denom <= _REINIT_DENOM_TOL or not np.isfinite(denom)
+            bad = denom <= _REINIT_DENOM_TOL or not math.isfinite(denom)
             self.A_inv -= q[:, None] * q / (1.0 if bad else denom)
-            if bad or not np.isfinite(self.A_inv).all():
+            if bad or not np.logical_and.reduce(np.isfinite(self.A_inv), axis=None):
                 self._reinitialize()
 
             v = self.theta - np.einsum("ij,nj->ni", self.A_inv, grad)
-            broken = ~np.isfinite(v).all(axis=1)
-            if broken.any():
-                v[broken] = 0.0
             norms = _row_norms(v)
-            over = norms > 1.0
-            if over.any():
+            if not math.isfinite(np.add.reduce(norms)):  # some row may be non-finite
+                v[~np.isfinite(v).all(axis=1)] = 0.0
+                norms = _row_norms(v)
+            if np.maximum.reduce(norms) > 1.0:
+                over = norms > 1.0
                 v[over] = _project_a_norm(self.A, v[over], norms[over])
             self.theta = v
             self.t += 1

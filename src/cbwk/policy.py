@@ -60,16 +60,16 @@ def igw_distribution(scores: np.ndarray, gamma: float) -> np.ndarray:
     1 - sum of 1/(K + gamma * gap) over the others, which is always >= 1/K.
     """
     K = scores.size
-    best = int(np.argmax(scores))
+    best = int(scores.argmax())
     p = 1.0 / (K + gamma * (scores[best] - scores))
     p[best] = 0.0
-    p[best] = 1.0 - p.sum()
+    p[best] = 1.0 - np.add.reduce(p)
     return p
 
 
 def _sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
     r = rng.random()
-    return int(min(np.searchsorted(np.cumsum(p), r), p.size - 1))
+    return min(int(np.add.accumulate(p).searchsorted(r)), p.size - 1)
 
 
 def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
@@ -121,7 +121,7 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         learn(arm, outcome)
         dual_update(dual, outcome.cost, budget_rate)
 
-        if (cum_cost >= exit_level).any():
+        if np.fmax.reduce(cum_cost) >= exit_level:  # some resource at B - 1; NaN never is
             tau = t + 1
             break
 
@@ -155,7 +155,8 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
 
     # (feature map, oracle, target rows it learns) per oracle
     kw = {"link": env.link, "eta_scale": config.eta_scale}
-    if feats.reward is feats.cost:
+    fused = feats.reward is feats.cost
+    if fused:
         if oracle is None:
             oracle = make_vector_predictor(config.oracle, 1 + d, m1, **kw)
         groups = ((feats.reward, oracle, slice(None)),)
@@ -167,7 +168,10 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     targets = np.empty(1 + d)
 
     def estimate(t):
-        preds = np.column_stack([o.predict_matrix(phis) for phis, o, _ in groups])
+        if fused:
+            preds = oracle.predict_matrix(feats.reward)
+        else:
+            preds = np.column_stack([o.predict_matrix(phis) for phis, o, _ in groups])
         return preds[:, 0], preds[:, 1:]
 
     def choose(scores):

@@ -120,6 +120,27 @@ def test_zero_noise_matches_analytic_means():
     assert out.cost[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_cached_outcome_rows_match_any_feature_set():
+    # the environment's own contexts read the cached rows; an equal but
+    # distinct feature set evaluates them afresh, bitwise the same
+    rng = np.random.default_rng(4)
+    contexts = rng.normal(size=(3, 4))
+    contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
+    glm = make_glm_env(ProblemInstance(T=10, B=10, d=2, K=3), np.full(4, 0.4),
+                       np.full((2, 4), -0.3), contexts)
+    for env in (make_fixed_linear_env(10, 3, 4, 0.2, T=10, B=10),
+                make_fixed_linear_env(10, 3, 4, 0.2, T=10, B=10, bounded=True), glm):
+        feats = env.contexts
+        other = ArmFeatures(reward=feats.reward.copy(), cost=feats.cost.copy(),
+                            norm_bound=feats.norm_bound)
+        assert not env.outcome_means.flags.writeable
+        for arm in range(env.instance.K):
+            for seed in range(3):
+                a = sample_outcome(env, feats, arm, np.random.default_rng(seed))
+                b = sample_outcome(env, other, arm, np.random.default_rng(seed))
+                assert a.reward == b.reward and a.cost.tobytes() == b.cost.tobytes()
+
+
 def test_arm_out_of_range():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=1000, B=1000)
     with pytest.raises(IndexError):

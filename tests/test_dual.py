@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cbwk.dual import dual_init, dual_lambda, dual_update
+from cbwk.dual import DualState, dual_init, dual_lambda, dual_update
 from cbwk.errors import ConfigurationError
 
 
@@ -30,12 +30,13 @@ def test_init_rejects_bad_inputs():
 def test_lambda_scaling_and_slack():
     state = dual_init(1, 2.0, 10)
     assert np.allclose(dual_lambda(state), [1.0])
-    state.weights = np.array([0.0, 0.0, 1.0])
-    state.Z = 5.0
-    assert np.allclose(dual_lambda(state), [0.0, 0.0])
-    state.weights = np.array([1.0, 0.0, 0.0])
-    state.Z = 3.0
-    assert np.allclose(dual_lambda(state), [3.0, 0.0])
+    # a state is built from log-weights; -inf is a weight of exactly 0
+    slack_only = DualState(logw=[-np.inf, -np.inf, 0.0], Z=5.0, eta=0.1)
+    assert np.array_equal(slack_only.weights, [0.0, 0.0, 1.0])
+    assert np.allclose(dual_lambda(slack_only), [0.0, 0.0])
+    first_only = DualState(logw=[7.0, -np.inf, -np.inf], Z=3.0, eta=0.1)
+    assert np.array_equal(first_only.weights, [1.0, 0.0, 0.0])
+    assert np.allclose(dual_lambda(first_only), [3.0, 0.0])
 
 
 def test_balanced_consumption_is_noop():
@@ -101,3 +102,42 @@ def test_oco_regret_bound_adversarial_streams():
             dual_update(state, -thetas[t], 0.0)
         best_fixed = min(0.0, Z * thetas.sum(axis=0).min())
         assert total - best_fixed <= bound
+
+
+def _closed_form_weights(eta, grads):
+    """Per prefix of the gradient stream: w proportional to exp(-eta * sum of gradients)."""
+    logw = -eta * np.cumsum(grads, axis=0)
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("stream", ["random", "underflow"])
+def test_log_weight_update_matches_closed_form(stream):
+    """10^4 updates track the closed-form EG weights to 1e-12 after every step.
+
+    On the underflow stream resource 0 is refunded 20 units a round for the
+    first half, so its log-weight falls more than 745 below the largest and
+    its weight reads exactly 0 for thousands of rounds, as the closed form's
+    does.  It then over-consumes by as much, and the weight comes back: the
+    log-weight was kept, so 0 is not absorbing.  (Updating log(weights)
+    instead would have pinned it at log(0) = -inf for good.)
+    """
+    n, d, rate = 10**4, 4, 0.5
+    costs = np.random.default_rng(3).uniform(-1.0, 2.0, size=(n, d))
+    if stream == "underflow":
+        costs[:, 0] = np.where(np.arange(n) < n // 2, -20.0, 21.0)
+    state = dual_init(d, 2.0, n)
+    got = np.empty((n, d + 1))
+    for t in range(n):
+        dual_update(state, costs[t], rate)
+        got[t] = state.weights
+    grads = np.zeros((n, d + 1))
+    grads[:, :-1] = rate - costs
+    want = _closed_form_weights(state.eta, grads)
+    assert np.abs(got - want).max() <= 1e-12
+    assert state.t == n
+    if stream == "underflow":
+        zero = got[:, 0] == 0.0
+        assert zero.sum() > 1000 and np.array_equal(zero, want[:, 0] == 0.0)
+        assert got[-1, 0] > 0.1

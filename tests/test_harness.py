@@ -329,6 +329,31 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    # out-of-range algorithm.* numbers are refused before any cell runs; they
+    # used to fail every cell (bound_scale, gamma, z, t0) or run silently
+    # (confidence, eta_scale)
+    for key, value, bound in (("bound_scale", "-1", ">= 0"), ("gamma", "-1", "> 0"),
+                              ("z", "0", "> 0"), ("t0", "0", ">= 1"),
+                              ("confidence", "-3", ">= 0"), ("eta_scale", "-2", "> 0"),
+                              ("eta_scale", "0", "> 0"), ("err_scale", "-0.5", ">= 0"),
+                              ("gamma", "nan", "> 0")):
+        cfg = tmp_path / f"{key}{value}.conf"
+        cfg.write_text(TINY_CONFIG + f"\nalgorithm.{key} = {value}\n")
+        out = tmp_path / f"{key}{value}"
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert f"algorithm.{key} {bound} violated" in capsys.readouterr().err
+        assert not out.exists()
+    # a NaN noise variance ran every cell on NaN outcomes and exited 0
+    cfg = tmp_path / "nan_noise.conf"
+    cfg.write_text(TINY_CONFIG.replace("noise_variance = 0.2", "noise_variance = nan"))
+    capsys.readouterr()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "nan_noise")]) == 1
+    assert "noise_variance >= 0 violated (got nan)" in capsys.readouterr().err
+    # greedy LinUCB (confidence 0) and unscaled bounds stay valid
+    config = parse_config(TINY_CONFIG + "\nalgorithm.confidence = 0\nalgorithm.bound_scale = 0\n")
+    assert config.confidence == 0.0 and config.bound_scale == 0.0
+
     # a sweep with failed cells still writes its CSV, but exits 2
     failing = tmp_path / "failing.conf"
     failing.write_text(TINY_CONFIG.replace("algorithm.list = ogd, linucb",

@@ -235,3 +235,25 @@ def test_dual_radius_default_is_horizon_over_budget():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=50, bounded=True)
     trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(7))
     assert trace.dual_radius == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bounded, B, total", [(False, 2000, 2117.171263757395),
+                                               (True, 1000, 1500.555561406486)])
+def test_ogd_traces_do_not_depend_on_m(bounded, B, total):
+    # Arm a's context is e1/sqrt(2) + e_{a+1}, so the features, the true
+    # parameters and every OGD iterate live in the first K+1 coordinates, and
+    # neither OGD's step size nor gamma depends on m.  The whole trace is
+    # therefore bitwise the same at every m: the m sweep cannot show OGD's
+    # dependence on dimension.
+    traces = []
+    for m in (10, 26, 52, 101):
+        env = make_fixed_linear_env(m, 3, 4, 0.2, T=2000, B=B, bounded=bounded, null_arm=bounded)
+        traces.append(run_squarecbwk(env, PolicyConfig(oracle="ogd", bound_scale=0.01),
+                                     np.random.default_rng(1000)))
+    first = traces[0]
+    assert first.total_reward == total
+    for other in traces[1:]:
+        assert (other.tau, other.total_reward, other.gamma) == (first.tau, first.total_reward,
+                                                                 first.gamma)
+        for field in ("arms", "rewards", "costs", "probs", "rhat", "lam", "total_cost"):
+            assert getattr(other, field).tobytes() == getattr(first, field).tobytes(), field
