@@ -109,7 +109,7 @@ class EnvironmentSpec:
             problems.append("reward feature dimension does not match theta_reward")
         if self.contexts.cost.shape[1] != self.theta_cost.shape[1]:
             problems.append("cost feature dimension does not match theta_cost")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:  # NaN fails too
             problems.append("noise_variance must be nonnegative")
         if self.link not in ("identity", "logistic"):
             problems.append(f"unknown link {self.link!r}")
@@ -124,13 +124,18 @@ class EnvironmentSpec:
 
     @cached_property
     def outcome_means(self) -> np.ndarray:
-        """Pre-noise [reward | costs] row of every arm for the fixed contexts, (K, 1+d).
+        """Pre-noise [reward | costs] of every arm, link applied, shape (K, 1+d).
 
-        Each row is computed by ``sample_outcome``'s own per-arm expressions,
-        so it is bitwise the row that function would build for that arm.
+        Rows are built from per-arm dot products rather than one matrix
+        product, so they are bitwise equal to evaluating each arm on its own.
         """
-        rows = np.array([_outcome_mean_row(self, self.contexts, a)
-                         for a in range(self.instance.K)])
+        feats = self.contexts
+        rows = np.empty((self.instance.K, 1 + self.instance.d))
+        for a in range(self.instance.K):
+            rows[a, 0] = feats.reward[a] @ self.theta_reward
+            rows[a, 1:] = self.theta_cost @ feats.cost[a]
+        if self.link == "logistic":
+            rows = 1.0 / (1.0 + np.exp(-rows))
         rows.flags.writeable = False
         return rows
 
@@ -275,24 +280,10 @@ def make_glm_env(
     )
 
 
-def _outcome_mean_row(env: EnvironmentSpec, features: ArmFeatures, arm: int) -> np.ndarray:
-    """Pre-noise [reward | costs] of one arm, link applied, shape (1+d,)."""
-    raw = np.empty(1 + env.instance.d)
-    raw[0] = features.reward[arm] @ env.theta_reward
-    raw[1:] = env.theta_cost @ features.cost[arm]
-    if env.link == "logistic":
-        raw = 1.0 / (1.0 + np.exp(-raw))
-    return raw
-
-
-def sample_outcome(
-    env: EnvironmentSpec, features: ArmFeatures, arm: int, rng: np.random.Generator
-) -> RoundOutcome:
+def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> RoundOutcome:
     """Draw one round's reward and cost vector for the pulled arm.
 
-    The arm's pre-noise row is read from the cached ``env.outcome_means`` when
-    ``features`` is the environment's own context set; any other feature set
-    is evaluated with the same per-arm expressions.
+    The draws are added to the arm's cached row of ``env.outcome_means``.
     """
     K, d = env.instance.K, env.instance.d
     if not 0 <= arm < K:
@@ -300,10 +291,7 @@ def sample_outcome(
     if env.null_arm and arm == K - 1:
         return RoundOutcome(reward=0.0, cost=np.zeros(d))
 
-    if features is env.contexts:
-        raw = env.outcome_means[arm]
-    else:
-        raw = _outcome_mean_row(env, features, arm)
+    raw = env.outcome_means[arm]
     if env.outcome_model == "bernoulli":
         vals = (rng.random(1 + d) < raw).astype(float)
     else:

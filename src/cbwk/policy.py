@@ -86,7 +86,6 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    feats = env.features()
     budget_rate = inst.budget_rate
 
     arms = np.empty(T, dtype=np.int64)
@@ -106,7 +105,7 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         lam = dual_lambda(dual)
         scores = lagrangian_scores(rhat, chat, lam, budget_rate)
         arm, p = choose(scores)
-        outcome = sample_outcome(env, feats, arm, rng)
+        outcome = sample_outcome(env, arm, rng)
 
         arms[t] = arm
         rewards[t] = outcome.reward
@@ -155,8 +154,7 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
 
     # (feature map, oracle, target rows it learns) per oracle
     kw = {"link": env.link, "eta_scale": config.eta_scale}
-    fused = feats.reward is feats.cost
-    if fused:
+    if feats.reward is feats.cost:
         if oracle is None:
             oracle = make_vector_predictor(config.oracle, 1 + d, m1, **kw)
         groups = ((feats.reward, oracle, slice(None)),)
@@ -168,10 +166,9 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     targets = np.empty(1 + d)
 
     def estimate(t):
-        if fused:
-            preds = oracle.predict_matrix(feats.reward)
-        else:
-            preds = np.column_stack([o.predict_matrix(phis) for phis, o, _ in groups])
+        preds = np.empty((K, 1 + d))
+        for phis, o, rows in groups:
+            preds[:, rows] = o.predict_matrix(phis)
         return preds[:, 0], preds[:, 1:]
 
     def choose(scores):

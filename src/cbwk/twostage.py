@@ -123,7 +123,7 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
     t = 0
     for arm in range(K):
         for _ in range(t0):
-            outcome = sample_outcome(env, feats, arm, rng)
+            outcome = sample_outcome(env, arm, rng)
             arms[t] = arm
             round_rewards[t] = outcome.reward
             round_costs[t] = outcome.cost
@@ -143,7 +143,7 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
             raise ConfigurationError("arbitrary_pull='null' but the environment has no null arm")
         for _ in range(t0):
             arm = K - 1 if use_null else int(rng.integers(K))
-            outcome = sample_outcome(env, feats, arm, rng)
+            outcome = sample_outcome(env, arm, rng)
             arms[t] = arm
             round_rewards[t] = outcome.reward
             round_costs[t] = outcome.cost

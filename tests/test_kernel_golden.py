@@ -2,8 +2,9 @@
 
 The digests below were recorded from the round kernel as it was before its
 per-round NumPy overhead was trimmed, and pin the behaviour every rewrite of
-it must keep.  Like perfbench's CSV fingerprints, they assume the BLAS and
-CPU they were recorded on (OpenBLAS on x86-64).  Each digest is a
+it must keep.  Like perfbench's CSV fingerprints, they assume the BLAS core
+and CPU they were recorded on, ``conftest.RECORDED_ON``; a failure names that
+machine and the current one.  Each digest is a
 sha256 over the pulled arms, realized rewards and costs, the NaN pattern of
 the per-round estimates, tau and ``total_reward``; those must stay bitwise
 equal.  Dual prices are free to move by a few ulps (a change in how the
@@ -179,13 +180,14 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_round_kernel_matches_golden_trace(name):
+def test_round_kernel_matches_golden_trace(name, recorded_on):
     want_digest, want_tau, want_sums = GOLDEN[name]
     got_digest, got_tau, got_sums = record(name)
-    assert got_tau == want_tau
-    assert got_digest == want_digest
+    assert got_tau == want_tau, recorded_on
+    assert got_digest == want_digest, recorded_on
     for field, want in want_sums.items():
-        assert got_sums[field] == pytest.approx(want, rel=1e-12, abs=0.0), field
+        assert got_sums[field] == pytest.approx(want, rel=1e-12, abs=0.0), \
+            f"{field}; {recorded_on}"
 
 
 def oracle_stream_digest() -> str:
@@ -223,8 +225,8 @@ def oracle_stream_digest() -> str:
 ORACLE_STREAM = "5d89bc62d6dabc1f8e78"
 
 
-def test_oracle_repair_paths_match_golden_digest():
-    assert oracle_stream_digest() == ORACLE_STREAM
+def test_oracle_repair_paths_match_golden_digest(recorded_on):
+    assert oracle_stream_digest() == ORACLE_STREAM, recorded_on
 
 
 def test_golden_cases_cover_stops_and_aborts():

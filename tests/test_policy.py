@@ -239,7 +239,7 @@ def test_dual_radius_default_is_horizon_over_budget():
 
 @pytest.mark.parametrize("bounded, B, total", [(False, 2000, 2117.171263757395),
                                                (True, 1000, 1500.555561406486)])
-def test_ogd_traces_do_not_depend_on_m(bounded, B, total):
+def test_ogd_traces_do_not_depend_on_m(bounded, B, total, recorded_on):
     # Arm a's context is e1/sqrt(2) + e_{a+1}, so the features, the true
     # parameters and every OGD iterate live in the first K+1 coordinates, and
     # neither OGD's step size nor gamma depends on m.  The whole trace is
@@ -251,7 +251,7 @@ def test_ogd_traces_do_not_depend_on_m(bounded, B, total):
         traces.append(run_squarecbwk(env, PolicyConfig(oracle="ogd", bound_scale=0.01),
                                      np.random.default_rng(1000)))
     first = traces[0]
-    assert first.total_reward == total
+    assert first.total_reward == total, recorded_on
     for other in traces[1:]:
         assert (other.tau, other.total_reward, other.gamma) == (first.tau, first.total_reward,
                                                                  first.gamma)
