@@ -25,7 +25,7 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .lp import LpProblem, LpSolution, brute_force_opt, exact_opt_fixed_context, solve_lp
+from .lp import LpProblem, LpSolution, exact_opt_fixed_context, solve_lp
 from .oracles import (
     BatchPredictor,
     OnlinePredictor,

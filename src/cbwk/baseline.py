@@ -35,7 +35,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
                rng: np.random.Generator) -> RunTrace:
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    Phi = env.features().reward  # shared feature map in the linear environments
+    Phi = env.contexts.phi
     m = Phi.shape[1]
 
     a_inv = np.eye(m) / config.ridge

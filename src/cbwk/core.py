@@ -40,31 +40,27 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ArmFeatures:
-    """Per-arm feature rows for the reward map and the cost map.
+    """Per-arm feature rows: the one feature map of both reward and costs.
 
     Environments declare their own norm bound; the linear benchmark's contexts
     have norm sqrt(3/2) while generalized-linear environments use unit balls.
     """
 
-    reward: np.ndarray  # (K, m1)
-    cost: np.ndarray  # (K, m2)
+    phi: np.ndarray  # (K, m)
     norm_bound: float = SQRT2
 
     def __post_init__(self):
-        for name in ("reward", "cost"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, arr)
-            norms = np.linalg.norm(arr, axis=1)
-            if (norms > self.norm_bound + 1e-9).any():
-                raise ConfigurationError(
-                    f"{name} feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}"
-                )
-        if self.reward.shape[0] != self.cost.shape[0]:
-            raise ConfigurationError("reward and cost feature maps disagree on arm count")
+        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
+        object.__setattr__(self, "phi", phi)
+        norms = np.linalg.norm(phi, axis=1)
+        if (norms > self.norm_bound + 1e-9).any():
+            raise ConfigurationError(
+                f"feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}"
+            )
 
     @property
     def K(self) -> int:
-        return self.reward.shape[0]
+        return self.phi.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,8 @@ class EnvironmentSpec:
     """
 
     instance: ProblemInstance
-    theta_reward: np.ndarray  # (m1,)
-    theta_cost: np.ndarray  # (d, m2)
+    theta_reward: np.ndarray  # (m,)
+    theta_cost: np.ndarray  # (d, m)
     contexts: ArmFeatures
     noise_variance: float = 0.0
     link: str = "identity"
@@ -105,10 +101,9 @@ class EnvironmentSpec:
             )
         if self.contexts.K != self.instance.K:
             problems.append(f"contexts have {self.contexts.K} arms, expected K={self.instance.K}")
-        if self.contexts.reward.shape[1] != self.theta_reward.size:
-            problems.append("reward feature dimension does not match theta_reward")
-        if self.contexts.cost.shape[1] != self.theta_cost.shape[1]:
-            problems.append("cost feature dimension does not match theta_cost")
+        m = self.contexts.phi.shape[1]
+        if not self.theta_reward.size == self.theta_cost.shape[1] == m:
+            problems.append(f"theta_reward and theta_cost must have the feature width m={m}")
         if not self.noise_variance >= 0:  # NaN fails too
             problems.append("noise_variance must be nonnegative")
         if self.link not in ("identity", "logistic"):
@@ -118,10 +113,6 @@ class EnvironmentSpec:
         if problems:
             raise ConfigurationError(problems)
 
-    def features(self) -> ArmFeatures:
-        """Context set for one round (fixed across rounds)."""
-        return self.contexts
-
     @cached_property
     def outcome_means(self) -> np.ndarray:
         """Pre-noise [reward | costs] of every arm, link applied, shape (K, 1+d).
@@ -129,11 +120,11 @@ class EnvironmentSpec:
         Rows are built from per-arm dot products rather than one matrix
         product, so they are bitwise equal to evaluating each arm on its own.
         """
-        feats = self.contexts
+        phi = self.contexts.phi
         rows = np.empty((self.instance.K, 1 + self.instance.d))
         for a in range(self.instance.K):
-            rows[a, 0] = feats.reward[a] @ self.theta_reward
-            rows[a, 1:] = self.theta_cost @ feats.cost[a]
+            rows[a, 0] = phi[a] @ self.theta_reward
+            rows[a, 1:] = self.theta_cost @ phi[a]
         if self.link == "logistic":
             rows = 1.0 / (1.0 + np.exp(-rows))
         rows.flags.writeable = False
@@ -141,8 +132,8 @@ class EnvironmentSpec:
 
     def _mean_matrix(self) -> np.ndarray:
         """Raw (pre-clip) expected [reward | costs] per arm, shape (K, 1+d)."""
-        raw_r = self.contexts.reward @ self.theta_reward
-        raw_c = self.contexts.cost @ self.theta_cost.T
+        raw_r = self.contexts.phi @ self.theta_reward
+        raw_c = self.contexts.phi @ self.theta_cost.T
         means = np.column_stack([raw_r, raw_c])
         if self.link == "logistic":
             means = 1.0 / (1.0 + np.exp(-means))
@@ -190,6 +181,29 @@ def _erf(x):
     return np.vectorize(math.erf)(x)
 
 
+def fixed_linear_violations(m: int, K: int, d: int, T: int, B: float | None,
+                            tag: str = "") -> list:
+    """Rules of the fixed-linear benchmark broken by (m, K, d, T, B), each prefixed by ``tag``.
+
+    ``B`` is None when it could not be resolved; it is checked only against a
+    valid T.
+    """
+    problems = []
+    if m < 6:
+        problems.append(f"{tag}m >= 6 violated (m={m})")
+    if K < 2:
+        problems.append(f"{tag}K >= 2 violated (K={K})")
+    if K > m - 1:
+        problems.append(f"{tag}K <= m-1 violated (K={K}, m={m})")
+    if not 4 <= d <= m - 1:
+        problems.append(f"{tag}4 <= d <= m-1 violated (d={d}, m={m})")
+    if T < 1:
+        problems.append(f"{tag}T >= 1 violated (T={T})")
+    elif B is not None and not 1 <= B <= T:
+        problems.append(f"{tag}1 <= B <= T violated (B={B}, T={T})")
+    return problems
+
+
 def make_fixed_linear_env(
     m: int,
     K: int,
@@ -208,15 +222,7 @@ def make_fixed_linear_env(
     Arm a's context is e1/sqrt(2) + e_{a+1} every round.  Outcomes are the
     linear value plus i.i.d. Gaussian noise.
     """
-    problems = []
-    if m < 6:
-        problems.append(f"m >= 6 violated (got m={m})")
-    if K > m - 1:
-        problems.append(f"K <= m-1 violated (got K={K}, m={m})")
-    if d < 4:
-        problems.append(f"d >= 4 violated (got d={d})")
-    if d > m - 1:
-        problems.append(f"d <= m-1 violated (got d={d}, m={m})")
+    problems = fixed_linear_violations(m, K, d, T, B)
     if problems:
         raise ConfigurationError(problems)
 
@@ -232,12 +238,11 @@ def make_fixed_linear_env(
     if null_arm:
         contexts = contexts.copy()
         contexts[-1] = 0.0
-    feats = ArmFeatures(reward=contexts, cost=contexts, norm_bound=SQRT2)
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=K),
         theta_reward=theta_reward,
         theta_cost=theta_cost,
-        contexts=feats,
+        contexts=ArmFeatures(contexts, norm_bound=SQRT2),
         noise_variance=noise_variance,
         bounded=bounded,
         null_arm=null_arm,
@@ -267,13 +272,11 @@ def make_glm_env(
         problems.append(f"cost parameter norm {cost_norms.max():.4f} exceeds 1")
     if problems:
         raise ConfigurationError(problems)
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    feats = ArmFeatures(reward=contexts, cost=contexts, norm_bound=1.0)
     return EnvironmentSpec(
         instance=instance,
         theta_reward=theta_reward,
         theta_cost=theta_cost,
-        contexts=feats,
+        contexts=ArmFeatures(contexts, norm_bound=1.0),
         link=link,
         outcome_model="bernoulli",
         null_arm=null_arm,

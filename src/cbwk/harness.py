@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import LinUcbConfig, run_linucb
-from .core import make_fixed_linear_env, realized_regret
+from .core import fixed_linear_violations, make_fixed_linear_env, realized_regret
 from .errors import ConfigurationError
 from .lp import exact_opt_fixed_context
 from .policy import PolicyConfig, run_squarecbwk
@@ -141,27 +141,13 @@ class ExperimentConfig:
 
 
 def _environment_violations(params: dict, budget_spec: str, tag: str) -> list:
-    """Constraints of the fixed-linear environment broken by one (m, K, d, T)."""
-    m, K, d, T = params["m"], params["K"], params["d"], params["T"]
-    problems = []
-    if m < 6:
-        problems.append(f"{tag}m >= 6 violated (m={m})")
-    if K < 2:
-        problems.append(f"{tag}K >= 2 violated (K={K})")
-    if K > m - 1:
-        problems.append(f"{tag}K <= m-1 violated (K={K}, m={m})")
-    if not 4 <= d <= m - 1:
-        problems.append(f"{tag}4 <= d <= m-1 violated (d={d}, m={m})")
-    if T < 1:
-        problems.append(f"{tag}T >= 1 violated (T={T})")
-    else:
-        try:
-            B = _resolve_budget(budget_spec, T)
-            if not 1 <= B <= T:
-                problems.append(f"{tag}1 <= B <= T violated (B={B}, T={T})")
-        except ValueError:
-            problems.append(f"environment.B: cannot parse {budget_spec!r}")
-    return problems
+    """Rules of the fixed-linear environment broken by one (m, K, d, T) and the budget."""
+    try:
+        B, problems = _resolve_budget(budget_spec, params["T"]), []
+    except (ValueError, ZeroDivisionError):
+        B, problems = None, [f"environment.B: cannot parse {budget_spec!r}"]
+    return problems + fixed_linear_violations(params["m"], params["K"], params["d"],
+                                              params["T"], B, tag)
 
 
 def _resolve_budget(spec: str, T: int) -> float:

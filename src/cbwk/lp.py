@@ -8,7 +8,6 @@ why this is hand-rolled rather than delegated to an interior-point code.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -229,54 +228,3 @@ def exact_opt_fixed_context(rewards, costs, budget_rate: float) -> float:
         raise RuntimeError(f"LP solver returned status {sol.status}")
     return sol.value
 
-
-def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float:
-    """Independent check of exact_opt_fixed_context for tiny instances.
-
-    Enumerates every vertex of the feasible region (all choices of K-1 active
-    constraints, solved against the simplex equality) plus a grid over the
-    simplex, and returns the best feasible objective.
-    """
-    rewards = np.asarray(rewards, dtype=float)
-    costs = np.atleast_2d(np.asarray(costs, dtype=float))
-    K, d = rewards.size, costs.shape[1]
-    if K > 3 or d > 2:
-        raise ConfigurationError(f"brute force limited to K <= 3, d <= 2 (got K={K}, d={d})")
-
-    # Inequality rows in p-space: -p_a <= 0 and costs.T p <= budget_rate.
-    rows = np.vstack([-np.eye(K), costs.T])
-    rhs = np.concatenate([np.zeros(K), np.full(d, float(budget_rate))])
-
-    def feasible(p):
-        return (rows @ p <= rhs + 1e-9).all()
-
-    candidates = []
-    for active in combinations(range(rows.shape[0]), K - 1):
-        system = np.vstack([np.ones((1, K)), rows[list(active)]])
-        target = np.concatenate([[1.0], rhs[list(active)]])
-        try:
-            p = np.linalg.solve(system, target)
-        except np.linalg.LinAlgError:
-            continue
-        if feasible(p):
-            candidates.append(p)
-    if K == 1:
-        p = np.ones(1)
-        if feasible(p):
-            candidates.append(p)
-
-    # Safety-net grid over the simplex.
-    ticks = np.linspace(0.0, 1.0, grid + 1)
-    if K == 1:
-        grid_pts = [np.ones(1)]
-    elif K == 2:
-        grid_pts = [np.array([t, 1 - t]) for t in ticks]
-    else:
-        grid_pts = [
-            np.array([a, b, 1 - a - b]) for a in ticks for b in ticks if a + b <= 1 + 1e-12
-        ]
-    candidates.extend(p for p in grid_pts if feasible(p))
-
-    if not candidates:
-        raise InfeasibleError("no feasible point")
-    return float(max(rewards @ p for p in candidates))

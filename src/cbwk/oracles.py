@@ -12,9 +12,9 @@ A predictor is a stack of target rows over one feature map, all updated with
 the same feature vector.  The rows therefore share one step count and, under
 GLMtron, one Gram matrix A_t and its inverse, kept by a single Sherman-Morrison
 update per sample however many rows the stack has.  The policy fits its reward
-and its d costs as one (1+d)-row stack when both use the same features, and
-online-to-batch fits every target of an arm in one pass.  A scalar oracle is a
-one-row stack.
+and its d costs over the environment's one feature map as one (1+d)-row stack,
+and online-to-batch fits every target of an arm in one pass.  A scalar oracle
+is a one-row stack.
 """
 
 import math
@@ -292,11 +292,11 @@ class OracleBoundSpec:
     cost_bound: Callable[[float], float]
 
 
-def bound_spec(kind: str, m1: int, m2: int, d: int, scale: float = 1.0) -> OracleBoundSpec:
+def bound_spec(kind: str, m: int, d: int, scale: float = 1.0) -> OracleBoundSpec:
     if kind == "glmtron":
         return OracleBoundSpec(
-            reward_bound=lambda T: scale * m1 * max(1.0, np.log(T)),
-            cost_bound=lambda T: scale * d * m2 * max(1.0, np.log(T)),
+            reward_bound=lambda T: scale * m * max(1.0, np.log(T)),
+            cost_bound=lambda T: scale * d * m * max(1.0, np.log(T)),
         )
     if kind == "ogd":
         return OracleBoundSpec(

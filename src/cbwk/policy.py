@@ -16,7 +16,9 @@ import numpy as np
 from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .dual import DualState, dual_init, dual_lambda, dual_update
 from .errors import ConfigurationError
-from .oracles import OracleBoundSpec, bound_spec, make_predictor, make_vector_predictor
+from .oracles import OracleBoundSpec, bound_spec, make_vector_predictor
+# make_predictor is kept for perfbench/tracer.py, which patches it
+from .oracles import make_predictor  # noqa: F401
 
 
 @dataclass
@@ -134,41 +136,27 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
                    rng: np.random.Generator, *, oracle=None) -> RunTrace:
     """Run the IGW policy for up to T rounds or until a budget nearly runs out.
 
-    When the reward and cost feature maps are one array, the reward and the d
-    costs are learned by one (1+d)-row oracle stack, row 0 the reward and rows
-    1..d the costs, so all targets share one Gram matrix.  Otherwise a reward
-    oracle and a d-row cost oracle each learn over their own map.  A pre-built
-    (1+d)-row stack may be injected as ``oracle`` (warm starts,
-    instrumentation) when the maps coincide; by default a fresh one is created
-    for the configured family.
+    The reward and the d costs are learned over the environment's feature map
+    by one (1+d)-row oracle stack, row 0 the reward and rows 1..d the costs,
+    so all targets share one Gram matrix.  A pre-built stack may be injected
+    as ``oracle`` (warm starts, instrumentation); by default a fresh one is
+    created for the configured family.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    feats = env.features()
+    phi = env.contexts.phi
+    m = phi.shape[1]
 
     Z = config.z if config.z is not None else T / B
-    m1 = feats.reward.shape[1]
-    m2 = feats.cost.shape[1]
-    bounds = bound_spec(config.oracle, m1, m2, d, config.bound_scale)
+    bounds = bound_spec(config.oracle, m, d, config.bound_scale)
     gamma = config.gamma if config.gamma is not None else gamma_default(K, T, bounds, Z)
-
-    # (feature map, oracle, target rows it learns) per oracle
-    kw = {"link": env.link, "eta_scale": config.eta_scale}
-    if feats.reward is feats.cost:
-        if oracle is None:
-            oracle = make_vector_predictor(config.oracle, 1 + d, m1, **kw)
-        groups = ((feats.reward, oracle, slice(None)),)
-    elif oracle is not None:
-        raise ConfigurationError("an injected oracle needs one shared reward and cost feature map")
-    else:
-        groups = ((feats.reward, make_predictor(config.oracle, m1, **kw), 0),
-                  (feats.cost, make_vector_predictor(config.oracle, d, m2, **kw), slice(1, None)))
+    if oracle is None:
+        oracle = make_vector_predictor(config.oracle, 1 + d, m, link=env.link,
+                                       eta_scale=config.eta_scale)
     targets = np.empty(1 + d)
 
     def estimate(t):
-        preds = np.empty((K, 1 + d))
-        for phis, o, rows in groups:
-            preds[:, rows] = o.predict_matrix(phis)
+        preds = oracle.predict_matrix(phi)
         return preds[:, 0], preds[:, 1:]
 
     def choose(scores):
@@ -178,8 +166,7 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     def learn(arm, outcome):
         targets[0] = outcome.reward
         targets[1:] = outcome.cost
-        for phis, o, rows in groups:
-            o.update(phis[arm], targets[rows])
+        oracle.update(phi[arm], targets)
 
     return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
                       gamma=gamma, dual_radius=Z)

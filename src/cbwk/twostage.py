@@ -26,26 +26,15 @@ class TwoStageConfig:
     oracle: str = "glmtron"
     err_scale: float = 1.0  # leading constant of the estimation-error bounds
     eta_scale: float = 1.0
-    arbitrary_pull: str = "auto"  # auto | null | uniform
 
     def __post_init__(self):
         if self.t0 is not None and self.t0 < 1:
             raise ConfigurationError(f"t0 must be >= 1 (got {self.t0})")
-        if self.arbitrary_pull not in ("auto", "null", "uniform"):
-            raise ConfigurationError(f"unknown arbitrary_pull {self.arbitrary_pull!r}")
 
 
-def t0_default(family: str, m: int, d: int, K: int, T: int, p: float | None = None) -> int:
-    """Exploration length per arm for the given function family."""
-    if family == "linear":
-        raw = (m * d) ** (1.0 / 3.0) * math.sqrt(T / K)
-    elif family == "nonparametric":
-        if p is None or p <= 0:
-            raise ConfigurationError("nonparametric family needs a positive exponent p")
-        raw = d ** ((2.0 + p) / (6.0 + 2.0 * p)) * K ** (-1.0 / (2.0 + p)) * T ** ((1.0 + p) / (2.0 + p))
-    else:
-        raise ConfigurationError(f"unknown family {family!r}")
-    t0 = math.ceil(raw)
+def t0_default(m: int, d: int, K: int, T: int) -> int:
+    """Exploration length per arm for a linear class: ceil((m d)^(1/3) sqrt(T/K))."""
+    t0 = math.ceil((m * d) ** (1.0 / 3.0) * math.sqrt(T / K))
     if (K + 1) * t0 >= T:
         raise ConfigurationError(
             f"(K+1)*T0 = {(K + 1) * t0} >= T = {T}; reduce T0 or increase T"
@@ -84,13 +73,14 @@ def z_estimate(opt_hat: float, m_val: float, T: int, B: float) -> float:
 
 @dataclass
 class ExplorationResult:
+    """Phase-1 data: each arm's samples over the environment's one feature map,
+    and the context sets seen during the arbitrary pulls."""
+
     t0: int
-    reward_features: list  # per arm: (T0, m1)
-    cost_features: list  # per arm: (T0, m2)
+    features: list  # per arm: (T0, m)
     rewards: list  # per arm: (T0,)
     costs: list  # per arm: (T0, d)
-    context_sets_reward: np.ndarray  # (T0_ctx, K, m1) contexts of the arbitrary rounds
-    context_sets_cost: np.ndarray  # (T0_ctx, K, m2)
+    context_sets: np.ndarray  # (T0_ctx, K, m) contexts of the arbitrary rounds
     arms: np.ndarray  # all phase-1 pulls in order
     round_rewards: np.ndarray
     round_costs: np.ndarray
@@ -98,18 +88,19 @@ class ExplorationResult:
     aborted: bool
 
 
-def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
-            arbitrary_pull: str = "auto") -> ExplorationResult:
+def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> ExplorationResult:
     """Pull each arm t0 times, then record t0 context sets under arbitrary pulls.
 
-    Aborts early (with whatever was gathered) if some resource's cumulative
-    consumption reaches B - 1 before the exploration block completes.
+    An arbitrary pull is the null arm if the environment has one, otherwise a
+    uniformly drawn arm.  Aborts early (with whatever was gathered) if some
+    resource's cumulative consumption reaches B - 1 before the exploration
+    block completes.
     """
     inst = env.instance
     K, d, B = inst.K, inst.d, inst.B
     if (K + 1) * t0 > inst.T:
         raise ConfigurationError(f"(K+1)*T0 = {(K + 1) * t0} exceeds T = {inst.T}")
-    feats = env.features()
+    phi = env.contexts.phi
     exit_level = B - 1.0
 
     total_rounds = (K + 1) * t0
@@ -138,11 +129,8 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
 
     n_ctx = 0
     if not aborted:
-        use_null = env.null_arm and arbitrary_pull in ("auto", "null")
-        if arbitrary_pull == "null" and not env.null_arm:
-            raise ConfigurationError("arbitrary_pull='null' but the environment has no null arm")
         for _ in range(t0):
-            arm = K - 1 if use_null else int(rng.integers(K))
+            arm = K - 1 if env.null_arm else int(rng.integers(K))
             outcome = sample_outcome(env, arm, rng)
             arms[t] = arm
             round_rewards[t] = outcome.reward
@@ -154,22 +142,19 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
                 aborted = True
                 break
 
-    reward_features, cost_features, rewards, costs = [], [], [], []
+    features, rewards, costs = [], [], []
     for arm in range(K):
         n = len(per_arm_rows[arm])
-        reward_features.append(np.tile(feats.reward[arm], (n, 1)))
-        cost_features.append(np.tile(feats.cost[arm], (n, 1)))
+        features.append(np.tile(phi[arm], (n, 1)))
         rewards.append(np.array([r for r, _ in per_arm_rows[arm]]))
         costs.append(np.array([c for _, c in per_arm_rows[arm]]) if n else np.empty((0, d)))
 
     return ExplorationResult(
         t0=t0,
-        reward_features=reward_features,
-        cost_features=cost_features,
+        features=features,
         rewards=rewards,
         costs=costs,
-        context_sets_reward=np.tile(feats.reward, (n_ctx, 1, 1)),
-        context_sets_cost=np.tile(feats.cost, (n_ctx, 1, 1)),
+        context_sets=np.tile(phi, (n_ctx, 1, 1)),
         arms=arms[:t],
         round_rewards=round_rewards[:t],
         round_costs=round_costs[:t],
@@ -178,15 +163,14 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator,
     )
 
 
-def empirical_opt(reward_predictors: list, cost_predictors: list,
-                  context_sets_reward: np.ndarray, context_sets_cost: np.ndarray,
+def empirical_opt(reward_predictors: list, cost_predictors: list, context_sets: np.ndarray,
                   budget_rate: float, m_val: float) -> float:
     """Optimal value of the empirical allocation program over the context sets.
 
     Variables are one distribution over arms per recorded context set; the
     budget rows are relaxed by twice the estimation radius.
     """
-    n_ctx, K = context_sets_reward.shape[:2]
+    n_ctx, K = context_sets.shape[:2]
     if n_ctx < 1:
         raise ConfigurationError("need at least one recorded context set")
     d = len(cost_predictors[0])
@@ -194,9 +178,9 @@ def empirical_opt(reward_predictors: list, cost_predictors: list,
     fhat = np.empty((n_ctx, K))
     ghat = np.empty((n_ctx, K, d))
     for a in range(K):
-        fhat[:, a] = reward_predictors[a].predict_matrix(context_sets_reward[:, a, :])
+        fhat[:, a] = reward_predictors[a].predict_matrix(context_sets[:, a, :])
         for j in range(d):
-            ghat[:, a, j] = cost_predictors[a][j].predict_matrix(context_sets_cost[:, a, :])
+            ghat[:, a, j] = cost_predictors[a][j].predict_matrix(context_sets[:, a, :])
 
     n_vars = n_ctx * K
     a_ub = ghat.reshape(n_vars, d).T / n_ctx
@@ -232,34 +216,29 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
               rng: np.random.Generator) -> PhaseOneResult:
     """Exploration, batch fitting, and radius estimation (no policy rounds)."""
     inst = env.instance
-    m1 = env.contexts.reward.shape[1]
-    t0 = cfg.t0 if cfg.t0 is not None else t0_default("linear", m1, inst.d, inst.K, inst.T)
+    m = env.contexts.phi.shape[1]
+    t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, inst.d, inst.K, inst.T)
 
-    err_f, err_g = estimation_errors(cfg.oracle, m1, inst.d, t0, inst.T, cfg.err_scale)
+    err_f, err_g = estimation_errors(cfg.oracle, m, inst.d, t0, inst.T, cfg.err_scale)
     m_val = m_t0(t0, inst.K, inst.d, err_f, err_g, inst.T)
 
-    expl = explore(env, t0, rng, cfg.arbitrary_pull)
+    expl = explore(env, t0, rng)
     if expl.aborted:
         return PhaseOneResult(t0=t0, exploration=expl, reward_predictors=None,
                               cost_predictors=None, opt_hat=None, err_f=err_f,
                               err_g=err_g, m_val=m_val, z=None, aborted=True)
 
-    # One pass per arm fits the reward and every cost when they share features.
-    kw = {"link": env.link, "eta_scale": cfg.eta_scale}
+    # One pass per arm fits the reward and every cost.
     reward_predictors = []
     cost_predictors = []
     for a in range(inst.K):
-        if env.contexts.reward is env.contexts.cost:
-            targets = np.column_stack([expl.rewards[a], expl.costs[a]])
-            fits = online_to_batch(cfg.oracle, expl.reward_features[a], targets, **kw)
-        else:
-            fits = [online_to_batch(cfg.oracle, expl.reward_features[a], expl.rewards[a], **kw),
-                    *online_to_batch(cfg.oracle, expl.cost_features[a], expl.costs[a], **kw)]
+        targets = np.column_stack([expl.rewards[a], expl.costs[a]])
+        fits = online_to_batch(cfg.oracle, expl.features[a], targets, link=env.link,
+                               eta_scale=cfg.eta_scale)
         reward_predictors.append(fits[0])
         cost_predictors.append(fits[1:])
 
-    opt_hat = empirical_opt(reward_predictors, cost_predictors,
-                            expl.context_sets_reward, expl.context_sets_cost,
+    opt_hat = empirical_opt(reward_predictors, cost_predictors, expl.context_sets,
                             inst.budget_rate, m_val)
     z = z_estimate(opt_hat, m_val, inst.T, inst.B)
     return PhaseOneResult(t0=t0, exploration=expl, reward_predictors=reward_predictors,

@@ -19,10 +19,11 @@ from cbwk.core import make_fixed_linear_env, realized_regret
 from cbwk.dual import dual_init, dual_lambda, dual_update
 from cbwk.errors import InfeasibleError
 from cbwk.harness import ExperimentConfig, run_sweep, write_csv
-from cbwk.lp import brute_force_opt, exact_opt_fixed_context
+from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import OnlinePredictor, online_to_batch
 from cbwk.policy import PolicyConfig, igw_distribution, run_squarecbwk
 from cbwk.twostage import TwoStageConfig, phase_one, run_twostage
+from lp_reference import brute_force_opt
 
 BOUND_SCALE = 0.01  # calibrated oracle-regret constant (configs/sweep_*.conf)
 CONFIDENCE = 2.0  # calibrated ellipsoid width multiplier

@@ -21,7 +21,7 @@ def test_zero_confidence_is_greedy_and_locks_on():
     # no optimism: rhat is the ridge mean fitted on the first `at` pulls, and
     # the pulled arm maximizes the Lagrangian score of the ridge means
     at = 50
-    Phi = env.features().reward
+    Phi = env.contexts.phi
     pulled = Phi[trace.arms[:at]]
     gram = np.eye(Phi.shape[1]) + pulled.T @ pulled
     targets = np.column_stack([trace.rewards[:at], trace.costs[:at]])
@@ -42,7 +42,7 @@ def test_zero_costs_and_full_budget_run_to_horizon():
         instance=ProblemInstance(T=60, B=60, d=1, K=2),
         theta_reward=np.array([0.9, 0.2]),
         theta_cost=np.zeros((1, 2)),
-        contexts=ArmFeatures(reward=contexts, cost=contexts, norm_bound=1.0),
+        contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=0.0,
     )
     trace = run_linucb(env, LinUcbConfig(), np.random.default_rng(2))

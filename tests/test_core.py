@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_benchmark_env_expected_values():
     assert costs[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert costs[1, 3] == pytest.approx(0.0, abs=1e-12)
     # context norms are sqrt(3/2)
-    norms = np.linalg.norm(env.contexts.reward, axis=1)
+    norms = np.linalg.norm(env.contexts.phi, axis=1)
     assert np.allclose(norms, math.sqrt(1.5), atol=1e-12)
 
 
@@ -66,6 +67,19 @@ def test_benchmark_env_dimension_guards():
         make_fixed_linear_env(10, 3, 3, 0.2, T=100, B=100)
     with pytest.raises(ConfigurationError, match="noise_variance"):
         make_fixed_linear_env(10, 3, 4, float("nan"), T=100, B=100)
+    with pytest.raises(ConfigurationError, match="K >= 2 violated"):
+        make_fixed_linear_env(10, 1, 4, 0.2, T=100, B=100)
+    with pytest.raises(ConfigurationError, match="1 <= B <= T violated"):
+        make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=101)
+
+
+def test_environment_rejects_parameters_of_another_feature_width():
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
+    narrow = ArmFeatures(env.contexts.phi[:, :8], norm_bound=env.contexts.norm_bound)
+    with pytest.raises(ConfigurationError, match="feature width m=8"):
+        replace(env, contexts=narrow)  # phi narrower than theta_reward and theta_cost
+    with pytest.raises(ConfigurationError, match="feature width m=10"):
+        replace(env, theta_cost=env.theta_cost[:, :9])
 
 
 def test_glm_env_zero_parameter_means_half():
@@ -150,8 +164,7 @@ def test_bounded_mode_clips_and_adjusts_means():
 
 def test_feature_norm_bound_enforced():
     with pytest.raises(ConfigurationError):
-        ArmFeatures(reward=np.array([[2.0, 0.0]]), cost=np.array([[0.0, 0.0]]),
-                    norm_bound=1.0)
+        ArmFeatures(np.array([[2.0, 0.0], [0.0, 0.0]]), norm_bound=1.0)
 
 
 def _dummy_trace(total_reward, tau):

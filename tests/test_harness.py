@@ -101,6 +101,8 @@ def test_budget_specs():
     fixed = parse_config(TINY_CONFIG.replace("environment.B = T",
                                              "environment.B = 45"))
     assert fixed.resolve_budget(60) == 45.0
+    with pytest.raises(ConfigurationError, match="environment.B: cannot parse 'T/0'"):
+        parse_config(TINY_CONFIG.replace("environment.B = T", "environment.B = T/0"))
 
 
 def test_run_sweep_row_count_and_order():

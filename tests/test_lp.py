@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cbwk.errors import ConfigurationError, InfeasibleError
-from cbwk.lp import LpProblem, brute_force_opt, exact_opt_fixed_context, solve_lp
+from cbwk.lp import LpProblem, exact_opt_fixed_context, solve_lp
+from lp_reference import brute_force_opt
 
 
 def test_one_variable_lp():

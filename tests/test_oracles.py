@@ -303,7 +303,7 @@ def test_otb_zero_targets_error_decreases():
 
 def test_bound_spec_monotone_positive():
     for kind in ("glmtron", "ogd"):
-        bounds = bound_spec(kind, m1=5, m2=5, d=4)
+        bounds = bound_spec(kind, m=5, d=4)
         ts = [1, 2, 10, 100, 10**4]
         rvals = [bounds.reward_bound(t) for t in ts]
         cvals = [bounds.cost_bound(t) for t in ts]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +22,11 @@ def _constant_cost_env(cost_value: float, T: int, B: float, d: int = 1,
     contexts = np.eye(2)
     theta_cost = np.full((d, 2), cost_value)
     theta_reward = np.full(2, reward)
-    feats = ArmFeatures(reward=contexts, cost=contexts, norm_bound=1.0)
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta_reward=theta_reward,
         theta_cost=theta_cost,
-        contexts=feats,
+        contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=noise,
     )
 
@@ -167,30 +165,10 @@ def test_oracle_feed_discipline():
     # one update per round, including the exit round; each used the pulled
     # arm's features and the realized reward (row 0) and costs (rows 1..d)
     assert len(oracle.updates) == trace.tau
-    feats = env.features()
     for t, (phi, y) in enumerate(oracle.updates):
-        assert (phi == feats.reward[trace.arms[t]]).all()
+        assert (phi == env.contexts.phi[trace.arms[t]]).all()
         assert y[0] == trace.rewards[t]
         assert (y[1:] == trace.costs[t]).all()
-
-
-def test_separate_feature_maps_match_the_fused_stack():
-    # equal but distinct reward and cost arrays take the two-oracle path,
-    # which must reproduce the fused (1+d)-row stack bit for bit
-    shared = make_fixed_linear_env(10, 3, 4, 0.2, T=300, B=150)
-    feats = shared.contexts
-    split = replace(shared, contexts=ArmFeatures(reward=feats.reward, cost=feats.cost.copy(),
-                                                 norm_bound=feats.norm_bound))
-    assert split.contexts.reward is not split.contexts.cost
-    for kind in ("glmtron", "ogd"):
-        a = run_squarecbwk(shared, PolicyConfig(oracle=kind), np.random.default_rng(9))
-        b = run_squarecbwk(split, PolicyConfig(oracle=kind), np.random.default_rng(9))
-        assert a.tau == b.tau
-        for field in ("arms", "rewards", "probs", "rhat", "lam"):
-            assert (getattr(a, field) == getattr(b, field)).all(), field
-    with pytest.raises(ConfigurationError):
-        run_squarecbwk(split, PolicyConfig(), np.random.default_rng(9),
-                       oracle=VectorPredictor("glmtron", 5, 10))
 
 
 def test_high_gamma_with_perfect_predictions_is_greedy():

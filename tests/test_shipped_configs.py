@@ -1,0 +1,68 @@
+"""Byte fingerprints of reduced sweeps of the four shipped configs.
+
+Each ``configs/*.conf`` is run serially with ``twostage`` added, one seed
+and the extremes of its grid (K in {5, 50}, m in {10, 101}, the T sweeps at
+T = 1000), and the sha256 of its ``results.csv`` is compared with the value
+recorded here.  A refactor must leave these bytes unchanged.  Like the golden
+digests, they assume the BLAS core and CPU in ``conftest.RECORDED_ON``.
+Run this file as a script to print the table for the cbwk on the path.
+"""
+
+import hashlib
+import os
+import tempfile
+import warnings
+from dataclasses import replace
+
+import pytest
+
+from cbwk.harness import parse_config, run_sweep, write_csv
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# config file -> (reduced sweep values, sha256 of results.csv)
+SHIPPED = {
+    "sweep_k.conf": ((5, 50),
+                     "e4f69e7ca430f6042f2a5bd709a2d8546eadad7a1cb4b116232181d90721471a"),
+    "sweep_m.conf": ((10, 101),
+                     "7bbb6177a8c2b3c06790420d31120021de54be82a263ef44a5340fa5d65ab6a3"),
+    "sweep_t_large_dim.conf": ((1000,),
+                               "75374b10df54f3bef803d51765554c32dcd3ed25b87b77a40c7ae104a3834400"),
+    "sweep_t_small_dim.conf": ((1000,),
+                               "02ee7508deaf7932937b3b734aeeb5f29b1c5fe9d92632ee05774a6f8a48388a"),
+}
+
+
+def reduced_sweep_digest(name: str, directory: str) -> tuple[str, list]:
+    """sha256 of the reduced sweep's CSV, and the errors of its failed cells."""
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        config = parse_config(fh.read())
+    config = replace(config, algorithms=config.algorithms + ("twostage",), seeds_count=1,
+                     sweep_values=SHIPPED[name][0])
+    config.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the two-stage precondition warning
+        result = run_sweep(config, parallelism=1)
+    path = os.path.join(directory, "results.csv")
+    write_csv(result, path)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return digest, [r.error for r in result.rows if r.error is not None]
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(SHIPPED) == sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".conf"))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_csv_bytes(name, tmp_path, recorded_on):
+    digest, errors = reduced_sweep_digest(name, str(tmp_path))
+    assert errors == []
+    assert digest == SHIPPED[name][1], recorded_on
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(SHIPPED):
+            digest, errors = reduced_sweep_digest(name, tmp)
+            print(f'    "{name}": ({SHIPPED[name][0]!r}, "{digest}"),', errors or "")

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
 from cbwk.errors import ConfigurationError
 from cbwk.lp import exact_opt_fixed_context
-from cbwk.oracles import BatchPredictor
+from cbwk.oracles import BatchPredictor, online_to_batch
 from cbwk.twostage import (
     TwoStageConfig,
     empirical_opt,
@@ -22,36 +21,27 @@ from cbwk.twostage import (
 
 
 def test_t0_default_linear_hand_value():
-    assert t0_default("linear", m=5, d=4, K=3, T=10**4) == 157
+    assert t0_default(m=5, d=4, K=3, T=10**4) == 157
 
 
 def test_t0_default_unit_parameters():
-    assert t0_default("linear", m=1, d=1, K=1, T=100) == 10
+    assert t0_default(m=1, d=1, K=1, T=100) == 10
 
 
 def test_t0_default_guard():
     with pytest.raises(ConfigurationError):
-        t0_default("linear", m=50, d=40, K=10, T=100)
-
-
-def test_t0_default_nonparametric():
-    t0 = t0_default("nonparametric", m=5, d=4, K=3, T=10**5, p=1.0)
-    expected = math.ceil(4 ** (3 / 8) * 3 ** (-1 / 3) * (10**5) ** (2 / 3))
-    assert t0 == expected
-    with pytest.raises(ConfigurationError):
-        t0_default("nonparametric", m=5, d=4, K=3, T=10**5)
+        t0_default(m=50, d=40, K=10, T=100)
 
 
 def _two_arm_env(cost_value=0.5, T=60, B=60.0, d=2, noise=0.0, null_arm=False):
     contexts = np.eye(2)
     if null_arm:
         contexts = np.array([[1.0, 0.0], [0.0, 0.0]])
-    feats = ArmFeatures(reward=contexts, cost=contexts, norm_bound=1.0)
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta_reward=np.array([0.8, 0.4]),
         theta_cost=np.full((d, 2), cost_value),
-        contexts=feats,
+        contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=noise,
         null_arm=null_arm,
     )
@@ -63,7 +53,7 @@ def test_explore_counts():
     assert not result.aborted
     assert all(r.size == 3 for r in result.rewards)
     assert all(c.shape == (3, 2) for c in result.costs)
-    assert result.context_sets_reward.shape[0] == 3
+    assert result.context_sets.shape[0] == 3
     assert result.arms.size == 9  # (K+1) * T0
     assert (result.arms[:3] == 0).all() and (result.arms[3:6] == 1).all()
 
@@ -118,7 +108,7 @@ def test_empirical_opt_hand_instance():
     contexts[0, :, 0] = 1.0  # both arms see feature e1
     reward = [_constant_batch(0.9), _constant_batch(0.2)]
     cost = [[_constant_batch(0.8)], [_constant_batch(0.1)]]
-    value = empirical_opt(reward, cost, contexts, contexts, 0.45, 0.0)
+    value = empirical_opt(reward, cost, contexts, 0.45, 0.0)
     assert value == pytest.approx(0.55, abs=1e-9)
 
 
@@ -127,7 +117,7 @@ def test_empirical_opt_zero_costs_gives_max_reward():
     contexts[:, :, 0] = 1.0
     reward = [_constant_batch(0.7), _constant_batch(0.3)]
     cost = [[_constant_batch(0.0)], [_constant_batch(0.0)]]
-    value = empirical_opt(reward, cost, contexts, contexts, 0.2, 0.0)
+    value = empirical_opt(reward, cost, contexts, 0.2, 0.0)
     assert value == pytest.approx(0.7, abs=1e-9)
 
 
@@ -136,7 +126,7 @@ def test_empirical_opt_constant_objective():
     contexts[:, :, 0] = 1.0
     reward = [_constant_batch(0.4), _constant_batch(0.4)]
     cost = [[_constant_batch(0.3)], [_constant_batch(0.2)]]
-    value = empirical_opt(reward, cost, contexts, contexts, 0.5, 0.0)
+    value = empirical_opt(reward, cost, contexts, 0.5, 0.0)
     assert value == pytest.approx(0.4, abs=1e-9)
 
 
@@ -146,9 +136,9 @@ def test_empirical_opt_permutation_invariant():
     contexts = rng.random((n_ctx, K, m)) / 2
     reward = [BatchPredictor(rng.random((1, m)) / 2, "identity") for _ in range(K)]
     cost = [[BatchPredictor(rng.random((1, m)) / 2, "identity")] for _ in range(K)]
-    base = empirical_opt(reward, cost, contexts, contexts, 0.3, 0.05)
+    base = empirical_opt(reward, cost, contexts, 0.3, 0.05)
     perm = rng.permutation(n_ctx)
-    shuffled = empirical_opt(reward, cost, contexts[perm], contexts[perm], 0.3, 0.05)
+    shuffled = empirical_opt(reward, cost, contexts[perm], 0.3, 0.05)
     assert shuffled == pytest.approx(base, abs=1e-9)
 
 
@@ -201,18 +191,13 @@ def test_phase_one_datasets_and_estimates():
     assert all(r.size == p1.t0 for r in p1.exploration.rewards)
     assert p1.opt_hat is not None and p1.z is not None
     assert p1.z == pytest.approx((2000 / 1000) * (p1.opt_hat + p1.m_val))
-    # equal but distinct reward and cost maps are fitted in separate passes,
-    # which must give the fused pass's predictors and estimate exactly
-    feats = env.contexts
-    split = replace(env, contexts=ArmFeatures(reward=feats.reward, cost=feats.cost.copy(),
-                                              norm_bound=feats.norm_bound))
-    p1_split = phase_one(split, TwoStageConfig(), np.random.default_rng(7))
-    assert p1_split.opt_hat == p1.opt_hat
+    # each arm's one pass over reward and costs fits every target as it would alone
+    expl = p1.exploration
     for a in range(3):
-        fused = [p1.reward_predictors[a], *p1.cost_predictors[a]]
-        alone = [p1_split.reward_predictors[a], *p1_split.cost_predictors[a]]
-        assert len(fused) == len(alone) == 5
-        assert all((f.params == g.params).all() for f, g in zip(fused, alone))
+        assert expl.features[a].shape == (p1.t0, 10)
+        assert len(p1.cost_predictors[a]) == 4
+        alone = online_to_batch("glmtron", expl.features[a], expl.costs[a][:, 1])
+        assert (p1.cost_predictors[a][1].params == alone.params).all()
 
 
 def test_radius_sandwich_quick():
@@ -234,8 +219,6 @@ def test_radius_sandwich_quick():
 def test_twostage_config_validation():
     with pytest.raises(ConfigurationError):
         TwoStageConfig(t0=0)
-    with pytest.raises(ConfigurationError):
-        TwoStageConfig(arbitrary_pull="sometimes")
     env = _two_arm_env(T=10, B=10.0)
     with pytest.raises(ConfigurationError):
         explore(env, 5, np.random.default_rng(0))  # (K+1)*5 > T
