@@ -130,38 +130,28 @@ class EnvironmentSpec:
         rows.flags.writeable = False
         return rows
 
-    def _mean_matrix(self) -> np.ndarray:
-        """Raw (pre-clip) expected [reward | costs] per arm, shape (K, 1+d)."""
-        raw_r = self.contexts.phi @ self.theta_reward
-        raw_c = self.contexts.phi @ self.theta_cost.T
-        means = np.column_stack([raw_r, raw_c])
-        if self.link == "logistic":
-            means = 1.0 / (1.0 + np.exp(-means))
+    def expected_outcomes(self) -> np.ndarray:
+        """Exact per-arm expected realized [reward | costs], shape (K, 1+d).
+
+        These are the cached ``outcome_means`` that ``sample_outcome`` draws
+        around, taken through the clip in bounded mode; the null arm's row is
+        zero.
+        """
+        if self.outcome_model == "gaussian" and self.bounded:
+            out = clipped_gaussian_mean(self.outcome_means, self.noise_variance)
+        else:
+            out = self.outcome_means.copy()
         if self.null_arm:
-            means[-1] = 0.0
-        return means
+            out[-1] = 0.0
+        return out
 
     def expected_rewards(self) -> np.ndarray:
         """Exact per-arm expected realized reward (mode-aware)."""
-        return self._expected(0)
+        return self.expected_outcomes()[:, 0]
 
     def expected_costs(self) -> np.ndarray:
         """Exact per-arm expected realized cost matrix (K, d)."""
-        means = self._mean_matrix()[:, 1:]
-        return self._clip_adjust(means, null_row=self.null_arm)
-
-    def _expected(self, col: int) -> np.ndarray:
-        means = self._mean_matrix()[:, col]
-        return self._clip_adjust(means, null_row=self.null_arm)
-
-    def _clip_adjust(self, means: np.ndarray, null_row: bool) -> np.ndarray:
-        if self.outcome_model == "gaussian" and self.bounded:
-            out = clipped_gaussian_mean(means, self.noise_variance)
-        else:
-            out = means.copy()
-        if null_row:
-            out[-1] = 0.0
-        return out
+        return self.expected_outcomes()[:, 1:]
 
 
 def clipped_gaussian_mean(mu, variance: float):

@@ -112,9 +112,6 @@ class VectorPredictor:
             )
         return _LINKS[self.link][0](np.einsum("kj,nj->kn", phis, self.theta)).clip(0.0, 1.0)
 
-    def predict(self, phi) -> np.ndarray:
-        return self._predict(_check_phi(phi, self.dim)[None, :])[0]
-
     def predict_matrix(self, phis) -> np.ndarray:
         """(K, dim) features -> (K, d) clipped predictions."""
         return self._predict(phis)
@@ -239,11 +236,6 @@ class BatchPredictor:
     def __init__(self, params: np.ndarray, link: str):
         self.params = params  # (M, dim): theta before consuming sample i
         self.link = link
-
-    def predict(self, phi) -> float:
-        phi = _check_phi(phi, self.params.shape[1])
-        vals = np.clip(_LINKS[self.link][0](self.params @ phi), 0.0, 1.0)
-        return float(vals.mean())
 
     def predict_matrix(self, phis) -> np.ndarray:
         phis = np.atleast_2d(np.asarray(phis, dtype=float))

@@ -1,10 +1,11 @@
 """Two-stage variant: uniform exploration, batch estimation, dual-radius fit.
 
-Phase 1 pulls every arm T0 times, converts the collected samples into frozen
-batch predictors, records T0 further context sets under arbitrary pulls, and
-estimates the per-round optimum by a linear program over those contexts with a
-slack-widened budget row.  The resulting radius estimate Z = (T/B) * (opt + M)
-parameterizes a fresh IGW policy run on the remaining horizon and budget.
+Phase 1 pulls every arm T0 times, converts each arm's samples into frozen
+batch predictors, makes T0 further arbitrary pulls, and estimates the
+per-round optimum by a K-variable linear program over the environment's one
+context set with a slack-widened budget row.  The resulting radius estimate
+Z = (T/B) * (opt + M) parameterizes a fresh IGW policy run on the remaining
+horizon and budget.
 """
 
 import math
@@ -14,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
-from .errors import ConfigurationError, InfeasibleError
-from .lp import LpProblem, solve_lp
+from .errors import ConfigurationError
+# solve_lp is kept for perfbench/tracer.py, which patches it
+from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
 from .oracles import online_to_batch
 from .policy import PolicyConfig, run_squarecbwk
 
@@ -73,14 +75,14 @@ def z_estimate(opt_hat: float, m_val: float, T: int, B: float) -> float:
 
 @dataclass
 class ExplorationResult:
-    """Phase-1 data: each arm's samples over the environment's one feature map,
-    and the context sets seen during the arbitrary pulls."""
+    """Phase-1 rounds in pull order.
+
+    Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1, all at its one feature
+    row; the last t0 rounds are the arbitrary pulls.  An aborted exploration
+    holds only the rounds played before the abort.
+    """
 
     t0: int
-    features: list  # per arm: (T0, m)
-    rewards: list  # per arm: (T0,)
-    costs: list  # per arm: (T0, d)
-    context_sets: np.ndarray  # (T0_ctx, K, m) contexts of the arbitrary rounds
     arms: np.ndarray  # all phase-1 pulls in order
     round_rewards: np.ndarray
     round_costs: np.ndarray
@@ -89,18 +91,19 @@ class ExplorationResult:
 
 
 def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> ExplorationResult:
-    """Pull each arm t0 times, then record t0 context sets under arbitrary pulls.
+    """Pull each arm t0 times, then make t0 arbitrary pulls.
 
     An arbitrary pull is the null arm if the environment has one, otherwise a
-    uniformly drawn arm.  Aborts early (with whatever was gathered) if some
-    resource's cumulative consumption reaches B - 1 before the exploration
-    block completes.
+    uniformly drawn arm.  The environment's context set is fixed, so these
+    rounds add no new contexts, but they spend rounds, budget and random
+    draws as the paper's phase 1 does.  Aborts early (with whatever was
+    gathered) if some resource's cumulative consumption reaches B - 1 before
+    the exploration block completes.
     """
     inst = env.instance
     K, d, B = inst.K, inst.d, inst.B
     if (K + 1) * t0 > inst.T:
         raise ConfigurationError(f"(K+1)*T0 = {(K + 1) * t0} exceeds T = {inst.T}")
-    phi = env.contexts.phi
     exit_level = B - 1.0
 
     total_rounds = (K + 1) * t0
@@ -110,100 +113,45 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> Explorat
     consumed = np.zeros(d)
     aborted = False
 
-    per_arm_rows = [[] for _ in range(K)]
-    t = 0
-    for arm in range(K):
-        for _ in range(t0):
-            outcome = sample_outcome(env, arm, rng)
-            arms[t] = arm
-            round_rewards[t] = outcome.reward
-            round_costs[t] = outcome.cost
-            per_arm_rows[arm].append((outcome.reward, outcome.cost))
-            consumed += outcome.cost
-            t += 1
-            if (consumed >= exit_level).any():
-                aborted = True
-                break
-        if aborted:
+    n = 0
+    for t in range(total_rounds):
+        if t < K * t0:
+            arm = t // t0
+        else:
+            arm = K - 1 if env.null_arm else int(rng.integers(K))
+        outcome = sample_outcome(env, arm, rng)
+        arms[t] = arm
+        round_rewards[t] = outcome.reward
+        round_costs[t] = outcome.cost
+        consumed += outcome.cost
+        n = t + 1
+        if (consumed >= exit_level).any():
+            aborted = True
             break
 
-    n_ctx = 0
-    if not aborted:
-        for _ in range(t0):
-            arm = K - 1 if env.null_arm else int(rng.integers(K))
-            outcome = sample_outcome(env, arm, rng)
-            arms[t] = arm
-            round_rewards[t] = outcome.reward
-            round_costs[t] = outcome.cost
-            consumed += outcome.cost
-            n_ctx += 1
-            t += 1
-            if (consumed >= exit_level).any():
-                aborted = True
-                break
-
-    features, rewards, costs = [], [], []
-    for arm in range(K):
-        n = len(per_arm_rows[arm])
-        features.append(np.tile(phi[arm], (n, 1)))
-        rewards.append(np.array([r for r, _ in per_arm_rows[arm]]))
-        costs.append(np.array([c for _, c in per_arm_rows[arm]]) if n else np.empty((0, d)))
-
-    return ExplorationResult(
-        t0=t0,
-        features=features,
-        rewards=rewards,
-        costs=costs,
-        context_sets=np.tile(phi, (n_ctx, 1, 1)),
-        arms=arms[:t],
-        round_rewards=round_rewards[:t],
-        round_costs=round_costs[:t],
-        consumed=consumed,
-        aborted=aborted,
-    )
+    return ExplorationResult(t0=t0, arms=arms[:n], round_rewards=round_rewards[:n],
+                             round_costs=round_costs[:n], consumed=consumed, aborted=aborted)
 
 
-def empirical_opt(reward_predictors: list, cost_predictors: list, context_sets: np.ndarray,
-                  budget_rate: float, m_val: float) -> float:
-    """Optimal value of the empirical allocation program over the context sets.
+def empirical_opt(fits: list, phi: np.ndarray, budget_rate: float, m_val: float) -> float:
+    """Optimal value of the empirical allocation program over the context set.
 
-    Variables are one distribution over arms per recorded context set; the
-    budget rows are relaxed by twice the estimation radius.
+    ``fits[a]`` is arm a's reward fit followed by its d cost fits, each
+    predicted at the arm's feature row ``phi[a]``.  The budget rows are
+    relaxed by twice the estimation radius.  The paper averages the program
+    over the context sets of the arbitrary pulls; here every one of them is
+    ``phi``, so that average is this one K-variable program.
     """
-    n_ctx, K = context_sets.shape[:2]
-    if n_ctx < 1:
-        raise ConfigurationError("need at least one recorded context set")
-    d = len(cost_predictors[0])
-
-    fhat = np.empty((n_ctx, K))
-    ghat = np.empty((n_ctx, K, d))
-    for a in range(K):
-        fhat[:, a] = reward_predictors[a].predict_matrix(context_sets[:, a, :])
-        for j in range(d):
-            ghat[:, a, j] = cost_predictors[a][j].predict_matrix(context_sets[:, a, :])
-
-    n_vars = n_ctx * K
-    a_ub = ghat.reshape(n_vars, d).T / n_ctx
-    b_ub = np.full(d, budget_rate + 2.0 * m_val)
-    a_eq = np.zeros((n_ctx, n_vars))
-    for t in range(n_ctx):
-        a_eq[t, t * K : (t + 1) * K] = 1.0
-    problem = LpProblem(c=fhat.ravel() / n_ctx, a_ub=a_ub, b_ub=b_ub,
-                        a_eq=a_eq, b_eq=np.ones(n_ctx))
-    sol = solve_lp(problem)
-    if sol.status == "infeasible":
-        raise InfeasibleError("empirical allocation program infeasible")
-    if sol.status != "optimal":
-        raise RuntimeError(f"LP solver returned status {sol.status}")
-    return sol.value
+    preds = np.array([[f.predict_matrix(phi[a])[0] for f in arm_fits]
+                      for a, arm_fits in enumerate(fits)])
+    return exact_opt_fixed_context(preds[:, 0], preds[:, 1:], budget_rate + 2.0 * m_val)
 
 
 @dataclass
 class PhaseOneResult:
     t0: int
     exploration: ExplorationResult
-    reward_predictors: list | None
-    cost_predictors: list | None
+    fits: list | None  # per arm: the reward fit, then the d cost fits
     opt_hat: float | None
     err_f: float
     err_g: float
@@ -216,7 +164,8 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
               rng: np.random.Generator) -> PhaseOneResult:
     """Exploration, batch fitting, and radius estimation (no policy rounds)."""
     inst = env.instance
-    m = env.contexts.phi.shape[1]
+    phi = env.contexts.phi
+    m = phi.shape[1]
     t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, inst.d, inst.K, inst.T)
 
     err_f, err_g = estimation_errors(cfg.oracle, m, inst.d, t0, inst.T, cfg.err_scale)
@@ -224,25 +173,20 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
 
     expl = explore(env, t0, rng)
     if expl.aborted:
-        return PhaseOneResult(t0=t0, exploration=expl, reward_predictors=None,
-                              cost_predictors=None, opt_hat=None, err_f=err_f,
+        return PhaseOneResult(t0=t0, exploration=expl, fits=None, opt_hat=None, err_f=err_f,
                               err_g=err_g, m_val=m_val, z=None, aborted=True)
 
-    # One pass per arm fits the reward and every cost.
-    reward_predictors = []
-    cost_predictors = []
+    # One pass per arm over its slice of the rounds fits the reward and every cost.
+    fits = []
     for a in range(inst.K):
-        targets = np.column_stack([expl.rewards[a], expl.costs[a]])
-        fits = online_to_batch(cfg.oracle, expl.features[a], targets, link=env.link,
-                               eta_scale=cfg.eta_scale)
-        reward_predictors.append(fits[0])
-        cost_predictors.append(fits[1:])
+        rows = slice(a * t0, (a + 1) * t0)
+        targets = np.column_stack([expl.round_rewards[rows], expl.round_costs[rows]])
+        fits.append(online_to_batch(cfg.oracle, np.broadcast_to(phi[a], (t0, m)), targets,
+                                    link=env.link, eta_scale=cfg.eta_scale))
 
-    opt_hat = empirical_opt(reward_predictors, cost_predictors, expl.context_sets,
-                            inst.budget_rate, m_val)
+    opt_hat = empirical_opt(fits, phi, inst.budget_rate, m_val)
     z = z_estimate(opt_hat, m_val, inst.T, inst.B)
-    return PhaseOneResult(t0=t0, exploration=expl, reward_predictors=reward_predictors,
-                          cost_predictors=cost_predictors, opt_hat=opt_hat, err_f=err_f,
+    return PhaseOneResult(t0=t0, exploration=expl, fits=fits, opt_hat=opt_hat, err_f=err_f,
                           err_g=err_g, m_val=m_val, z=z, aborted=False)
 
 

@@ -1,12 +1,19 @@
-"""Dependency-free reference for the simplex: enumerate the vertices of the
-per-round allocation program of a tiny instance.  The LP tests and
-acceptance criterion 3 compare ``cbwk.lp`` against it."""
+"""Reference implementations for the LP tests.
+
+``brute_force_opt`` enumerates the vertices of the per-round allocation
+program of a tiny instance; the LP tests and acceptance criterion 3 compare
+``cbwk.lp`` against it.  ``tiled_empirical_opt`` is the two-stage empirical
+program as the paper states it, one arm distribution per recorded context
+set, over t0 copies of a fixed context set; ``cbwk.twostage.empirical_opt``
+must reach the same optimum with K variables.
+"""
 
 from itertools import combinations
 
 import numpy as np
 
 from cbwk.errors import ConfigurationError, InfeasibleError
+from cbwk.lp import LpProblem, solve_lp
 
 
 def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float:
@@ -59,3 +66,37 @@ def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float
     if not candidates:
         raise InfeasibleError("no feasible point")
     return float(max(rewards @ p for p in candidates))
+
+
+def tiled_empirical_opt(fits: list, phi, t0: int, budget_rate: float, m_val: float) -> float:
+    """Empirical allocation program over t0 recorded copies of the context set ``phi``.
+
+    ``fits[a]`` is arm a's reward fit followed by its d cost fits.  Variables
+    are one distribution over arms per recorded context set; the budget rows
+    are relaxed by twice the estimation radius.
+    """
+    context_sets = np.tile(np.asarray(phi, dtype=float), (t0, 1, 1))
+    n_ctx, K = context_sets.shape[:2]
+    d = len(fits[0]) - 1
+
+    fhat = np.empty((n_ctx, K))
+    ghat = np.empty((n_ctx, K, d))
+    for a in range(K):
+        fhat[:, a] = fits[a][0].predict_matrix(context_sets[:, a, :])
+        for j in range(d):
+            ghat[:, a, j] = fits[a][1 + j].predict_matrix(context_sets[:, a, :])
+
+    n_vars = n_ctx * K
+    a_ub = ghat.reshape(n_vars, d).T / n_ctx
+    b_ub = np.full(d, budget_rate + 2.0 * m_val)
+    a_eq = np.zeros((n_ctx, n_vars))
+    for t in range(n_ctx):
+        a_eq[t, t * K : (t + 1) * K] = 1.0
+    problem = LpProblem(c=fhat.ravel() / n_ctx, a_ub=a_ub, b_ub=b_ub,
+                        a_eq=a_eq, b_eq=np.ones(n_ctx))
+    sol = solve_lp(problem)
+    if sol.status == "infeasible":
+        raise InfeasibleError("empirical allocation program infeasible")
+    if sol.status != "optimal":
+        raise RuntimeError(f"LP solver returned status {sol.status}")
+    return sol.value

@@ -54,6 +54,23 @@ def test_benchmark_env_expected_values():
     assert np.allclose(norms, math.sqrt(1.5), atol=1e-12)
 
 
+def test_expected_outcomes_are_the_sampled_means():
+    # the rows sample_outcome draws around, clipped in bounded mode; the null arm's row is 0
+    plain = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
+    assert (plain.expected_outcomes() == plain.outcome_means).all()
+    bounded = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100, bounded=True, null_arm=True)
+    rows = bounded.expected_outcomes()
+    assert rows.shape == (3, 5)
+    assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
+    assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
+    assert (bounded.expected_rewards() == rows[:, 0]).all()
+    assert (bounded.expected_costs() == rows[:, 1:]).all()
+    glm = make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full(2, 0.5),
+                       np.full((2, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]], null_arm=True)
+    assert (glm.outcome_means[-1] == 0.5).all() and (glm.expected_outcomes()[-1] == 0.0).all()
+    assert (glm.expected_outcomes()[:2] == glm.outcome_means[:2]).all()
+
+
 def test_benchmark_env_dimension_guards():
     with pytest.raises(ConfigurationError):
         make_fixed_linear_env(5, 3, 4, 0.2, T=100, B=100)

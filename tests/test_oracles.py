@@ -246,7 +246,7 @@ def test_vector_regret_decomposition():
         phi = np.abs(rng.normal(size=m))
         phi /= max(np.linalg.norm(phi), 1.0)
         truth = thetas @ phi
-        pred = vec.predict(phi)
+        pred = vec.predict_matrix(phi)[0]
         errs = (pred - truth) ** 2
         max_norm_sq += errs.max()
         per_coord += errs
@@ -257,7 +257,7 @@ def test_vector_regret_decomposition():
 def test_otb_single_sample_is_initial_predictor():
     bp = online_to_batch("glmtron", np.array([[0.5, 0.5]]), np.array([1.0]))
     # average of one iterate: the untrained predictor
-    assert bp.predict(np.array([0.9, 0.1])) == 0.0
+    assert bp.predict_matrix(np.array([0.9, 0.1]))[0] == 0.0
     assert bp.params.shape == (1, 2)
 
 
@@ -292,13 +292,13 @@ def test_otb_zero_targets_error_decreases():
     errors = []
     for M in (10, 50, 200, 400):
         bp = online_to_batch("glmtron", phis[:M], np.zeros(M), link="logistic")
-        errors.append(bp.predict(probe))
+        errors.append(bp.predict_matrix(probe)[0])
     assert all(e <= initial for e in errors)
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0]
 
     identity = online_to_batch("glmtron", phis[:50], np.zeros(50))
-    assert identity.predict(probe) == 0.0
+    assert identity.predict_matrix(probe)[0] == 0.0
 
 
 def test_bound_spec_monotone_positive():

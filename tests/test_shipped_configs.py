@@ -5,6 +5,9 @@ and the extremes of its grid (K in {5, 50}, m in {10, 101}, the T sweeps at
 T = 1000), and the sha256 of its ``results.csv`` is compared with the value
 recorded here.  A refactor must leave these bytes unchanged.  Like the golden
 digests, they assume the BLAS core and CPU in ``conftest.RECORDED_ON``.
+A one-cell tight-budget sweep, the two-stage policy at K = 10 with a null
+arm and B = T/4, pins the path where phase one's empirical program binds and
+the budget stop ends the run; the shipped configs run two-stage at B = T only.
 Run this file as a script to print the table for the cbwk on the path.
 """
 
@@ -32,6 +35,23 @@ SHIPPED = {
                                "02ee7508deaf7932937b3b734aeeb5f29b1c5fe9d92632ee05774a6f8a48388a"),
 }
 
+# The tight-budget cell: two-stage at m = 52, K = 10, null arm, B = T/4, T = 8000.
+TIGHT_BUDGET = """
+environment.family = fixed_linear
+environment.m = 52
+environment.K = 10
+environment.d = 4
+environment.T = 8000
+environment.B = T/4
+environment.noise_variance = 0.2
+environment.null_arm = true
+algorithm.list = twostage
+algorithm.bound_scale = 0.01
+seeds.count = 1
+seeds.base = 4000
+"""
+TIGHT_BUDGET_SHA256 = "e923888970182848b03087604c96a85d40de4d7862046b722fd6334da3151e3c"
+
 
 def reduced_sweep_digest(name: str, directory: str) -> tuple[str, list]:
     """sha256 of the reduced sweep's CSV, and the errors of its failed cells."""
@@ -40,6 +60,11 @@ def reduced_sweep_digest(name: str, directory: str) -> tuple[str, list]:
     config = replace(config, algorithms=config.algorithms + ("twostage",), seeds_count=1,
                      sweep_values=SHIPPED[name][0])
     config.validate()
+    return sweep_digest(config, directory)
+
+
+def sweep_digest(config, directory: str) -> tuple[str, list]:
+    """sha256 of a serial sweep's CSV, and the errors of its failed cells."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the two-stage precondition warning
         result = run_sweep(config, parallelism=1)
@@ -61,8 +86,16 @@ def test_shipped_config_csv_bytes(name, tmp_path, recorded_on):
     assert digest == SHIPPED[name][1], recorded_on
 
 
+def test_tight_budget_twostage_csv_bytes(tmp_path, recorded_on):
+    digest, errors = sweep_digest(parse_config(TIGHT_BUDGET), str(tmp_path))
+    assert errors == []
+    assert digest == TIGHT_BUDGET_SHA256, recorded_on
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(SHIPPED):
             digest, errors = reduced_sweep_digest(name, tmp)
             print(f'    "{name}": ({SHIPPED[name][0]!r}, "{digest}"),', errors or "")
+        digest, errors = sweep_digest(parse_config(TIGHT_BUDGET), tmp)
+        print(f'TIGHT_BUDGET_SHA256 = "{digest}"', errors or "")

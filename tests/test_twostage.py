@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
-from cbwk.errors import ConfigurationError
+from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import BatchPredictor, online_to_batch
+from lp_reference import brute_force_opt, tiled_empirical_opt
 from cbwk.twostage import (
     TwoStageConfig,
     empirical_opt,
@@ -51,11 +52,16 @@ def test_explore_counts():
     env = _two_arm_env()
     result = explore(env, 3, np.random.default_rng(0))
     assert not result.aborted
-    assert all(r.size == 3 for r in result.rewards)
-    assert all(c.shape == (3, 2) for c in result.costs)
-    assert result.context_sets.shape[0] == 3
     assert result.arms.size == 9  # (K+1) * T0
-    assert (result.arms[:3] == 0).all() and (result.arms[3:6] == 1).all()
+    assert result.round_rewards.shape == (9,) and result.round_costs.shape == (9, 2)
+    # arm a's samples are rounds a*t0 .. (a+1)*t0 - 1; noiseless, they are its means
+    for a, reward in enumerate((0.8, 0.4)):
+        rows = slice(3 * a, 3 * (a + 1))
+        assert (result.arms[rows] == a).all()
+        assert (result.round_rewards[rows] == reward).all()
+        assert (result.round_costs[rows] == 0.5).all()
+    assert ((0 <= result.arms[6:]) & (result.arms[6:] < 2)).all()  # the arbitrary pulls
+    assert result.consumed == pytest.approx(result.round_costs.sum(axis=0), abs=1e-12)
 
 
 def test_explore_null_arm_pulls_consume_nothing():
@@ -103,43 +109,87 @@ def _constant_batch(value, dim=2):
     return BatchPredictor(params, "identity")
 
 
+E1_BOTH = np.array([[1.0, 0.0], [1.0, 0.0]])  # both arms see feature e1
+
+
 def test_empirical_opt_hand_instance():
-    contexts = np.zeros((1, 2, 2))
-    contexts[0, :, 0] = 1.0  # both arms see feature e1
-    reward = [_constant_batch(0.9), _constant_batch(0.2)]
-    cost = [[_constant_batch(0.8)], [_constant_batch(0.1)]]
-    value = empirical_opt(reward, cost, contexts, 0.45, 0.0)
+    fits = [[_constant_batch(0.9), _constant_batch(0.8)],
+            [_constant_batch(0.2), _constant_batch(0.1)]]
+    value = empirical_opt(fits, E1_BOTH, 0.45, 0.0)
     assert value == pytest.approx(0.55, abs=1e-9)
 
 
 def test_empirical_opt_zero_costs_gives_max_reward():
-    contexts = np.zeros((3, 2, 2))
-    contexts[:, :, 0] = 1.0
-    reward = [_constant_batch(0.7), _constant_batch(0.3)]
-    cost = [[_constant_batch(0.0)], [_constant_batch(0.0)]]
-    value = empirical_opt(reward, cost, contexts, 0.2, 0.0)
+    fits = [[_constant_batch(0.7), _constant_batch(0.0)],
+            [_constant_batch(0.3), _constant_batch(0.0)]]
+    value = empirical_opt(fits, E1_BOTH, 0.2, 0.0)
     assert value == pytest.approx(0.7, abs=1e-9)
 
 
 def test_empirical_opt_constant_objective():
-    contexts = np.zeros((2, 2, 2))
-    contexts[:, :, 0] = 1.0
-    reward = [_constant_batch(0.4), _constant_batch(0.4)]
-    cost = [[_constant_batch(0.3)], [_constant_batch(0.2)]]
-    value = empirical_opt(reward, cost, contexts, 0.5, 0.0)
+    fits = [[_constant_batch(0.4), _constant_batch(0.3)],
+            [_constant_batch(0.4), _constant_batch(0.2)]]
+    value = empirical_opt(fits, E1_BOTH, 0.5, 0.0)
     assert value == pytest.approx(0.4, abs=1e-9)
 
 
 def test_empirical_opt_permutation_invariant():
+    # relabelling the arms, with their fits and feature rows, leaves the optimum unchanged
     rng = np.random.default_rng(3)
-    n_ctx, K, m, d = 5, 2, 3, 1
-    contexts = rng.random((n_ctx, K, m)) / 2
-    reward = [BatchPredictor(rng.random((1, m)) / 2, "identity") for _ in range(K)]
-    cost = [[BatchPredictor(rng.random((1, m)) / 2, "identity")] for _ in range(K)]
-    base = empirical_opt(reward, cost, contexts, 0.3, 0.05)
-    perm = rng.permutation(n_ctx)
-    shuffled = empirical_opt(reward, cost, contexts[perm], 0.3, 0.05)
+    K, m, d = 4, 3, 2
+    phi = rng.random((K, m)) / 2
+    fits = [[BatchPredictor(rng.random((3, m)) / 2, "identity") for _ in range(1 + d)]
+            for _ in range(K)]
+    base = empirical_opt(fits, phi, 0.3, 0.05)
+    perm = rng.permutation(K)
+    shuffled = empirical_opt([fits[a] for a in perm], phi[perm], 0.3, 0.05)
     assert shuffled == pytest.approx(base, abs=1e-9)
+
+
+def _random_empirical_instance(rng, null_arm):
+    """Random batch fits over a random context set; a null arm is a zero feature row."""
+    K, d, m = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 6))
+    link = "logistic" if rng.random() < 0.25 else "identity"
+    phi = rng.random((K, m)) / math.sqrt(m)
+    if null_arm:
+        phi[-1] = 0.0
+        link = "identity"  # its predictions are then exactly zero
+    fits = [[BatchPredictor(rng.normal(size=(int(rng.integers(1, 5)), m)), link)
+             for _ in range(1 + d)] for _ in range(K)]
+    return fits, phi
+
+
+def test_empirical_opt_matches_tiled_program_and_brute_force():
+    # The program over t0 copies of the one context set and the vertex
+    # enumeration of the K-variable program agree with empirical_opt.
+    rng = np.random.default_rng(11)
+    outcomes = {"optimal": 0, "infeasible": 0, "null": 0, "widened": 0}
+    for i in range(240):
+        null_arm = i % 3 == 0
+        fits, phi = _random_empirical_instance(rng, null_arm)
+        rate = float(rng.uniform(0.02, 0.9))
+        m_val = 0.0 if i % 2 else float(rng.uniform(0.0, 0.3))
+        outcomes["null"] += null_arm
+        outcomes["widened"] += m_val > 0
+        preds = np.array([[f.predict_matrix(phi[a])[0] for f in arm_fits]
+                          for a, arm_fits in enumerate(fits)])
+        try:
+            want = brute_force_opt(preds[:, 0], preds[:, 1:], rate + 2.0 * m_val)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                empirical_opt(fits, phi, rate, m_val)
+            for t0 in (1, 3, 17):
+                with pytest.raises(InfeasibleError):
+                    tiled_empirical_opt(fits, phi, t0, rate, m_val)
+            outcomes["infeasible"] += 1
+            continue
+        got = empirical_opt(fits, phi, rate, m_val)
+        assert got == pytest.approx(want, abs=1e-9)
+        for t0 in (1, 3, 17):
+            assert tiled_empirical_opt(fits, phi, t0, rate, m_val) == pytest.approx(got, abs=1e-9)
+        outcomes["optimal"] += 1
+    assert outcomes["optimal"] >= 150 and outcomes["infeasible"] >= 5
+    assert outcomes["null"] >= 50 and outcomes["widened"] >= 50
 
 
 def test_z_estimate_values():
@@ -188,16 +238,18 @@ def test_phase_one_datasets_and_estimates():
     env = make_fixed_linear_env(10, 3, 4, 0.01, T=2000, B=1000)
     p1 = phase_one(env, TwoStageConfig(), np.random.default_rng(7))
     assert not p1.aborted
-    assert all(r.size == p1.t0 for r in p1.exploration.rewards)
+    t0, expl = p1.t0, p1.exploration
+    assert expl.arms.size == 4 * t0
     assert p1.opt_hat is not None and p1.z is not None
     assert p1.z == pytest.approx((2000 / 1000) * (p1.opt_hat + p1.m_val))
     # each arm's one pass over reward and costs fits every target as it would alone
-    expl = p1.exploration
     for a in range(3):
-        assert expl.features[a].shape == (p1.t0, 10)
-        assert len(p1.cost_predictors[a]) == 4
-        alone = online_to_batch("glmtron", expl.features[a], expl.costs[a][:, 1])
-        assert (p1.cost_predictors[a][1].params == alone.params).all()
+        rows = slice(a * t0, (a + 1) * t0)
+        assert (expl.arms[rows] == a).all()
+        assert len(p1.fits[a]) == 1 + 4
+        features = np.tile(env.contexts.phi[a], (t0, 1))
+        alone = online_to_batch("glmtron", features, expl.round_costs[rows, 1])
+        assert (p1.fits[a][2].params == alone.params).all()
 
 
 def test_radius_sandwich_quick():
