@@ -40,21 +40,20 @@ _REQUIRED_KEYS = (
     "seeds.count",
     "seeds.base",
 )
-_OPTIONAL_KEYS = (
-    "environment.mode",
-    "environment.null_arm",
-    "sweep.param",
-    "sweep.values",
-    "output.dir",
-    "algorithm.gamma",
-    "algorithm.z",
-    "algorithm.t0",
-    "algorithm.confidence",
-    "algorithm.bound_scale",
-    "algorithm.eta_scale",
-    "algorithm.err_scale",
-    "algorithm.twostage_oracle",
-)
+# optional key -> (ExperimentConfig field, type); an absent key keeps the field's default
+_OPTIONAL_KEYS = {
+    "environment.mode": ("mode", str),
+    "environment.null_arm": ("null_arm", bool),
+    "output.dir": ("output_dir", str),
+    "algorithm.gamma": ("gamma", float),
+    "algorithm.z": ("z", float),
+    "algorithm.t0": ("t0", int),
+    "algorithm.confidence": ("confidence", float),
+    "algorithm.bound_scale": ("bound_scale", float),
+    "algorithm.eta_scale": ("eta_scale", float),
+    "algorithm.err_scale": ("err_scale", float),
+    "algorithm.twostage_oracle": ("twostage_oracle", str),
+}
 
 
 # (field, comparison, bound) of each algorithm.* number; an unset gamma, z or
@@ -188,7 +187,7 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"line {lineno}: duplicate key {key}")
         pairs[key] = value
 
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
+    known = {*_REQUIRED_KEYS, *_OPTIONAL_KEYS, "sweep.param", "sweep.values"}
     for key in pairs:
         if key not in known:
             problems.append(f"unknown key: {key}")
@@ -198,38 +197,33 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems and any(p.startswith("missing required key") for p in problems):
         raise ConfigurationError(problems)
 
-    family = pairs["environment.family"]
-    m = _parse_scalar(pairs["environment.m"], int, "environment.m", problems)
-    K = _parse_scalar(pairs["environment.K"], int, "environment.K", problems)
-    d = _parse_scalar(pairs["environment.d"], int, "environment.d", problems)
-    T = _parse_scalar(pairs["environment.T"], int, "environment.T", problems)
-    noise = _parse_scalar(pairs["environment.noise_variance"], float,
-                          "environment.noise_variance", problems)
-    budget_spec = pairs["environment.B"]
-    mode = pairs.get("environment.mode", "replication")
-    null_arm = _parse_scalar(pairs.get("environment.null_arm", "false"), bool,
-                             "environment.null_arm", problems)
-    algorithms = tuple(a.strip() for a in pairs["algorithm.list"].split(",") if a.strip())
-    seeds_count = _parse_scalar(pairs["seeds.count"], int, "seeds.count", problems)
-    seeds_base = _parse_scalar(pairs["seeds.base"], int, "seeds.base", problems)
-
-    opt = {}
-    for key, kind in (("algorithm.gamma", float), ("algorithm.z", float),
-                      ("algorithm.t0", int), ("algorithm.confidence", float),
-                      ("algorithm.bound_scale", float), ("algorithm.eta_scale", float),
-                      ("algorithm.err_scale", float)):
+    kwargs = dict(
+        family=pairs["environment.family"],
+        m=_parse_scalar(pairs["environment.m"], int, "environment.m", problems),
+        K=_parse_scalar(pairs["environment.K"], int, "environment.K", problems),
+        d=_parse_scalar(pairs["environment.d"], int, "environment.d", problems),
+        T=_parse_scalar(pairs["environment.T"], int, "environment.T", problems),
+        budget_spec=pairs["environment.B"],
+        noise_variance=_parse_scalar(pairs["environment.noise_variance"], float,
+                                     "environment.noise_variance", problems),
+        algorithms=tuple(a.strip() for a in pairs["algorithm.list"].split(",") if a.strip()),
+        seeds_count=_parse_scalar(pairs["seeds.count"], int, "seeds.count", problems),
+        seeds_base=_parse_scalar(pairs["seeds.base"], int, "seeds.base", problems),
+    )
+    for key, (name, kind) in _OPTIONAL_KEYS.items():
         if key in pairs:
-            opt[key.split(".")[1]] = _parse_scalar(pairs[key], kind, key, problems)
-    twostage_oracle = pairs.get("algorithm.twostage_oracle", "glmtron")
+            kwargs[name] = _parse_scalar(pairs[key], kind, key, problems)
 
     sweep_param = pairs.get("sweep.param")
     sweep_values_raw = pairs.get("sweep.values")
     if (sweep_param is None) != (sweep_values_raw is None):
         problems.append("sweep.param and sweep.values must be given together")
-    if sweep_param is None:
-        sweep_param, sweep_values = "T", (T,) if T is not None else ()
+    if sweep_param is None:  # sweep the base horizon alone
+        T = kwargs["T"]
+        kwargs["sweep_values"] = (T,) if T is not None else ()
     else:
-        sweep_values = tuple(
+        kwargs["sweep_param"] = sweep_param
+        kwargs["sweep_values"] = tuple(
             v for v in (
                 _parse_scalar(x.strip(), int, "sweep.values", problems)
                 for x in sweep_values_raw.split(",") if x.strip()
@@ -239,16 +233,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigurationError(problems)
 
-    config = ExperimentConfig(
-        family=family, m=m, K=K, d=d, T=T, budget_spec=budget_spec,
-        noise_variance=noise, mode=mode, null_arm=null_arm, algorithms=algorithms,
-        gamma=opt.get("gamma"), z=opt.get("z"), t0=opt.get("t0"),
-        confidence=opt.get("confidence", 1.0), bound_scale=opt.get("bound_scale", 1.0),
-        eta_scale=opt.get("eta_scale", 1.0), err_scale=opt.get("err_scale", 1.0),
-        twostage_oracle=twostage_oracle, sweep_param=sweep_param,
-        sweep_values=sweep_values, seeds_count=seeds_count, seeds_base=seeds_base,
-        output_dir=pairs.get("output.dir", "results"),
-    )
+    config = ExperimentConfig(**kwargs)
     config.validate()
     return config
 
@@ -309,24 +294,16 @@ def _run_cell(spec: dict) -> SweepRow:
         rng = np.random.default_rng(seed)
         if alg == "linucb":
             trace = run_linucb(env, LinUcbConfig(confidence_scale=config.confidence), rng)
-        elif alg == "twostage":
-            trace = run_twostage(
-                env,
-                TwoStageConfig(t0=config.t0, oracle=config.twostage_oracle,
-                               err_scale=config.err_scale, eta_scale=config.eta_scale),
-                rng,
-                policy_overrides=PolicyConfig(oracle=config.twostage_oracle,
-                                              gamma=config.gamma,
-                                              bound_scale=config.bound_scale,
-                                              eta_scale=config.eta_scale),
-            )
         else:
-            trace = run_squarecbwk(
-                env,
-                PolicyConfig(oracle=alg, gamma=config.gamma, z=config.z,
-                             bound_scale=config.bound_scale, eta_scale=config.eta_scale),
-                rng,
-            )
+            twostage = alg == "twostage"
+            policy = PolicyConfig(oracle=config.twostage_oracle if twostage else alg,
+                                  gamma=config.gamma, z=None if twostage else config.z,
+                                  bound_scale=config.bound_scale, eta_scale=config.eta_scale)
+            if twostage:
+                trace = run_twostage(env, TwoStageConfig(t0=config.t0, err_scale=config.err_scale,
+                                                         policy=policy), rng)
+            else:
+                trace = run_squarecbwk(env, policy, rng)
         opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(),
                                       env.instance.budget_rate)
         regret = realized_regret(trace, opt, env.instance.T)

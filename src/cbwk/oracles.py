@@ -13,8 +13,8 @@ the same feature vector.  The rows therefore share one step count and, under
 GLMtron, one Gram matrix A_t and its inverse, kept by a single Sherman-Morrison
 update per sample however many rows the stack has.  The policy fits its reward
 and its d costs over the environment's one feature map as one (1+d)-row stack,
-and online-to-batch fits every target of an arm in one pass.  A scalar oracle
-is a one-row stack.
+and online-to-batch fits every target of an arm in one pass into one frozen
+stack.  A scalar oracle is a one-row stack.
 """
 
 import math
@@ -64,6 +64,18 @@ def _check_phi(phi, dim):
 def _row_norms(v):
     """Euclidean norm of each row: np.linalg.norm(v, axis=1) without its dispatch cost."""
     return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
+def _zero_nonfinite_rows(v, norms):
+    """Reset to 0 every row of v whose norm is NaN or inf; return the new norms.
+
+    A row with a NaN or inf entry has such a norm, and so has a finite row
+    whose norm overflows.  Left in place, either would make every later
+    iterate of that row NaN.
+    """
+    bad = ~np.isfinite(norms)
+    v[bad] = 0.0
+    return np.where(bad, 0.0, norms)
 
 
 class VectorPredictor:
@@ -139,7 +151,10 @@ class VectorPredictor:
         if link is not _identity:  # the identity's slope is 1
             coeff *= slope(z)
         theta = self.theta - coeff[:, None] * phi
-        theta /= np.maximum(_row_norms(theta), 1.0)[:, None]
+        norms = _row_norms(theta)
+        if not math.isfinite(np.add.reduce(norms)):  # some row may be non-finite
+            norms = _zero_nonfinite_rows(theta, norms)
+        theta /= np.maximum(norms, 1.0)[:, None]
         self.theta = theta
 
     def _glmtron_step(self, phi, y):
@@ -159,11 +174,12 @@ class VectorPredictor:
             v = self.theta - np.einsum("ij,nj->ni", self.A_inv, grad)
             norms = _row_norms(v)
             if not math.isfinite(np.add.reduce(norms)):  # some row may be non-finite
-                v[~np.isfinite(v).all(axis=1)] = 0.0
-                norms = _row_norms(v)
+                norms = _zero_nonfinite_rows(v, norms)
             if np.maximum.reduce(norms) > 1.0:
                 over = norms > 1.0
                 v[over] = _project_a_norm(self.A, v[over], norms[over])
+                if not np.isfinite(v).all():  # a Gram matrix near overflow breaks the projection
+                    v[~np.isfinite(v).all(axis=1)] = 0.0
             self.theta = v
             self.t += 1
 
@@ -231,27 +247,28 @@ def make_vector_predictor(kind: str, d: int, dim: int, *, link: str = "identity"
 
 
 class BatchPredictor:
-    """Frozen average of an online oracle's iterates over one dataset."""
+    """Frozen average of an online oracle stack's iterates over one dataset."""
 
     def __init__(self, params: np.ndarray, link: str):
-        self.params = params  # (M, dim): theta before consuming sample i
+        self.params = params  # (n, M, dim): row j's theta before consuming sample i
         self.link = link
 
     def predict_matrix(self, phis) -> np.ndarray:
+        """(K, dim) features -> (K, n) clipped predictions, as VectorPredictor gives."""
         phis = np.atleast_2d(np.asarray(phis, dtype=float))
         vals = np.clip(_LINKS[self.link][0](self.params @ phis.T), 0.0, 1.0)
-        return vals.mean(axis=0)
+        return vals.mean(axis=1).T
 
 
 def online_to_batch(kind: str, features, targets, *, link: str = "identity",
-                    eta_scale: float = 1.0):
+                    eta_scale: float = 1.0) -> BatchPredictor:
     """Run the online oracle once through the dataset and average its iterates.
 
     The i-th recorded iterate is the predictor *before* consuming sample i, so
     the result is the uniform average of the M prediction functions the online
-    oracle would have played.  Targets of shape (M,) give one BatchPredictor;
-    targets of shape (M, n) are fitted in one pass of an n-row stack over the
-    shared features and give a list of n, one per column.
+    oracle would have played.  Targets of shape (M, n) are fitted in one pass
+    of an n-row stack over the shared features; targets of shape (M,) are one
+    column.  The result predicts all n targets at once.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -267,8 +284,7 @@ def online_to_batch(kind: str, features, targets, *, link: str = "identity",
     for i in range(M):
         params[:, i] = oracle.theta
         oracle.update(features[i], columns[i])
-    fits = [BatchPredictor(p, link) for p in params]
-    return fits[0] if targets.ndim == 1 else fits
+    return BatchPredictor(params, link)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Two-stage variant: uniform exploration, batch estimation, dual-radius fit.
 
-Phase 1 pulls every arm T0 times, converts each arm's samples into frozen
-batch predictors, makes T0 further arbitrary pulls, and estimates the
+Phase 1 pulls every arm T0 times, converts each arm's samples into one frozen
+batch stack, makes T0 further arbitrary pulls, and estimates the
 per-round optimum by a K-variable linear program over the environment's one
 context set with a slack-widened budget row.  The resulting radius estimate
 Z = (T/B) * (opt + M) parameterizes a fresh IGW policy run on the remaining
@@ -10,7 +10,7 @@ horizon and budget.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,16 +18,22 @@ from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .errors import ConfigurationError
 # solve_lp is kept for perfbench/tracer.py, which patches it
 from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
-from .oracles import online_to_batch
+from .oracles import BatchPredictor, online_to_batch
 from .policy import PolicyConfig, run_squarecbwk
 
 
 @dataclass
 class TwoStageConfig:
+    """Knobs for one two-stage run.
+
+    ``policy`` serves both phases: its oracle family and eta_scale fit phase
+    one and learn in phase 2, and its gamma and bound_scale size phase 2's
+    learning rate.  A set ``policy.z`` replaces the phase-one radius in phase 2.
+    """
+
     t0: int | None = None  # per-arm exploration length; default from t0_default
-    oracle: str = "glmtron"
     err_scale: float = 1.0  # leading constant of the estimation-error bounds
-    eta_scale: float = 1.0
+    policy: PolicyConfig = field(default_factory=PolicyConfig)
 
     def __post_init__(self):
         if self.t0 is not None and self.t0 < 1:
@@ -73,32 +79,18 @@ def z_estimate(opt_hat: float, m_val: float, T: int, B: float) -> float:
     return (T / B) * (opt_hat + m_val)
 
 
-@dataclass
-class ExplorationResult:
-    """Phase-1 rounds in pull order.
+def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace:
+    """Pull each arm t0 times, then make t0 arbitrary pulls; the phase-1 trace.
 
     Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1, all at its one feature
-    row; the last t0 rounds are the arbitrary pulls.  An aborted exploration
-    holds only the rounds played before the abort.
-    """
-
-    t0: int
-    arms: np.ndarray  # all phase-1 pulls in order
-    round_rewards: np.ndarray
-    round_costs: np.ndarray
-    consumed: np.ndarray  # (d,)
-    aborted: bool
-
-
-def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> ExplorationResult:
-    """Pull each arm t0 times, then make t0 arbitrary pulls.
-
-    An arbitrary pull is the null arm if the environment has one, otherwise a
-    uniformly drawn arm.  The environment's context set is fixed, so these
-    rounds add no new contexts, but they spend rounds, budget and random
-    draws as the paper's phase 1 does.  Aborts early (with whatever was
-    gathered) if some resource's cumulative consumption reaches B - 1 before
-    the exploration block completes.
+    row.  An arbitrary pull is the null arm if the environment has one,
+    otherwise a uniformly drawn arm.  The environment's context set is fixed,
+    so these rounds add no new contexts, but they spend rounds, budget and
+    random draws as the paper's phase 1 does.  Aborts early, with whatever
+    was gathered, if some resource's cumulative consumption reaches B - 1
+    before the exploration block completes; the trace is then marked
+    ``stopped_early`` and ``aborted_in_exploration``.  Every round is a
+    one-hot pull without estimates, so its ``rhat`` and ``lam`` rows are NaN.
     """
     inst = env.instance
     K, d, B = inst.K, inst.d, inst.B
@@ -108,8 +100,8 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> Explorat
 
     total_rounds = (K + 1) * t0
     arms = np.empty(total_rounds, dtype=np.int64)
-    round_rewards = np.empty(total_rounds)
-    round_costs = np.empty((total_rounds, d))
+    rewards = np.empty(total_rounds)
+    costs = np.empty((total_rounds, d))
     consumed = np.zeros(d)
     aborted = False
 
@@ -121,43 +113,43 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> Explorat
             arm = K - 1 if env.null_arm else int(rng.integers(K))
         outcome = sample_outcome(env, arm, rng)
         arms[t] = arm
-        round_rewards[t] = outcome.reward
-        round_costs[t] = outcome.cost
+        rewards[t] = outcome.reward
+        costs[t] = outcome.cost
         consumed += outcome.cost
         n = t + 1
         if (consumed >= exit_level).any():
             aborted = True
             break
 
-    return ExplorationResult(t0=t0, arms=arms[:n], round_rewards=round_rewards[:n],
-                             round_costs=round_costs[:n], consumed=consumed, aborted=aborted)
+    probs = np.zeros((n, K))
+    probs[np.arange(n), arms[:n]] = 1.0
+    return RunTrace(arms=arms[:n], rewards=rewards[:n], costs=costs[:n], probs=probs,
+                    rhat=np.full((n, K), np.nan), lam=np.full((n, d), np.nan),
+                    tau=n, total_reward=float(rewards[:n].sum()), total_cost=consumed,
+                    stopped_early=aborted, aborted_in_exploration=aborted)
 
 
 def empirical_opt(fits: list, phi: np.ndarray, budget_rate: float, m_val: float) -> float:
     """Optimal value of the empirical allocation program over the context set.
 
-    ``fits[a]`` is arm a's reward fit followed by its d cost fits, each
-    predicted at the arm's feature row ``phi[a]``.  The budget rows are
-    relaxed by twice the estimation radius.  The paper averages the program
-    over the context sets of the arbitrary pulls; here every one of them is
-    ``phi``, so that average is this one K-variable program.
+    ``fits[a]`` is arm a's batch stack, the reward then the d costs, predicted
+    at the arm's feature row ``phi[a]``.  The budget rows are relaxed by twice
+    the estimation radius.  The paper averages the program over the context
+    sets of the arbitrary pulls; here every one of them is ``phi``, so that
+    average is this one K-variable program.
     """
-    preds = np.array([[f.predict_matrix(phi[a])[0] for f in arm_fits]
-                      for a, arm_fits in enumerate(fits)])
+    preds = np.array([fit.predict_matrix(phi[a])[0] for a, fit in enumerate(fits)])
     return exact_opt_fixed_context(preds[:, 0], preds[:, 1:], budget_rate + 2.0 * m_val)
 
 
 @dataclass
 class PhaseOneResult:
     t0: int
-    exploration: ExplorationResult
-    fits: list | None  # per arm: the reward fit, then the d cost fits
+    exploration: RunTrace  # the phase-1 rounds; aborted_in_exploration if cut short
+    fits: list[BatchPredictor] | None  # per arm: one stack, the reward then the d costs
     opt_hat: float | None
-    err_f: float
-    err_g: float
     m_val: float
     z: float | None
-    aborted: bool
 
 
 def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
@@ -166,40 +158,40 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     inst = env.instance
     phi = env.contexts.phi
     m = phi.shape[1]
+    oracle, eta_scale = cfg.policy.oracle, cfg.policy.eta_scale
     t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, inst.d, inst.K, inst.T)
 
-    err_f, err_g = estimation_errors(cfg.oracle, m, inst.d, t0, inst.T, cfg.err_scale)
+    err_f, err_g = estimation_errors(oracle, m, inst.d, t0, inst.T, cfg.err_scale)
     m_val = m_t0(t0, inst.K, inst.d, err_f, err_g, inst.T)
 
     expl = explore(env, t0, rng)
-    if expl.aborted:
-        return PhaseOneResult(t0=t0, exploration=expl, fits=None, opt_hat=None, err_f=err_f,
-                              err_g=err_g, m_val=m_val, z=None, aborted=True)
+    if expl.aborted_in_exploration:
+        return PhaseOneResult(t0=t0, exploration=expl, fits=None, opt_hat=None,
+                              m_val=m_val, z=None)
 
     # One pass per arm over its slice of the rounds fits the reward and every cost.
     fits = []
     for a in range(inst.K):
         rows = slice(a * t0, (a + 1) * t0)
-        targets = np.column_stack([expl.round_rewards[rows], expl.round_costs[rows]])
-        fits.append(online_to_batch(cfg.oracle, np.broadcast_to(phi[a], (t0, m)), targets,
-                                    link=env.link, eta_scale=cfg.eta_scale))
+        targets = np.column_stack([expl.rewards[rows], expl.costs[rows]])
+        fits.append(online_to_batch(oracle, np.broadcast_to(phi[a], (t0, m)), targets,
+                                    link=env.link, eta_scale=eta_scale))
 
     opt_hat = empirical_opt(fits, phi, inst.budget_rate, m_val)
     z = z_estimate(opt_hat, m_val, inst.T, inst.B)
-    return PhaseOneResult(t0=t0, exploration=expl, fits=fits, opt_hat=opt_hat, err_f=err_f,
-                          err_g=err_g, m_val=m_val, z=z, aborted=False)
+    return PhaseOneResult(t0=t0, exploration=expl, fits=fits, opt_hat=opt_hat,
+                          m_val=m_val, z=z)
 
 
 _PER_ROUND = ("arms", "rewards", "costs", "probs", "rhat", "lam")
 
 
 def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
-                 rng: np.random.Generator,
-                 policy_overrides: PolicyConfig | None = None) -> RunTrace:
+                 rng: np.random.Generator) -> RunTrace:
     """Full two-stage run: phase-1 estimation, then the IGW policy on the rest.
 
-    Exploration rounds are one-hot pulls without estimates, so their ``rhat``
-    and ``lam`` rows are NaN.
+    The phase-1 trace from ``explore`` is joined to the phase-2 run of
+    ``run_squarecbwk`` with ``cfg.policy`` and the phase-one radius.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
@@ -216,19 +208,11 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
             stacklevel=2,
         )
 
-    expl = p1.exploration
-    n1 = expl.arms.size
-    probs1 = np.zeros((n1, K))
-    probs1[np.arange(n1), expl.arms] = 1.0
-    head = RunTrace(
-        arms=expl.arms, rewards=expl.round_rewards, costs=expl.round_costs, probs=probs1,
-        rhat=np.full((n1, K), np.nan), lam=np.full((n1, d), np.nan),
-        tau=n1, total_reward=float(expl.round_rewards.sum()), total_cost=expl.consumed.copy(),
-        stopped_early=p1.aborted, aborted_in_exploration=p1.aborted,
-        dual_radius=p1.z if p1.z is not None else float("nan"),
-    )
-    if p1.aborted or phase1_rounds == T:
+    head = p1.exploration
+    if head.aborted_in_exploration:
         return head
+    if phase1_rounds == T:
+        return replace(head, dual_radius=p1.z)
 
     t2 = T - phase1_rounds
     b2 = B - phase1_rounds
@@ -237,9 +221,8 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
             f"remaining budget B' = B - (K+1)T0 = {b2} is below 1; phase 2 cannot run"
         )
     env2 = replace(env, instance=type(inst)(T=t2, B=b2, d=d, K=K))
-    base = policy_overrides if policy_overrides is not None else PolicyConfig(oracle=cfg.oracle)
-    pc = replace(base, z=base.z if base.z is not None else p1.z)
-    tail = run_squarecbwk(env2, pc, rng)
+    z = cfg.policy.z if cfg.policy.z is not None else p1.z
+    tail = run_squarecbwk(env2, replace(cfg.policy, z=z), rng)
 
     return replace(
         tail,

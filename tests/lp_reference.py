@@ -71,20 +71,20 @@ def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float
 def tiled_empirical_opt(fits: list, phi, t0: int, budget_rate: float, m_val: float) -> float:
     """Empirical allocation program over t0 recorded copies of the context set ``phi``.
 
-    ``fits[a]`` is arm a's reward fit followed by its d cost fits.  Variables
+    ``fits[a]`` is arm a's batch stack, the reward then the d costs.  Variables
     are one distribution over arms per recorded context set; the budget rows
     are relaxed by twice the estimation radius.
     """
     context_sets = np.tile(np.asarray(phi, dtype=float), (t0, 1, 1))
     n_ctx, K = context_sets.shape[:2]
-    d = len(fits[0]) - 1
+    d = fits[0].params.shape[0] - 1
 
     fhat = np.empty((n_ctx, K))
     ghat = np.empty((n_ctx, K, d))
     for a in range(K):
-        fhat[:, a] = fits[a][0].predict_matrix(context_sets[:, a, :])
-        for j in range(d):
-            ghat[:, a, j] = fits[a][1 + j].predict_matrix(context_sets[:, a, :])
+        preds = fits[a].predict_matrix(context_sets[:, a, :])
+        fhat[:, a] = preds[:, 0]
+        ghat[:, a] = preds[:, 1:]
 
     n_vars = n_ctx * K
     a_ub = ghat.reshape(n_vars, d).T / n_ctx

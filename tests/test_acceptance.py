@@ -223,7 +223,7 @@ def test_criterion_8_radius_sandwich():
         lower = upper = 0
         for seed in range(50):
             p1 = phase_one(env, TwoStageConfig(), np.random.default_rng(seed))
-            assert not p1.aborted
+            assert not p1.exploration.aborted_in_exploration
             if p1.z >= target:
                 lower += 1
             if p1.z <= (6 * T * p1.m_val / B + 1) * (target + 1):
@@ -249,7 +249,7 @@ def test_criterion_9_otb_estimation():
             idx = rng.integers(0, 5, M)
             ys = fstar[idx] + rng.normal(0, math.sqrt(0.2), M)
             bp = online_to_batch("glmtron", support[idx], ys)
-            preds = bp.predict_matrix(support)
+            preds = bp.predict_matrix(support)[:, 0]
             errors.append(float(np.mean((preds - fstar) ** 2)))
         bound = 5 * m * math.log(M) / M
         assert np.median(errors) <= bound, f"median {np.median(errors):.4f} > {bound:.4f}"

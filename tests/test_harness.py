@@ -10,6 +10,7 @@ from cbwk import harness
 from cbwk.errors import ConfigurationError
 from cbwk.harness import (
     CSV_HEADER,
+    ExperimentConfig,
     SweepRow,
     parse_config,
     read_csv,
@@ -52,6 +53,39 @@ def test_all_shipped_configs_parse():
     for name in os.listdir(CONFIG_DIR):
         with open(os.path.join(CONFIG_DIR, name)) as fh:
             parse_config(fh.read())
+
+
+REQUIRED_ONLY = """
+environment.family = fixed_linear
+environment.m = 10
+environment.K = 3
+environment.d = 4
+environment.T = 60
+environment.B = T/2
+environment.noise_variance = 0.2
+algorithm.list = ogd, twostage
+seeds.count = 2
+seeds.base = 7
+"""
+
+
+def test_required_keys_alone_take_the_dataclass_defaults():
+    required = dict(family="fixed_linear", m=10, K=3, d=4, T=60, budget_spec="T/2",
+                    noise_variance=0.2, algorithms=("ogd", "twostage"),
+                    seeds_count=2, seeds_base=7)
+    # an absent sweep runs the base horizon alone
+    assert parse_config(REQUIRED_ONLY) == ExperimentConfig(**required, sweep_values=(60,))
+
+    optional = ("environment.mode = bounded\nenvironment.null_arm = true\n"
+                "output.dir = out\nalgorithm.gamma = 2.5\nalgorithm.z = 1.5\n"
+                "algorithm.t0 = 3\nalgorithm.confidence = 0.5\n"
+                "algorithm.bound_scale = 0.01\nalgorithm.eta_scale = 0.7\n"
+                "algorithm.err_scale = 0.2\nalgorithm.twostage_oracle = ogd\n"
+                "sweep.param = K\nsweep.values = 3, 4\n")
+    assert parse_config(REQUIRED_ONLY + optional) == ExperimentConfig(
+        **required, mode="bounded", null_arm=True, output_dir="out", gamma=2.5, z=1.5,
+        t0=3, confidence=0.5, bound_scale=0.01, eta_scale=0.7, err_scale=0.2,
+        twostage_oracle="ogd", sweep_param="K", sweep_values=(3, 4))
 
 
 def test_k_equals_m_rejected_with_named_constraint():

@@ -58,8 +58,8 @@ def _twostage(oracle, env_fn, t0=None):
     def run(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the precondition warning
-            return run_twostage(env_fn(), TwoStageConfig(t0=t0, oracle=oracle), rng,
-                                policy_overrides=PolicyConfig(oracle=oracle, bound_scale=0.01))
+            policy = PolicyConfig(oracle=oracle, bound_scale=0.01)
+            return run_twostage(env_fn(), TwoStageConfig(t0=t0, policy=policy), rng)
     return run
 
 
@@ -193,9 +193,10 @@ def test_round_kernel_matches_golden_trace(name, recorded_on):
 def oracle_stream_digest() -> str:
     """Digest of oracle states fed features and targets that overflow or are not finite.
 
-    Exercises GLMtron's reinitialization and its repair of non-finite rows,
-    which the policy runs above never reach.  An eigendecomposition that
-    fails to converge on such input is recorded and the oracle rebuilt.
+    Exercises GLMtron's reinitialization and both families' repair of
+    non-finite rows, which the policy runs above never reach: every update
+    must leave a finite theta.  An eigendecomposition that fails to converge
+    on such input is recorded and the oracle rebuilt.
     """
     h = hashlib.sha256()
     for kind in ("glmtron", "ogd"):
@@ -216,13 +217,14 @@ def oracle_stream_digest() -> str:
                         o = VectorPredictor(kind, 3, 4, link=link)
                         continue
                     h.update(o.predict_matrix(np.eye(4)).tobytes())
+                assert np.isfinite(o.theta).all(), (kind, link, i)
                 h.update(o.theta.tobytes())
                 if kind == "glmtron":
                     h.update(o.A.tobytes() + o.A_inv.tobytes() + bytes([o.reinit_count % 256]))
     return h.hexdigest()[:20]
 
 
-ORACLE_STREAM = "5d89bc62d6dabc1f8e78"
+ORACLE_STREAM = "9eb0e060b8d1a94006b3"
 
 
 def test_oracle_repair_paths_match_golden_digest(recorded_on):

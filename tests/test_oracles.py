@@ -109,6 +109,34 @@ def test_glmtron_reinitialization_path():
     assert 0.0 <= o.predict(phi) <= 1.0
 
 
+def test_ogd_recovers_from_a_nan_target():
+    o = VectorPredictor("ogd", 1, 2)
+    with np.errstate(invalid="ignore"):
+        o.update(np.array([0.6, 0.8]), np.array([np.nan]))
+    assert (o.theta == 0.0).all()  # the poisoned row restarts at 0
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        o.update(rng.normal(size=2) / 2, np.array([0.5]))
+    assert np.isfinite(o.theta).all() and np.linalg.norm(o.theta) <= 1.0 + 1e-12
+    assert np.isfinite(o.predict_matrix(np.eye(2))).all()
+
+
+def test_glmtron_zeroes_a_finite_row_whose_norm_overflows():
+    # The second sample near 1e100 leaves the pre-projection row with finite
+    # entries whose norm overflows; projecting it with norm inf gave NaN.
+    o = VectorPredictor("glmtron", 1, 2)
+    rng = np.random.default_rng(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        o.update(rng.normal(size=2) * 1e100, np.array([1.0]))
+        assert 0.99 < np.linalg.norm(o.theta) <= 1.0  # projected onto the ball's edge
+        o.update(rng.normal(size=2) * 1e100, np.array([1.0]))
+    assert (o.theta == 0.0).all()
+    for _ in range(100):
+        o.update(rng.normal(size=2) / 2, np.array([0.5]))
+    assert np.isfinite(o.theta).all() and np.linalg.norm(o.theta) <= 1.0 + 1e-9
+    assert np.isfinite(o.predict_matrix(np.eye(2))).all()
+
+
 def test_glmtron_regret_contract_on_realizable_stream():
     # cumulative squared error vs the truth stays sublinear and log-like
     def run(T, seed):
@@ -224,13 +252,14 @@ def test_fused_stack_matches_independent_scalars(kind, link, monkeypatch):
 
     X = np.array([phi for phi, _ in stream])
     Y = np.array([y for _, y in stream])
-    fits = online_to_batch(kind, X, Y, link=link)
-    assert len(fits) == n
-    for j, fit in enumerate(fits):
+    fit = online_to_batch(kind, X, Y, link=link)
+    assert fit.params.shape == (n, length, dim) and fit.params.flags.c_contiguous
+    preds = fit.predict_matrix(probe)
+    assert preds.shape == (len(probe), n)
+    for j in range(n):
         alone = online_to_batch(kind, X, Y[:, j], link=link)
-        assert fit.params.flags.c_contiguous
-        assert (fit.params == alone.params).all()
-        assert (fit.predict_matrix(probe) == alone.predict_matrix(probe)).all()
+        assert (fit.params[j] == alone.params[0]).all()
+        assert (preds[:, j] == alone.predict_matrix(probe)[:, 0]).all()
 
 
 def test_vector_regret_decomposition():
@@ -257,8 +286,8 @@ def test_vector_regret_decomposition():
 def test_otb_single_sample_is_initial_predictor():
     bp = online_to_batch("glmtron", np.array([[0.5, 0.5]]), np.array([1.0]))
     # average of one iterate: the untrained predictor
-    assert bp.predict_matrix(np.array([0.9, 0.1]))[0] == 0.0
-    assert bp.params.shape == (1, 2)
+    assert bp.predict_matrix(np.array([0.9, 0.1])).tolist() == [[0.0]]
+    assert bp.params.shape == (1, 1, 2)
 
 
 def test_otb_empty_dataset_rejected():
@@ -276,7 +305,7 @@ def test_otb_noiseless_linear_recovery():
     bp = online_to_batch("glmtron", phis, phis @ theta)
     fresh = np.abs(rng.normal(size=(200, m)))
     fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1.0) * 1.2
-    mse = np.mean((bp.predict_matrix(fresh) - fresh @ theta) ** 2)
+    mse = np.mean((bp.predict_matrix(fresh)[:, 0] - fresh @ theta) ** 2)
     assert mse < 0.01
 
 
@@ -292,13 +321,13 @@ def test_otb_zero_targets_error_decreases():
     errors = []
     for M in (10, 50, 200, 400):
         bp = online_to_batch("glmtron", phis[:M], np.zeros(M), link="logistic")
-        errors.append(bp.predict_matrix(probe)[0])
+        errors.append(bp.predict_matrix(probe)[0, 0])
     assert all(e <= initial for e in errors)
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0]
 
     identity = online_to_batch("glmtron", phis[:50], np.zeros(50))
-    assert identity.predict_matrix(probe)[0] == 0.0
+    assert identity.predict_matrix(probe)[0, 0] == 0.0
 
 
 def test_bound_spec_monotone_positive():

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_
 from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import BatchPredictor, online_to_batch
+from cbwk.policy import PolicyConfig, run_squarecbwk
 from lp_reference import brute_force_opt, tiled_empirical_opt
 from cbwk.twostage import (
     TwoStageConfig,
@@ -51,23 +54,23 @@ def _two_arm_env(cost_value=0.5, T=60, B=60.0, d=2, noise=0.0, null_arm=False):
 def test_explore_counts():
     env = _two_arm_env()
     result = explore(env, 3, np.random.default_rng(0))
-    assert not result.aborted
+    assert not result.aborted_in_exploration and not result.stopped_early
     assert result.arms.size == 9  # (K+1) * T0
-    assert result.round_rewards.shape == (9,) and result.round_costs.shape == (9, 2)
+    assert result.rewards.shape == (9,) and result.costs.shape == (9, 2)
     # arm a's samples are rounds a*t0 .. (a+1)*t0 - 1; noiseless, they are its means
     for a, reward in enumerate((0.8, 0.4)):
         rows = slice(3 * a, 3 * (a + 1))
         assert (result.arms[rows] == a).all()
-        assert (result.round_rewards[rows] == reward).all()
-        assert (result.round_costs[rows] == 0.5).all()
+        assert (result.rewards[rows] == reward).all()
+        assert (result.costs[rows] == 0.5).all()
     assert ((0 <= result.arms[6:]) & (result.arms[6:] < 2)).all()  # the arbitrary pulls
-    assert result.consumed == pytest.approx(result.round_costs.sum(axis=0), abs=1e-12)
+    assert result.total_cost == pytest.approx(result.costs.sum(axis=0), abs=1e-12)
 
 
 def test_explore_null_arm_pulls_consume_nothing():
     env = _two_arm_env(null_arm=True)
     result = explore(env, 4, np.random.default_rng(1))
-    tail = result.round_costs[8:]  # the arbitrary-pull block
+    tail = result.costs[8:]  # the arbitrary-pull block
     assert (tail == 0.0).all()
     assert (result.arms[8:] == 1).all()
 
@@ -75,9 +78,35 @@ def test_explore_null_arm_pulls_consume_nothing():
 def test_explore_abort_on_exhausted_budget():
     env = _two_arm_env(cost_value=1.0, T=20, B=6.0)
     result = explore(env, 3, np.random.default_rng(2))
-    assert result.aborted
+    assert result.aborted_in_exploration and result.stopped_early
     assert result.arms.size == 5  # cumulative cost hits B-1 = 5 at round 5
-    assert result.consumed.max() == pytest.approx(5.0, abs=1e-12)
+    assert result.total_cost.max() == pytest.approx(5.0, abs=1e-12)
+
+
+def _assert_trace_invariants(trace, K, d):
+    """What every run_rounds trace satisfies: one distribution and one outcome per round."""
+    tau = trace.tau
+    assert tau == trace.arms.size == trace.rewards.size
+    assert trace.costs.shape == (tau, d) and trace.lam.shape == (tau, d)
+    assert trace.probs.shape == trace.rhat.shape == (tau, K)
+    assert (trace.probs >= 0.0).all()
+    assert np.abs(trace.probs.sum(axis=1) - 1.0).max() <= 1e-12
+    assert (trace.probs[np.arange(tau), trace.arms] > 0.0).all()  # the pulled arm had mass
+    assert trace.total_reward == pytest.approx(trace.rewards.sum(), abs=1e-9)
+    assert trace.total_cost == pytest.approx(trace.costs.sum(axis=0), abs=1e-9)
+
+
+def test_explore_trace_meets_the_run_rounds_invariants():
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=400, B=200)
+    _assert_trace_invariants(run_squarecbwk(env, PolicyConfig(), np.random.default_rng(3)),
+                             3, 4)
+    full = explore(env, 20, np.random.default_rng(3))
+    _assert_trace_invariants(full, 3, 4)
+    assert full.tau == 4 * 20
+    assert (full.probs[np.arange(full.tau), full.arms] == 1.0).all()  # one-hot pulls
+    assert np.isnan(full.rhat).all() and np.isnan(full.lam).all()
+    aborted = explore(_two_arm_env(cost_value=1.0, T=20, B=6.0), 3, np.random.default_rng(2))
+    _assert_trace_invariants(aborted, 2, 2)
 
 
 def test_m_t0_hand_values():
@@ -102,10 +131,10 @@ def test_estimation_errors_closed_forms():
     assert eg == pytest.approx(2 * ef)
 
 
-def _constant_batch(value, dim=2):
-    # identity-link predictor whose first-coordinate weight reproduces `value`
-    params = np.zeros((1, dim))
-    params[0, 0] = value
+def _constant_stack(*values, dim=2):
+    # identity-link stack whose first-coordinate weights reproduce `values`
+    params = np.zeros((len(values), 1, dim))
+    params[:, 0, 0] = values
     return BatchPredictor(params, "identity")
 
 
@@ -113,22 +142,19 @@ E1_BOTH = np.array([[1.0, 0.0], [1.0, 0.0]])  # both arms see feature e1
 
 
 def test_empirical_opt_hand_instance():
-    fits = [[_constant_batch(0.9), _constant_batch(0.8)],
-            [_constant_batch(0.2), _constant_batch(0.1)]]
+    fits = [_constant_stack(0.9, 0.8), _constant_stack(0.2, 0.1)]
     value = empirical_opt(fits, E1_BOTH, 0.45, 0.0)
     assert value == pytest.approx(0.55, abs=1e-9)
 
 
 def test_empirical_opt_zero_costs_gives_max_reward():
-    fits = [[_constant_batch(0.7), _constant_batch(0.0)],
-            [_constant_batch(0.3), _constant_batch(0.0)]]
+    fits = [_constant_stack(0.7, 0.0), _constant_stack(0.3, 0.0)]
     value = empirical_opt(fits, E1_BOTH, 0.2, 0.0)
     assert value == pytest.approx(0.7, abs=1e-9)
 
 
 def test_empirical_opt_constant_objective():
-    fits = [[_constant_batch(0.4), _constant_batch(0.3)],
-            [_constant_batch(0.4), _constant_batch(0.2)]]
+    fits = [_constant_stack(0.4, 0.3), _constant_stack(0.4, 0.2)]
     value = empirical_opt(fits, E1_BOTH, 0.5, 0.0)
     assert value == pytest.approx(0.4, abs=1e-9)
 
@@ -138,8 +164,7 @@ def test_empirical_opt_permutation_invariant():
     rng = np.random.default_rng(3)
     K, m, d = 4, 3, 2
     phi = rng.random((K, m)) / 2
-    fits = [[BatchPredictor(rng.random((3, m)) / 2, "identity") for _ in range(1 + d)]
-            for _ in range(K)]
+    fits = [BatchPredictor(rng.random((1 + d, 3, m)) / 2, "identity") for _ in range(K)]
     base = empirical_opt(fits, phi, 0.3, 0.05)
     perm = rng.permutation(K)
     shuffled = empirical_opt([fits[a] for a in perm], phi[perm], 0.3, 0.05)
@@ -147,15 +172,15 @@ def test_empirical_opt_permutation_invariant():
 
 
 def _random_empirical_instance(rng, null_arm):
-    """Random batch fits over a random context set; a null arm is a zero feature row."""
+    """Random batch stacks over a random context set; a null arm is a zero feature row."""
     K, d, m = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 6))
     link = "logistic" if rng.random() < 0.25 else "identity"
     phi = rng.random((K, m)) / math.sqrt(m)
     if null_arm:
         phi[-1] = 0.0
         link = "identity"  # its predictions are then exactly zero
-    fits = [[BatchPredictor(rng.normal(size=(int(rng.integers(1, 5)), m)), link)
-             for _ in range(1 + d)] for _ in range(K)]
+    fits = [BatchPredictor(rng.normal(size=(1 + d, int(rng.integers(1, 5)), m)), link)
+            for _ in range(K)]
     return fits, phi
 
 
@@ -171,8 +196,7 @@ def test_empirical_opt_matches_tiled_program_and_brute_force():
         m_val = 0.0 if i % 2 else float(rng.uniform(0.0, 0.3))
         outcomes["null"] += null_arm
         outcomes["widened"] += m_val > 0
-        preds = np.array([[f.predict_matrix(phi[a])[0] for f in arm_fits]
-                          for a, arm_fits in enumerate(fits)])
+        preds = np.array([fit.predict_matrix(phi[a])[0] for a, fit in enumerate(fits)])
         try:
             want = brute_force_opt(preds[:, 0], preds[:, 1:], rate + 2.0 * m_val)
         except InfeasibleError:
@@ -208,6 +232,7 @@ def test_run_twostage_degenerate_split():
     assert 20 * opt - trace.total_reward == pytest.approx(
         20 * opt - trace.rewards.sum(), abs=1e-9)
     assert np.isnan(trace.rhat).all()
+    assert trace.dual_radius > 0  # the phase-one Z, though no phase-2 round used it
 
 
 def test_run_twostage_phase_boundaries():
@@ -237,7 +262,7 @@ def test_run_twostage_aborts_cleanly_when_budget_tiny():
 def test_phase_one_datasets_and_estimates():
     env = make_fixed_linear_env(10, 3, 4, 0.01, T=2000, B=1000)
     p1 = phase_one(env, TwoStageConfig(), np.random.default_rng(7))
-    assert not p1.aborted
+    assert not p1.exploration.aborted_in_exploration
     t0, expl = p1.t0, p1.exploration
     assert expl.arms.size == 4 * t0
     assert p1.opt_hat is not None and p1.z is not None
@@ -246,10 +271,49 @@ def test_phase_one_datasets_and_estimates():
     for a in range(3):
         rows = slice(a * t0, (a + 1) * t0)
         assert (expl.arms[rows] == a).all()
-        assert len(p1.fits[a]) == 1 + 4
+        assert p1.fits[a].params.shape == (1 + 4, t0, 10)
         features = np.tile(env.contexts.phi[a], (t0, 1))
-        alone = online_to_batch("glmtron", features, expl.round_costs[rows, 1])
-        assert (p1.fits[a][2].params == alone.params).all()
+        alone = online_to_batch("glmtron", features, expl.costs[rows, 1])
+        assert (p1.fits[a].params[2] == alone.params[0]).all()
+
+
+@pytest.mark.parametrize("policy", [PolicyConfig(oracle="ogd", bound_scale=0.01),
+                                    PolicyConfig(oracle="ogd", bound_scale=0.01, eta_scale=0.3),
+                                    PolicyConfig(gamma=40.0)])
+def test_run_twostage_is_phase_one_then_squarecbwk(policy):
+    # One PolicyConfig drives both phases: phase one fits with its oracle and
+    # eta_scale, and phase 2 is run_squarecbwk on the rest with z = Z.
+    T, B, K, d, m, t0 = 1200, 900.0, 3, 4, 10, 40
+    env = make_fixed_linear_env(m, K, d, 0.1, T=T, B=B)
+    cfg = TwoStageConfig(t0=t0, policy=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the precondition warning
+        trace = run_twostage(env, cfg, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    p1 = phase_one(env, cfg, rng)
+    n1 = (K + 1) * t0
+    env2 = replace(env, instance=ProblemInstance(T=T - n1, B=B - n1, d=d, K=K))
+    tail = run_squarecbwk(env2, replace(policy, z=p1.z), rng)
+    head = p1.exploration
+
+    for f in ("arms", "rewards", "costs", "probs", "rhat", "lam"):
+        joined = np.concatenate([getattr(head, f), getattr(tail, f)])
+        assert np.array_equal(getattr(trace, f), joined, equal_nan=True), f
+    assert trace.tau == head.tau + tail.tau > n1
+    assert trace.total_reward == head.total_reward + tail.total_reward
+    assert (trace.total_cost == head.total_cost + tail.total_cost).all()
+    assert trace.dual_radius == p1.z and trace.gamma == tail.gamma
+    if policy.gamma is not None:
+        assert trace.gamma == policy.gamma
+
+    # phase one sized its radius and fitted its arms with the policy's oracle
+    err_f, err_g = estimation_errors(policy.oracle, m, d, t0, T)
+    assert p1.m_val == m_t0(t0, K, d, err_f, err_g, T)
+    rows = slice(0, t0)
+    fit = online_to_batch(policy.oracle, np.tile(env.contexts.phi[0], (t0, 1)),
+                          np.column_stack([head.rewards[rows], head.costs[rows]]),
+                          eta_scale=policy.eta_scale)
+    assert (p1.fits[0].params == fit.params).all()
 
 
 def test_radius_sandwich_quick():
