@@ -35,16 +35,17 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
                rng: np.random.Generator) -> RunTrace:
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    Phi = env.contexts.phi
-    m = Phi.shape[1]
+    m = env.contexts.phi.shape[1]  # the confidence width uses the declared width
+    Phi = env.contexts.span  # the ridge estimates never leave these columns
+    r = Phi.shape[1]
 
-    a_inv = np.eye(m) / config.ridge
-    b_vec = np.zeros((1 + d, m))
+    a_inv = np.eye(r) / config.ridge
+    b_vec = np.zeros((1 + d, r))
     targets = np.empty(1 + d)
     one_hot = np.eye(K)
 
     def estimate(t):
-        theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, m)
+        theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, r)
         means = Phi @ theta_hat.T  # (K, 1+d)
         widths = np.sqrt(np.einsum("ki,ij,kj->k", Phi, a_inv, Phi))
         beta = confidence_width(m, t + 1, config.confidence_scale)

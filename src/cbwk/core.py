@@ -62,6 +62,19 @@ class ArmFeatures:
     def K(self) -> int:
         return self.phi.shape[0]
 
+    @cached_property
+    def span(self) -> np.ndarray:
+        """``phi`` restricted to the columns that are nonzero for some arm, (K, r).
+
+        An oracle started at 0 (and, under GLMtron, at A = I) that only ever
+        sees these rows keeps zero weight on every other column, so learning
+        on ``span`` gives the iterates of learning on ``phi``, restricted to
+        its columns.  Dense contexts keep every column.
+        """
+        span = self.phi[:, (self.phi != 0.0).any(axis=0)]
+        span.flags.writeable = False
+        return span
+
 
 @dataclass(frozen=True)
 class RoundOutcome:

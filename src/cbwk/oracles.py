@@ -8,13 +8,13 @@ Two families are provided, both producing predictions clipped to [0, 1]:
   of A_t = I + sum_s phi_s phi_s^T (maintained by rank-one updates), followed
   by projection onto the unit ball in the metric induced by A_{t+1}.
 
-A predictor is a stack of target rows over one feature map, all updated with
-the same feature vector.  The rows therefore share one step count and, under
-GLMtron, one Gram matrix A_t and its inverse, kept by a single Sherman-Morrison
-update per sample however many rows the stack has.  The policy fits its reward
-and its d costs over the environment's one feature map as one (1+d)-row stack,
-and online-to-batch fits every target of an arm in one pass into one frozen
-stack.  A scalar oracle is a one-row stack.
+A predictor holds S stacks of target rows.  The rows of a stack are updated
+with the same feature vector, so they share, under GLMtron, one Gram matrix
+A_t and its inverse, kept by a single Sherman-Morrison update per sample
+however many rows the stack has.  Stacks are independent oracles stepped
+together.  The policy fits its reward and its d costs as one (1+d)-row stack,
+and online-to-batch fits the K arms of two-stage's phase one as K stacks in one
+pass.  A scalar oracle is one stack of one row.
 """
 
 import math
@@ -54,16 +54,19 @@ def _sigmoid_slope(z):
 _LINKS = {"identity": (_identity, _identity_slope), "logistic": (_sigmoid, _sigmoid_slope)}
 
 
-def _check_phi(phi, dim):
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (dim,):
-        raise ConfigurationError(f"feature vector has shape {phi.shape}, expected ({dim},)")
-    return phi
+def _rows(arr, shape, what):
+    """``arr`` as a float array of ``shape`` (stacks, width); one stack may omit its axis."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != shape:
+        if shape[0] != 1 or arr.shape != shape[1:]:
+            raise ConfigurationError(f"{what} has shape {arr.shape}, expected {shape}")
+        arr = arr[None]
+    return arr
 
 
 def _row_norms(v):
-    """Euclidean norm of each row: np.linalg.norm(v, axis=1) without its dispatch cost."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
+    """Euclidean norm of each row: np.linalg.norm(v, axis=-1) without its dispatch cost."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def _zero_nonfinite_rows(v, norms):
@@ -79,62 +82,70 @@ def _zero_nonfinite_rows(v, norms):
 
 
 class VectorPredictor:
-    """d target rows of one oracle family that share a feature map.
+    """S stacks of d target rows of one oracle family, stepped together.
 
-    Every row is updated with the same feature vector, so the rows share one
-    step count and, under GLMtron, one Gram matrix A and its inverse: the
-    Sherman-Morrison update, the reinitialization test and the eigenbasis of
-    the A-norm projection are computed once per sample, not once per row.
-    Each row's parameter still depends only on its own targets.  Inner
-    products are taken with einsum, whose per-element kernel does not depend
-    on the number of rows, so a d-row stack is bitwise equal to d one-row
-    stacks fed the same stream.
+    Each sample gives every stack its own feature row and d targets.  The d
+    rows of a stack are updated with the same feature row, so they share,
+    under GLMtron, one Gram matrix A and its inverse: the Sherman-Morrison
+    update, the reinitialization test and the eigenbasis of the A-norm
+    projection are computed once per stack and sample, not once per row.
+    Stacks share only the step count, so S stacks are S independent oracles
+    run in one step: the policy runs one stack, and two-stage's phase one
+    runs one per arm.  Each row's parameter still depends only on its own
+    targets.  Row inner products are taken with einsum, whose per-element
+    kernel does not depend on the number of rows, so a d-row stack is bitwise
+    equal to d one-row stacks fed the same stream.  The Gram products use
+    batched matmul, which runs each stack's 2-D BLAS products.
     """
 
-    def __init__(self, kind: str, d: int, dim: int, *, link: str = "identity",
-                 eta_scale: float = 1.0):
+    def __init__(self, kind: str, d: int, dim: int, *, stacks: int = 1,
+                 link: str = "identity", eta_scale: float = 1.0):
         if kind not in ("ogd", "glmtron"):
             raise ConfigurationError(f"unknown oracle kind {kind!r}")
         if link not in _LINKS:
             raise ConfigurationError(f"unknown link {link!r}")
-        if d < 1:
-            raise ConfigurationError(f"d must be >= 1 (got {d})")
+        if d < 1 or stacks < 1:
+            raise ConfigurationError(f"d and stacks must be >= 1 (got d={d}, stacks={stacks})")
         self.kind = kind
         self.dim = dim
         self.link = link
         self.eta_scale = eta_scale
-        self.theta = np.zeros((d, dim))
+        self.theta = np.zeros((stacks, d, dim))
         self.t = 0
-        self.reinit_count = 0  # rebuilds of the shared inverse Gram matrix
+        self.reinit_count = 0  # rebuilds of some stack's inverse Gram matrix
         if kind == "glmtron":
-            self.A = np.eye(dim)
-            self.A_inv = np.eye(dim)
+            self.A = np.tile(np.eye(dim), (stacks, 1, 1))
+            self.A_inv = self.A.copy()
 
     @property
     def d(self) -> int:
-        return self.theta.shape[0]
+        """Target rows per stack."""
+        return self.theta.shape[1]
 
     # -- prediction ---------------------------------------------------------
 
     def _predict(self, phis) -> np.ndarray:
-        phis = np.atleast_2d(np.asarray(phis, dtype=float))
-        if phis.shape[1] != self.dim:
+        phis = np.asarray(phis, dtype=float)
+        if phis.ndim != 2 or phis.shape[1] != self.dim:
             raise ConfigurationError(
-                f"feature matrix has {phis.shape[1]} columns, expected {self.dim}"
+                f"feature matrix has shape {phis.shape}, expected (K, {self.dim})"
             )
-        return _LINKS[self.link][0](np.einsum("kj,nj->kn", phis, self.theta)).clip(0.0, 1.0)
+        return _LINKS[self.link][0](np.einsum("kj,snj->skn", phis, self.theta)).clip(0.0, 1.0)
 
     def predict_matrix(self, phis) -> np.ndarray:
-        """(K, dim) features -> (K, d) clipped predictions."""
+        """(K, dim) features, shared by every stack -> (S, K, d) clipped predictions."""
         return self._predict(phis)
 
     # -- updates ------------------------------------------------------------
 
     def update(self, phi, y) -> None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.d,):
-            raise ConfigurationError(f"target vector has shape {y.shape}, expected ({self.d},)")
-        self._step(_check_phi(phi, self.dim), y)
+        """One sample: (S, dim) feature rows and (S, d) targets, one row of each per stack.
+
+        A single stack also takes a (dim,) feature row and (d,) targets.
+        """
+        stacks = self.theta.shape[0]
+        self._step(_rows(phi, (stacks, self.dim), "feature matrix"),
+                   _rows(y, (stacks, self.d), "target matrix"))
 
     def _step(self, phi, y):
         if self.kind == "ogd":
@@ -144,57 +155,80 @@ class VectorPredictor:
 
     def _ogd_step(self, phi, y):
         link, slope = _LINKS[self.link]
-        z = np.einsum("nj,j->n", self.theta, phi)
+        z = np.einsum("snj,sj->sn", self.theta, phi)
         self.t += 1
         eta = self.eta_scale / math.sqrt(self.t)
         coeff = eta * 2.0 * (link(z) - y)
         if link is not _identity:  # the identity's slope is 1
             coeff *= slope(z)
-        theta = self.theta - coeff[:, None] * phi
+        theta = self.theta - coeff[:, :, None] * phi[:, None, :]
         norms = _row_norms(theta)
-        if not math.isfinite(np.add.reduce(norms)):  # some row may be non-finite
+        if not math.isfinite(np.add.reduce(norms, axis=None)):  # some row may be non-finite
             norms = _zero_nonfinite_rows(theta, norms)
-        theta /= np.maximum(norms, 1.0)[:, None]
+        theta /= np.maximum(norms, 1.0)[:, :, None]
         self.theta = theta
 
     def _glmtron_step(self, phi, y):
         link = _LINKS[self.link][0]
+        col, row = phi[:, :, None], phi[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = link(np.einsum("nj,j->n", self.theta, phi)) - y
-            grad = resid[:, None] * phi
+            resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
+            grad = resid[:, :, None] * row
 
-            q = self.A_inv @ phi
-            denom = 1.0 + q @ phi
-            self.A += phi[:, None] * phi
-            bad = denom <= _REINIT_DENOM_TOL or not math.isfinite(denom)
-            self.A_inv -= q[:, None] * q / (1.0 if bad else denom)
-            if bad or not np.logical_and.reduce(np.isfinite(self.A_inv), axis=None):
-                self._reinitialize()
+            q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
+            denom = 1.0 + row @ q
+            self.A += col * row
+            # tested in Python: S floats are cheaper to test than an array
+            bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
+            unstable = any(bad)
+            if unstable:
+                denom[bad] = 1.0
+            self.A_inv -= q * q.swapaxes(1, 2) / denom
+            if unstable or not np.logical_and.reduce(np.isfinite(self.A_inv), axis=None):
+                self._reinitialize(np.array(bad) | ~np.isfinite(self.A_inv).all(axis=(1, 2)))
 
-            v = self.theta - np.einsum("ij,nj->ni", self.A_inv, grad)
+            v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
             norms = _row_norms(v)
-            if not math.isfinite(np.add.reduce(norms)):  # some row may be non-finite
+            top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
+            if not math.isfinite(top):  # some row may be non-finite
                 norms = _zero_nonfinite_rows(v, norms)
-            if np.maximum.reduce(norms) > 1.0:
-                over = norms > 1.0
-                v[over] = _project_a_norm(self.A, v[over], norms[over])
-                if not np.isfinite(v).all():  # a Gram matrix near overflow breaks the projection
-                    v[~np.isfinite(v).all(axis=1)] = 0.0
+                top = np.maximum.reduce(norms, axis=None)
+            if top > 1.0:
+                self._project(v, norms)
             self.theta = v
             self.t += 1
 
-    def _reinitialize(self):
-        """Rebuild the inverse by direct inversion; reset a corrupt Gram matrix."""
-        self.reinit_count += 1
-        if np.isfinite(self.A).all():
+    def _project(self, v, norms):
+        """Project, stack by stack, every row of v outside the unit ball in its stack's A-norm."""
+        for s in np.flatnonzero(np.maximum.reduce(norms, axis=1) > 1.0):
+            over = norms[s] > 1.0
             try:
-                self.A_inv = np.linalg.inv(self.A)
-                return
-            except np.linalg.LinAlgError:
-                pass
-        self.A = np.eye(self.dim)
-        self.A_inv = np.eye(self.dim)
-        self.theta[~np.isfinite(self.theta).all(axis=1)] = 0.0
+                v[s, over] = _project_a_norm(self.A[s], v[s, over], norms[s, over])
+            except np.linalg.LinAlgError:  # eigh did not converge: restart the metric
+                self._reset(s)
+                v[s, over] = _project_a_norm(self.A[s], v[s, over], norms[s, over])
+        if not np.isfinite(v).all():  # a Gram matrix near overflow breaks the projection
+            v[~np.isfinite(v).all(axis=2)] = 0.0
+
+    def _reinitialize(self, stacks):
+        """Rebuild each flagged stack's inverse by direct inversion; reset a corrupt Gram matrix."""
+        for s in np.flatnonzero(stacks):
+            if np.isfinite(self.A[s]).all():
+                try:
+                    self.A_inv[s] = np.linalg.inv(self.A[s])
+                    self.reinit_count += 1
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+            self._reset(s)
+
+    def _reset(self, s):
+        """Restart stack s at the identity metric and zero its non-finite rows."""
+        self.reinit_count += 1
+        self.A[s] = np.eye(self.dim)
+        self.A_inv[s] = np.eye(self.dim)
+        theta = self.theta[s]
+        theta[~np.isfinite(theta).all(axis=1)] = 0.0
 
 
 def _project_a_norm(A, v, norms):
@@ -221,19 +255,19 @@ def _project_a_norm(A, v, norms):
 
 
 class OnlinePredictor(VectorPredictor):
-    """Scalar online regression oracle: a one-row stack with scalar targets."""
+    """Scalar online regression oracle: one stack of one row, with scalar targets."""
 
     def __init__(self, kind: str, dim: int, *, link: str = "identity", eta_scale: float = 1.0):
         super().__init__(kind, 1, dim, link=link, eta_scale=eta_scale)
 
     def predict(self, phi) -> float:
-        return float(self._predict(_check_phi(phi, self.dim)[None, :])[0, 0])
+        return float(self._predict(_rows(phi, (1, self.dim), "feature vector"))[0, 0, 0])
 
     def predict_matrix(self, phis) -> np.ndarray:
-        return self._predict(phis)[:, 0]
+        return self._predict(phis)[0, :, 0]
 
     def update(self, phi, y: float) -> None:
-        self._step(_check_phi(phi, self.dim), np.array([float(y)]))
+        self._step(_rows(phi, (1, self.dim), "feature vector"), np.array([[float(y)]]))
 
 
 def make_predictor(kind: str, dim: int, *, link: str = "identity",
@@ -247,17 +281,23 @@ def make_vector_predictor(kind: str, d: int, dim: int, *, link: str = "identity"
 
 
 class BatchPredictor:
-    """Frozen average of an online oracle stack's iterates over one dataset."""
+    """Frozen average of an online oracle's iterates over one dataset, per stack."""
 
     def __init__(self, params: np.ndarray, link: str):
-        self.params = params  # (n, M, dim): row j's theta before consuming sample i
+        self.params = params  # (S, n, M, dim): stack s, row j's theta before consuming sample i
         self.link = link
 
     def predict_matrix(self, phis) -> np.ndarray:
-        """(K, dim) features -> (K, n) clipped predictions, as VectorPredictor gives."""
-        phis = np.atleast_2d(np.asarray(phis, dtype=float))
-        vals = np.clip(_LINKS[self.link][0](self.params @ phis.T), 0.0, 1.0)
-        return vals.mean(axis=1).T
+        """Clipped predictions (S, K, n) of every stack's n targets at K feature rows.
+
+        ``phis`` is (K, dim), shared by every stack, or (S, K, dim), stack s
+        predicted at phis[s].
+        """
+        cols = np.swapaxes(np.atleast_2d(np.asarray(phis, dtype=float)), -1, -2)
+        if cols.ndim == 3:
+            cols = cols[:, None]
+        vals = np.clip(_LINKS[self.link][0](self.params @ cols), 0.0, 1.0)
+        return vals.mean(axis=2).transpose(0, 2, 1)
 
 
 def online_to_batch(kind: str, features, targets, *, link: str = "identity",
@@ -266,24 +306,28 @@ def online_to_batch(kind: str, features, targets, *, link: str = "identity",
 
     The i-th recorded iterate is the predictor *before* consuming sample i, so
     the result is the uniform average of the M prediction functions the online
-    oracle would have played.  Targets of shape (M, n) are fitted in one pass
-    of an n-row stack over the shared features; targets of shape (M,) are one
-    column.  The result predicts all n targets at once.
+    oracle would have played.  Features (M, S, dim) and targets (M, S, n) are
+    S datasets of M samples, fitted in M steps of one S-stack oracle: stack s
+    sees only features[:, s] and targets[:, s].  Features (M, dim) with
+    targets (M, n) or (M,) are one stack.  The result predicts all S stacks'
+    n targets at once.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim not in (1, 2) or targets.shape[0] < 1:
+    if targets.ndim == 0 or targets.shape[0] < 1:
         raise ConfigurationError("online-to-batch conversion needs a nonempty dataset")
-    M = targets.shape[0]
-    if features.shape[0] != M:
-        raise ConfigurationError("features and targets disagree on sample count")
-    columns = targets.reshape(M, -1)
-    oracle = VectorPredictor(kind, columns.shape[1], features.shape[1], link=link,
+    if features.ndim == 2:  # one stack
+        features = features[:, None]
+        targets = targets.reshape(targets.shape[0], 1, -1)
+    if features.ndim != 3 or targets.ndim != 3 or features.shape[:2] != targets.shape[:2]:
+        raise ConfigurationError("features and targets disagree on sample or stack count")
+    M, stacks, dim = features.shape
+    oracle = VectorPredictor(kind, targets.shape[2], dim, stacks=stacks, link=link,
                              eta_scale=eta_scale)
-    params = np.empty((columns.shape[1], M, features.shape[1]))
+    params = np.empty((stacks, targets.shape[2], M, dim))
     for i in range(M):
-        params[:, i] = oracle.theta
-        oracle.update(features[i], columns[i])
+        params[:, :, i] = oracle.theta
+        oracle.update(features[i], targets[i])
     return BatchPredictor(params, link)
 
 

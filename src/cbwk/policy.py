@@ -133,30 +133,29 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
 
 
 def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
-                   rng: np.random.Generator, *, oracle=None) -> RunTrace:
+                   rng: np.random.Generator) -> RunTrace:
     """Run the IGW policy for up to T rounds or until a budget nearly runs out.
 
-    The reward and the d costs are learned over the environment's feature map
-    by one (1+d)-row oracle stack, row 0 the reward and rows 1..d the costs,
-    so all targets share one Gram matrix.  A pre-built stack may be injected
-    as ``oracle`` (warm starts, instrumentation); by default a fresh one is
-    created for the configured family.
+    The reward and the d costs are learned by one (1+d)-row oracle stack,
+    row 0 the reward and rows 1..d the costs, so all targets share one Gram
+    matrix.  The stack learns on the context set's span (``ArmFeatures.span``);
+    gamma is sized from the declared feature width m.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    phi = env.contexts.phi
-    m = phi.shape[1]
+    m = env.contexts.phi.shape[1]
+    phi = env.contexts.span
 
     Z = config.z if config.z is not None else T / B
     bounds = bound_spec(config.oracle, m, d, config.bound_scale)
     gamma = config.gamma if config.gamma is not None else gamma_default(K, T, bounds, Z)
-    if oracle is None:
-        oracle = make_vector_predictor(config.oracle, 1 + d, m, link=env.link,
-                                       eta_scale=config.eta_scale)
-    targets = np.empty(1 + d)
+    oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link,
+                                   eta_scale=config.eta_scale)
+    samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
+    targets = np.empty((1, 1 + d))
 
     def estimate(t):
-        preds = oracle.predict_matrix(phi)
+        preds = oracle.predict_matrix(phi)[0]
         return preds[:, 0], preds[:, 1:]
 
     def choose(scores):
@@ -164,9 +163,9 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
         return _sample_arm(p, rng), p
 
     def learn(arm, outcome):
-        targets[0] = outcome.reward
-        targets[1:] = outcome.cost
-        oracle.update(phi[arm], targets)
+        targets[0, 0] = outcome.reward
+        targets[0, 1:] = outcome.cost
+        oracle.update(samples[arm], targets)
 
     return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
                       gamma=gamma, dual_radius=Z)

@@ -1,7 +1,8 @@
 """Two-stage variant: uniform exploration, batch estimation, dual-radius fit.
 
-Phase 1 pulls every arm T0 times, converts each arm's samples into one frozen
-batch stack, makes T0 further arbitrary pulls, and estimates the
+Phase 1 pulls every arm T0 times, makes T0 further arbitrary pulls, converts
+the arms' samples into one frozen batch predictor with one stack per arm,
+fitted together in T0 steps on the context set's span, and estimates the
 per-round optimum by a K-variable linear program over the environment's one
 context set with a slack-widened budget row.  The resulting radius estimate
 Z = (T/B) * (opt + M) parameterizes a fresh IGW policy run on the remaining
@@ -129,16 +130,18 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
                     stopped_early=aborted, aborted_in_exploration=aborted)
 
 
-def empirical_opt(fits: list, phi: np.ndarray, budget_rate: float, m_val: float) -> float:
+def empirical_opt(fits: BatchPredictor, phi: np.ndarray, budget_rate: float,
+                  m_val: float) -> float:
     """Optimal value of the empirical allocation program over the context set.
 
-    ``fits[a]`` is arm a's batch stack, the reward then the d costs, predicted
-    at the arm's feature row ``phi[a]``.  The budget rows are relaxed by twice
-    the estimation radius.  The paper averages the program over the context
-    sets of the arbitrary pulls; here every one of them is ``phi``, so that
-    average is this one K-variable program.
+    ``fits`` holds one batch stack per arm, the reward then the d costs;
+    stack a is predicted at the arm's feature row ``phi[a]``, given in the
+    columns the stacks were fitted on, all in one call.  The budget rows are relaxed by twice the estimation radius.  The
+    paper averages the program over the context sets of the arbitrary pulls;
+    here every one of them is ``phi``, so that average is this one
+    K-variable program.
     """
-    preds = np.array([fit.predict_matrix(phi[a])[0] for a, fit in enumerate(fits)])
+    preds = fits.predict_matrix(phi[:, None, :])[:, 0]
     return exact_opt_fixed_context(preds[:, 0], preds[:, 1:], budget_rate + 2.0 * m_val)
 
 
@@ -146,7 +149,7 @@ def empirical_opt(fits: list, phi: np.ndarray, budget_rate: float, m_val: float)
 class PhaseOneResult:
     t0: int
     exploration: RunTrace  # the phase-1 rounds; aborted_in_exploration if cut short
-    fits: list[BatchPredictor] | None  # per arm: one stack, the reward then the d costs
+    fits: BatchPredictor | None  # stack a fits arm a: the reward, then the d costs
     opt_hat: float | None
     m_val: float
     z: float | None
@@ -154,28 +157,33 @@ class PhaseOneResult:
 
 def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
               rng: np.random.Generator) -> PhaseOneResult:
-    """Exploration, batch fitting, and radius estimation (no policy rounds)."""
-    inst = env.instance
-    phi = env.contexts.phi
-    m = phi.shape[1]
-    oracle, eta_scale = cfg.policy.oracle, cfg.policy.eta_scale
-    t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, inst.d, inst.K, inst.T)
+    """Exploration, batch fitting, and radius estimation (no policy rounds).
 
-    err_f, err_g = estimation_errors(oracle, m, inst.d, t0, inst.T, cfg.err_scale)
-    m_val = m_t0(t0, inst.K, inst.d, err_f, err_g, inst.T)
+    The K arms are fitted at once, as the K stacks of one online-to-batch
+    pass over t0 samples, on the context set's span; t0 and the error radius
+    are sized from the declared feature width m.
+    """
+    inst = env.instance
+    K, d = inst.K, inst.d
+    m = env.contexts.phi.shape[1]
+    phi = env.contexts.span
+    oracle, eta_scale = cfg.policy.oracle, cfg.policy.eta_scale
+    t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, d, K, inst.T)
+
+    err_f, err_g = estimation_errors(oracle, m, d, t0, inst.T, cfg.err_scale)
+    m_val = m_t0(t0, K, d, err_f, err_g, inst.T)
 
     expl = explore(env, t0, rng)
     if expl.aborted_in_exploration:
         return PhaseOneResult(t0=t0, exploration=expl, fits=None, opt_hat=None,
                               m_val=m_val, z=None)
 
-    # One pass per arm over its slice of the rounds fits the reward and every cost.
-    fits = []
-    for a in range(inst.K):
-        rows = slice(a * t0, (a + 1) * t0)
-        targets = np.column_stack([expl.rewards[rows], expl.costs[rows]])
-        fits.append(online_to_batch(oracle, np.broadcast_to(phi[a], (t0, m)), targets,
-                                    link=env.link, eta_scale=eta_scale))
+    # Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1: sample i of stack a is round a*t0 + i.
+    rows = slice(0, K * t0)
+    targets = np.concatenate([expl.rewards[rows].reshape(K, t0, 1),
+                              expl.costs[rows].reshape(K, t0, d)], axis=2).transpose(1, 0, 2)
+    fits = online_to_batch(oracle, np.broadcast_to(phi, (t0,) + phi.shape), targets,
+                           link=env.link, eta_scale=eta_scale)
 
     opt_hat = empirical_opt(fits, phi, inst.budget_rate, m_val)
     z = z_estimate(opt_hat, m_val, inst.T, inst.B)

@@ -68,23 +68,20 @@ def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float
     return float(max(rewards @ p for p in candidates))
 
 
-def tiled_empirical_opt(fits: list, phi, t0: int, budget_rate: float, m_val: float) -> float:
+def tiled_empirical_opt(fits, phi, t0: int, budget_rate: float, m_val: float) -> float:
     """Empirical allocation program over t0 recorded copies of the context set ``phi``.
 
-    ``fits[a]`` is arm a's batch stack, the reward then the d costs.  Variables
-    are one distribution over arms per recorded context set; the budget rows
-    are relaxed by twice the estimation radius.
+    ``fits`` has one batch stack per arm, the reward then the d costs.
+    Variables are one distribution over arms per recorded context set; the
+    budget rows are relaxed by twice the estimation radius.
     """
     context_sets = np.tile(np.asarray(phi, dtype=float), (t0, 1, 1))
     n_ctx, K = context_sets.shape[:2]
-    d = fits[0].params.shape[0] - 1
+    d = fits.params.shape[1] - 1
 
-    fhat = np.empty((n_ctx, K))
-    ghat = np.empty((n_ctx, K, d))
-    for a in range(K):
-        preds = fits[a].predict_matrix(context_sets[:, a, :])
-        fhat[:, a] = preds[:, 0]
-        ghat[:, a] = preds[:, 1:]
+    preds = fits.predict_matrix(context_sets.transpose(1, 0, 2))  # arm a at its t0 rows
+    fhat = preds[:, :, 0].T
+    ghat = preds[:, :, 1:].transpose(1, 0, 2)
 
     n_vars = n_ctx * K
     a_ub = ghat.reshape(n_vars, d).T / n_ctx

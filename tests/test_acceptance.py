@@ -249,7 +249,7 @@ def test_criterion_9_otb_estimation():
             idx = rng.integers(0, 5, M)
             ys = fstar[idx] + rng.normal(0, math.sqrt(0.2), M)
             bp = online_to_batch("glmtron", support[idx], ys)
-            preds = bp.predict_matrix(support)[:, 0]
+            preds = bp.predict_matrix(support)[0, :, 0]
             errors.append(float(np.mean((preds - fstar) ** 2)))
         bound = 5 * m * math.log(M) / M
         assert np.median(errors) <= bound, f"median {np.median(errors):.4f} > {bound:.4f}"

@@ -184,6 +184,27 @@ def test_feature_norm_bound_enforced():
         ArmFeatures(np.array([[2.0, 0.0], [0.0, 0.0]]), norm_bound=1.0)
 
 
+def test_span_keeps_the_columns_some_arm_uses():
+    # fixed-linear arm a's context is e1/sqrt(2) + e_{a+1}; a null arm's row is zero
+    plain = make_fixed_linear_env(52, 10, 4, 0.2, T=100, B=50)
+    null = make_fixed_linear_env(52, 10, 4, 0.2, T=100, B=50, null_arm=True)
+    assert (plain.contexts.span == plain.contexts.phi[:, :11]).all()
+    assert (null.contexts.span == null.contexts.phi[:, :10]).all()
+    assert (ArmFeatures(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])).span
+            == [[0.5, 0.0], [0.0, 0.5]]).all()
+    assert not plain.contexts.span.flags.writeable
+
+
+def test_span_keeps_every_column_of_dense_contexts():
+    rng = np.random.default_rng(9)
+    contexts = rng.normal(size=(3, 5))
+    contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
+    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.zeros(5),
+                       np.zeros((2, 5)), contexts)
+    assert env.contexts.span.shape == (3, 5)
+    assert (env.contexts.span == env.contexts.phi).all()
+
+
 def _dummy_trace(total_reward, tau):
     z = np.zeros
     return RunTrace(arms=z(tau, dtype=int), rewards=z(tau), costs=z((tau, 1)),

@@ -195,8 +195,10 @@ def oracle_stream_digest() -> str:
 
     Exercises GLMtron's reinitialization and both families' repair of
     non-finite rows, which the policy runs above never reach: every update
-    must leave a finite theta.  An eigendecomposition that fails to converge
-    on such input is recorded and the oracle rebuilt.
+    must leave a finite theta.  A Gram matrix that overflows while its
+    inverse stays finite makes the projection's eigendecomposition fail to
+    converge (first at GLMtron's step 228 here); the oracle restarts that
+    stack's metric and counts it as a reinitialization.
     """
     h = hashlib.sha256()
     for kind in ("glmtron", "ogd"):
@@ -210,12 +212,7 @@ def oracle_stream_digest() -> str:
                 phi[0] = np.inf if i % 97 == 0 else phi[0]
                 phi[1] = np.nan if i % 89 == 0 else phi[1]
                 with np.errstate(all="ignore"):
-                    try:
-                        o.update(phi, y)
-                    except np.linalg.LinAlgError:
-                        h.update(b"eigh failed at %d" % i)
-                        o = VectorPredictor(kind, 3, 4, link=link)
-                        continue
+                    o.update(phi, y)
                     h.update(o.predict_matrix(np.eye(4)).tobytes())
                 assert np.isfinite(o.theta).all(), (kind, link, i)
                 h.update(o.theta.tobytes())
@@ -224,7 +221,7 @@ def oracle_stream_digest() -> str:
     return h.hexdigest()[:20]
 
 
-ORACLE_STREAM = "9eb0e060b8d1a94006b3"
+ORACLE_STREAM = "580b8731cf50b1cf5490"
 
 
 def test_oracle_repair_paths_match_golden_digest(recorded_on):

@@ -137,6 +137,25 @@ def test_glmtron_zeroes_a_finite_row_whose_norm_overflows():
     assert np.isfinite(o.predict_matrix(np.eye(2))).all()
 
 
+def test_glmtron_restarts_a_stack_whose_projection_fails():
+    # A Gram matrix that overflowed while its inverse stayed finite passes the
+    # reinitialization test, but eigh cannot decompose it.  The stack whose
+    # iterate leaves the ball restarts at the identity metric, counts one
+    # reinitialization and is projected in that metric; the other stack is
+    # what a one-stack oracle fed its samples gives.
+    sign = np.array([1.0, -1.0, -1.0])
+    o = VectorPredictor("glmtron", 1, 3, stacks=2)
+    o.A[0] = np.outer(sign, sign) * np.inf
+    phi = np.full(3, 0.5)
+    o.update(np.array([phi, phi]), np.array([[4.0], [4.0]]))
+    assert o.reinit_count == 1
+    assert (o.A[0] == np.eye(3)).all() and (o.A_inv[0] == np.eye(3)).all()
+    assert 0.99 < np.linalg.norm(o.theta[0]) <= 1.0
+    calm = VectorPredictor("glmtron", 1, 3)
+    calm.update(phi, np.array([4.0]))
+    assert (o.theta[1] == calm.theta[0]).all() and (o.A[1] == calm.A[0]).all()
+
+
 def test_glmtron_regret_contract_on_realizable_stream():
     # cumulative squared error vs the truth stays sublinear and log-like
     def run(T, seed):
@@ -194,8 +213,8 @@ def test_vector_coordinate_independence():
                 y[1] += 0.7
             vec.update(phi, y)
     first, second = vecs
-    assert (first.theta[[0, 2]] == second.theta[[0, 2]]).all()
-    assert (first.theta[1] != second.theta[1]).any()
+    assert (first.theta[0, [0, 2]] == second.theta[0, [0, 2]]).all()
+    assert (first.theta[0, 1] != second.theta[0, 1]).any()
     assert (first.A_inv == second.A_inv).all()
     assert first.t == second.t
 
@@ -244,7 +263,7 @@ def test_fused_stack_matches_independent_scalars(kind, link, monkeypatch):
         fused.update(phi, y)
         for s, target in zip(scalars, y):
             s.update(phi, target)
-    assert (fused.theta == np.vstack([s.theta for s in scalars])).all()
+    assert (fused.theta[0] == np.vstack([s.theta[0] for s in scalars])).all()
     assert fused.t == scalars[0].t == length
     if kind == "glmtron":
         assert sum(projected) > 0
@@ -253,13 +272,41 @@ def test_fused_stack_matches_independent_scalars(kind, link, monkeypatch):
     X = np.array([phi for phi, _ in stream])
     Y = np.array([y for _, y in stream])
     fit = online_to_batch(kind, X, Y, link=link)
-    assert fit.params.shape == (n, length, dim) and fit.params.flags.c_contiguous
+    assert fit.params.shape == (1, n, length, dim) and fit.params.flags.c_contiguous
     preds = fit.predict_matrix(probe)
-    assert preds.shape == (len(probe), n)
+    assert preds.shape == (1, len(probe), n)
     for j in range(n):
         alone = online_to_batch(kind, X, Y[:, j], link=link)
-        assert (fit.params[j] == alone.params[0]).all()
-        assert (preds[:, j] == alone.predict_matrix(probe)[:, 0]).all()
+        assert (fit.params[0, j] == alone.params[0, 0]).all()
+        assert (preds[0, :, j] == alone.predict_matrix(probe)[0, :, 0]).all()
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("kind", ["glmtron", "ogd"])
+def test_stacks_step_as_independent_oracles(kind, link):
+    """An S-stack predictor is bitwise S one-stack predictors, each fed its own stream."""
+    S, n, dim, length = 3, 2, 4, 300
+    rng = np.random.default_rng(10)
+    streams = [list(_adversarial_stream(rng, n, dim, length)) for _ in range(S)]
+    streams[1][150] = (streams[1][150][0] * 1e170, streams[1][150][1])  # forces a reinit
+    stacked = VectorPredictor(kind, n, dim, stacks=S, link=link)
+    alone = [VectorPredictor(kind, n, dim, link=link) for _ in range(S)]
+    probe = rng.normal(size=(5, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(length):
+            stacked.update(np.array([st[i][0] for st in streams]),
+                           np.array([st[i][1] for st in streams]))
+            for o, st in zip(alone, streams):
+                o.update(*st[i])
+    assert stacked.theta.shape == (S, n, dim) and stacked.d == n
+    for s, o in enumerate(alone):
+        assert (stacked.theta[s] == o.theta[0]).all()
+        assert (stacked.predict_matrix(probe)[s] == o.predict_matrix(probe)[0]).all()
+        if kind == "glmtron":
+            assert (stacked.A[s] == o.A[0]).all() and (stacked.A_inv[s] == o.A_inv[0]).all()
+    if kind == "glmtron":
+        assert [o.reinit_count for o in alone] == [0, 1, 0]
+        assert stacked.reinit_count == 1
 
 
 def test_vector_regret_decomposition():
@@ -275,7 +322,7 @@ def test_vector_regret_decomposition():
         phi = np.abs(rng.normal(size=m))
         phi /= max(np.linalg.norm(phi), 1.0)
         truth = thetas @ phi
-        pred = vec.predict_matrix(phi)[0]
+        pred = vec.predict_matrix(phi[None])[0, 0]
         errs = (pred - truth) ** 2
         max_norm_sq += errs.max()
         per_coord += errs
@@ -286,8 +333,8 @@ def test_vector_regret_decomposition():
 def test_otb_single_sample_is_initial_predictor():
     bp = online_to_batch("glmtron", np.array([[0.5, 0.5]]), np.array([1.0]))
     # average of one iterate: the untrained predictor
-    assert bp.predict_matrix(np.array([0.9, 0.1])).tolist() == [[0.0]]
-    assert bp.params.shape == (1, 1, 2)
+    assert bp.predict_matrix(np.array([0.9, 0.1])).tolist() == [[[0.0]]]
+    assert bp.params.shape == (1, 1, 1, 2)
 
 
 def test_otb_empty_dataset_rejected():
@@ -305,7 +352,7 @@ def test_otb_noiseless_linear_recovery():
     bp = online_to_batch("glmtron", phis, phis @ theta)
     fresh = np.abs(rng.normal(size=(200, m)))
     fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1.0) * 1.2
-    mse = np.mean((bp.predict_matrix(fresh)[:, 0] - fresh @ theta) ** 2)
+    mse = np.mean((bp.predict_matrix(fresh)[0, :, 0] - fresh @ theta) ** 2)
     assert mse < 0.01
 
 
@@ -321,13 +368,13 @@ def test_otb_zero_targets_error_decreases():
     errors = []
     for M in (10, 50, 200, 400):
         bp = online_to_batch("glmtron", phis[:M], np.zeros(M), link="logistic")
-        errors.append(bp.predict_matrix(probe)[0, 0])
+        errors.append(bp.predict_matrix(probe)[0, 0, 0])
     assert all(e <= initial for e in errors)
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0]
 
     identity = online_to_batch("glmtron", phis[:50], np.zeros(50))
-    assert identity.predict_matrix(probe)[0, 0] == 0.0
+    assert identity.predict_matrix(probe)[0, 0, 0] == 0.0
 
 
 def test_bound_spec_monotone_positive():

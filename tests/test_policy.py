@@ -5,6 +5,7 @@ import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
+from cbwk import policy
 from cbwk.errors import ConfigurationError
 from cbwk.oracles import OracleBoundSpec, VectorPredictor
 from cbwk.policy import (
@@ -158,26 +159,38 @@ class _CountingVector(VectorPredictor):
         super().update(phi, y)
 
 
-def test_oracle_feed_discipline():
+def test_oracle_feed_discipline(monkeypatch):
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=120, B=60, bounded=True)
-    oracle = _CountingVector("glmtron", 5, 10)
-    trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(3), oracle=oracle)
+    made = []
+
+    def counting(kind, d, dim, **kwargs):
+        made.append(_CountingVector(kind, d, dim, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(policy, "make_vector_predictor", counting)
+    trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(3))
+    (oracle,) = made
+    # the stack learns on the K+1 columns that some arm's context uses
+    assert (oracle.d, oracle.dim) == (5, 4)
+    assert (env.contexts.span == env.contexts.phi[:, :4]).all()
     # one update per round, including the exit round; each used the pulled
     # arm's features and the realized reward (row 0) and costs (rows 1..d)
     assert len(oracle.updates) == trace.tau
     for t, (phi, y) in enumerate(oracle.updates):
-        assert (phi == env.contexts.phi[trace.arms[t]]).all()
+        phi, y = phi.ravel(), y.ravel()  # the one stack's sample
+        assert (phi == env.contexts.span[trace.arms[t]]).all()
         assert y[0] == trace.rewards[t]
         assert (y[1:] == trace.costs[t]).all()
 
 
-def test_high_gamma_with_perfect_predictions_is_greedy():
+def test_high_gamma_with_perfect_predictions_is_greedy(monkeypatch):
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=200, B=200)
-    oracle = VectorPredictor("glmtron", 5, 10)
-    oracle.theta[0] = env.theta_reward
-    oracle.theta[1:] = env.theta_cost
-    trace = run_squarecbwk(env, PolicyConfig(gamma=1e9),
-                           np.random.default_rng(4), oracle=oracle)
+    span = slice(0, 4)  # arm a's context is e1/sqrt(2) + e_{a+1}
+    oracle = VectorPredictor("glmtron", 5, 4)
+    oracle.theta[0, 0] = env.theta_reward[span]
+    oracle.theta[0, 1:] = env.theta_cost[:, span]
+    monkeypatch.setattr(policy, "make_vector_predictor", lambda *args, **kwargs: oracle)
+    trace = run_squarecbwk(env, PolicyConfig(gamma=1e9), np.random.default_rng(4))
     # arm 1 dominates: reward 1.21 (clipped prediction 1.0) vs 0.5
     assert np.mean(trace.arms == 0) >= 0.99
     assert trace.probs[:, 0].min() >= 1 - 1e-8
@@ -230,6 +243,24 @@ def test_ogd_traces_do_not_depend_on_m(bounded, B, total, recorded_on):
                                      np.random.default_rng(1000)))
     first = traces[0]
     assert first.total_reward == total, recorded_on
+    for other in traces[1:]:
+        assert (other.tau, other.total_reward, other.gamma) == (first.tau, first.total_reward,
+                                                                 first.gamma)
+        for field in ("arms", "rewards", "costs", "probs", "rhat", "lam", "total_cost"):
+            assert getattr(other, field).tobytes() == getattr(first, field).tobytes(), field
+
+
+@pytest.mark.parametrize("bounded, B", [(False, 2000), (True, 1000)])
+def test_glmtron_traces_do_not_depend_on_m_at_fixed_gamma(bounded, B):
+    # GLMtron learns on the context set's span, the first K+1 coordinates, so
+    # at a fixed gamma m reaches the run through nothing else: the sweep over
+    # m changes GLMtron's runs only through gamma_default's m.
+    traces = []
+    for m in (10, 26, 52, 101):
+        env = make_fixed_linear_env(m, 3, 4, 0.2, T=2000, B=B, bounded=bounded, null_arm=bounded)
+        traces.append(run_squarecbwk(env, PolicyConfig(oracle="glmtron", gamma=30.0),
+                                     np.random.default_rng(1000)))
+    first = traces[0]
     for other in traces[1:]:
         assert (other.tau, other.total_reward, other.gamma) == (first.tau, first.total_reward,
                                                                  first.gamma)

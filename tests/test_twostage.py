@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cbwk import oracles
 from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
 from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
@@ -131,10 +132,10 @@ def test_estimation_errors_closed_forms():
     assert eg == pytest.approx(2 * ef)
 
 
-def _constant_stack(*values, dim=2):
-    # identity-link stack whose first-coordinate weights reproduce `values`
-    params = np.zeros((len(values), 1, dim))
-    params[:, 0, 0] = values
+def _constant_fits(*arms, dim=2):
+    # identity-link stacks, one per arm, whose first-coordinate weights reproduce each arm's values
+    params = np.zeros((len(arms), len(arms[0]), 1, dim))
+    params[:, :, 0, 0] = arms
     return BatchPredictor(params, "identity")
 
 
@@ -142,32 +143,32 @@ E1_BOTH = np.array([[1.0, 0.0], [1.0, 0.0]])  # both arms see feature e1
 
 
 def test_empirical_opt_hand_instance():
-    fits = [_constant_stack(0.9, 0.8), _constant_stack(0.2, 0.1)]
+    fits = _constant_fits((0.9, 0.8), (0.2, 0.1))
     value = empirical_opt(fits, E1_BOTH, 0.45, 0.0)
     assert value == pytest.approx(0.55, abs=1e-9)
 
 
 def test_empirical_opt_zero_costs_gives_max_reward():
-    fits = [_constant_stack(0.7, 0.0), _constant_stack(0.3, 0.0)]
+    fits = _constant_fits((0.7, 0.0), (0.3, 0.0))
     value = empirical_opt(fits, E1_BOTH, 0.2, 0.0)
     assert value == pytest.approx(0.7, abs=1e-9)
 
 
 def test_empirical_opt_constant_objective():
-    fits = [_constant_stack(0.4, 0.3), _constant_stack(0.4, 0.2)]
+    fits = _constant_fits((0.4, 0.3), (0.4, 0.2))
     value = empirical_opt(fits, E1_BOTH, 0.5, 0.0)
     assert value == pytest.approx(0.4, abs=1e-9)
 
 
 def test_empirical_opt_permutation_invariant():
-    # relabelling the arms, with their fits and feature rows, leaves the optimum unchanged
+    # relabelling the arms, with their stacks and feature rows, leaves the optimum unchanged
     rng = np.random.default_rng(3)
     K, m, d = 4, 3, 2
     phi = rng.random((K, m)) / 2
-    fits = [BatchPredictor(rng.random((1 + d, 3, m)) / 2, "identity") for _ in range(K)]
+    fits = BatchPredictor(rng.random((K, 1 + d, 3, m)) / 2, "identity")
     base = empirical_opt(fits, phi, 0.3, 0.05)
     perm = rng.permutation(K)
-    shuffled = empirical_opt([fits[a] for a in perm], phi[perm], 0.3, 0.05)
+    shuffled = empirical_opt(BatchPredictor(fits.params[perm], "identity"), phi[perm], 0.3, 0.05)
     assert shuffled == pytest.approx(base, abs=1e-9)
 
 
@@ -179,8 +180,7 @@ def _random_empirical_instance(rng, null_arm):
     if null_arm:
         phi[-1] = 0.0
         link = "identity"  # its predictions are then exactly zero
-    fits = [BatchPredictor(rng.normal(size=(1 + d, int(rng.integers(1, 5)), m)), link)
-            for _ in range(K)]
+    fits = BatchPredictor(rng.normal(size=(K, 1 + d, int(rng.integers(1, 5)), m)), link)
     return fits, phi
 
 
@@ -196,7 +196,7 @@ def test_empirical_opt_matches_tiled_program_and_brute_force():
         m_val = 0.0 if i % 2 else float(rng.uniform(0.0, 0.3))
         outcomes["null"] += null_arm
         outcomes["widened"] += m_val > 0
-        preds = np.array([fit.predict_matrix(phi[a])[0] for a, fit in enumerate(fits)])
+        preds = fits.predict_matrix(phi[:, None])[:, 0]
         try:
             want = brute_force_opt(preds[:, 0], preds[:, 1:], rate + 2.0 * m_val)
         except InfeasibleError:
@@ -267,14 +267,76 @@ def test_phase_one_datasets_and_estimates():
     assert expl.arms.size == 4 * t0
     assert p1.opt_hat is not None and p1.z is not None
     assert p1.z == pytest.approx((2000 / 1000) * (p1.opt_hat + p1.m_val))
-    # each arm's one pass over reward and costs fits every target as it would alone
+    # one stack per arm over the span's K+1 columns; each arm's stack, and
+    # each target's row of it, is what a one-stack pass over its slice gives
+    span = env.contexts.span
+    assert span.shape == (3, 4) and p1.fits.params.shape == (3, 1 + 4, t0, 4)
+    preds = np.empty((3, 1 + 4))
     for a in range(3):
         rows = slice(a * t0, (a + 1) * t0)
         assert (expl.arms[rows] == a).all()
-        assert p1.fits[a].params.shape == (1 + 4, t0, 10)
-        features = np.tile(env.contexts.phi[a], (t0, 1))
+        features = np.tile(span[a], (t0, 1))
         alone = online_to_batch("glmtron", features, expl.costs[rows, 1])
-        assert (p1.fits[a].params[2] == alone.params[0]).all()
+        assert (p1.fits.params[a, 2] == alone.params[0, 0]).all()
+        arm = online_to_batch("glmtron", features,
+                              np.column_stack([expl.rewards[rows], expl.costs[rows]]))
+        preds[a] = arm.predict_matrix(span[a])[0, 0]
+    opt_hat = exact_opt_fixed_context(preds[:, 0], preds[:, 1:], 1000 / 2000 + 2.0 * p1.m_val)
+    assert p1.opt_hat == pytest.approx(opt_hat, abs=1e-12)
+
+
+def _adversarial_arm_streams(rng, K, M, dim, n):
+    # mixed feature scales and large targets push iterates out of the ball;
+    # one overflowing feature row in stack 1 forces a reinitialization
+    scale = rng.choice([0.1, 1.0, 3.0], size=(M, K, 1))
+    features = rng.normal(size=(M, K, dim)) * scale
+    features[M // 2, 1] *= 1e170
+    targets = rng.choice([-3.0, 0.0, 0.5, 1.0, 4.0], size=(M, K, n))
+    return features, targets
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("kind", ["glmtron", "ogd"])
+def test_stacked_fit_matches_one_stack_per_arm(kind, link, monkeypatch):
+    """Phase one's K-stack online-to-batch pass against K one-stack passes."""
+    projected, reinits = [], []
+    project, reinitialize = oracles._project_a_norm, oracles.VectorPredictor._reinitialize
+
+    def counting_project(A, v, norms):
+        projected.append(len(v))
+        return project(A, v, norms)
+
+    def counting_reinitialize(self, stacks):
+        reinits.append(int(np.count_nonzero(stacks)))
+        return reinitialize(self, stacks)
+
+    monkeypatch.setattr(oracles, "_project_a_norm", counting_project)
+    monkeypatch.setattr(oracles.VectorPredictor, "_reinitialize", counting_reinitialize)
+    K, M, dim, d = 4, 150, 5, 2
+    rng = np.random.default_rng(12)
+    features, targets = _adversarial_arm_streams(rng, K, M, dim, 1 + d)
+    phi = rng.random((K, dim)) / math.sqrt(dim)
+    probe = rng.normal(size=(6, dim))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = online_to_batch(kind, features, targets, link=link)
+        alone = [online_to_batch(kind, features[:, a], targets[:, a], link=link)
+                 for a in range(K)]
+    if kind == "glmtron":
+        assert sum(projected) > 0 and sum(reinits) > 0
+    assert stacked.params.shape == (K, 1 + d, M, dim)
+    shared = stacked.predict_matrix(probe)
+    own = stacked.predict_matrix(phi[:, None])[:, 0]
+    for a, fit in enumerate(alone):
+        assert np.abs(shared[a] - fit.predict_matrix(probe)[0]).max() <= 1e-12
+        assert np.abs(own[a] - fit.predict_matrix(phi[a])[0, 0]).max() <= 1e-12
+    rate = own[:, 1:].max(axis=1).min()  # the cheapest arm alone is just feasible
+    for rate, m_val in ((rate, 0.0), (rate - 0.05, 0.05)):
+        want = exact_opt_fixed_context(own[:, 0], own[:, 1:], rate + 2.0 * m_val)
+        assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want, abs=1e-12)
+        per_arm = np.array([fit.predict_matrix(phi[a])[0, 0] for a, fit in enumerate(alone)])
+        want_alone = exact_opt_fixed_context(per_arm[:, 0], per_arm[:, 1:], rate + 2.0 * m_val)
+        assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want_alone, abs=1e-12)
 
 
 @pytest.mark.parametrize("policy", [PolicyConfig(oracle="ogd", bound_scale=0.01),
@@ -310,10 +372,10 @@ def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     err_f, err_g = estimation_errors(policy.oracle, m, d, t0, T)
     assert p1.m_val == m_t0(t0, K, d, err_f, err_g, T)
     rows = slice(0, t0)
-    fit = online_to_batch(policy.oracle, np.tile(env.contexts.phi[0], (t0, 1)),
+    fit = online_to_batch(policy.oracle, np.tile(env.contexts.span[0], (t0, 1)),
                           np.column_stack([head.rewards[rows], head.costs[rows]]),
                           eta_scale=policy.eta_scale)
-    assert (p1.fits[0].params == fit.params).all()
+    assert (p1.fits.params[0] == fit.params[0]).all()
 
 
 def test_radius_sandwich_quick():
