@@ -17,13 +17,20 @@ import numpy as np
 # sample_outcome, dual_lambda and dual_update are kept for perfbench/tracer.py, which patches them
 from .core import EnvironmentSpec, RunTrace, sample_outcome  # noqa: F401
 from .dual import dual_init, dual_lambda, dual_update  # noqa: F401
+from .errors import raise_if_any, range_violations
 from .policy import run_rounds
 
+RIDGE = 1.0  # ridge regularizer: the Gram matrix starts at RIDGE * I
 
-@dataclass
+
+@dataclass(frozen=True)
 class LinUcbConfig:
+    """LinUCB's width multiplier; 0 is greedy.  Constructing one checks it."""
+
     confidence_scale: float = 1.0
-    ridge: float = 1.0
+
+    def __post_init__(self):
+        raise_if_any(range_violations(vars(self), (("confidence_scale", ">=", 0),)))
 
 
 def confidence_width(m: int, t: int, scale: float) -> float:
@@ -39,7 +46,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     Phi = env.contexts.span  # the ridge estimates never leave these columns
     r = Phi.shape[1]
 
-    a_inv = np.eye(r) / config.ridge
+    a_inv = np.eye(r) / RIDGE
     b_vec = np.zeros((1 + d, r))
     targets = np.empty(1 + d)
     one_hot = np.eye(K)

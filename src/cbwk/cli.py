@@ -45,7 +45,6 @@ def _apply_overrides(config, args):
 
 
 def _execute(config, parallelism: int) -> int:
-    config.validate()
     result = run_sweep(config, parallelism=parallelism)
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "results.csv")

@@ -6,9 +6,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_if_any, range_violations
 
 SQRT2 = math.sqrt(2.0)
+_NOISE_RULE = (("noise_variance", ">=", 0),)  # finite too: an infinite variance draws NaN
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,7 @@ class ProblemInstance:
             problems.append(f"d must be >= 1 (got {self.d})")
         if self.K < 2:
             problems.append(f"K must be >= 2 (got {self.K})")
-        if problems:
-            raise ConfigurationError(problems)
+        raise_if_any(problems)
 
     @property
     def budget_rate(self) -> float:
@@ -117,14 +117,12 @@ class EnvironmentSpec:
         m = self.contexts.phi.shape[1]
         if not self.theta_reward.size == self.theta_cost.shape[1] == m:
             problems.append(f"theta_reward and theta_cost must have the feature width m={m}")
-        if not self.noise_variance >= 0:  # NaN fails too
-            problems.append("noise_variance must be nonnegative")
+        problems += range_violations(vars(self), _NOISE_RULE)
         if self.link not in ("identity", "logistic"):
             problems.append(f"unknown link {self.link!r}")
         if self.outcome_model not in ("gaussian", "bernoulli"):
             problems.append(f"unknown outcome model {self.outcome_model!r}")
-        if problems:
-            raise ConfigurationError(problems)
+        raise_if_any(problems)
 
     @cached_property
     def outcome_means(self) -> np.ndarray:
@@ -184,27 +182,27 @@ def _erf(x):
     return np.vectorize(math.erf)(x)
 
 
-def fixed_linear_violations(m: int, K: int, d: int, T: int, B: float | None,
-                            tag: str = "") -> list:
-    """Rules of the fixed-linear benchmark broken by (m, K, d, T, B), each prefixed by ``tag``.
+def fixed_linear_violations(m: int, K: int, d: int, noise_variance: float, T: int,
+                            B: float | None) -> list:
+    """Rules of the fixed-linear benchmark broken by its parameters.
 
     ``B`` is None when it could not be resolved; it is checked only against a
     valid T.
     """
     problems = []
     if m < 6:
-        problems.append(f"{tag}m >= 6 violated (m={m})")
+        problems.append(f"m >= 6 violated (m={m})")
     if K < 2:
-        problems.append(f"{tag}K >= 2 violated (K={K})")
+        problems.append(f"K >= 2 violated (K={K})")
     if K > m - 1:
-        problems.append(f"{tag}K <= m-1 violated (K={K}, m={m})")
+        problems.append(f"K <= m-1 violated (K={K}, m={m})")
     if not 4 <= d <= m - 1:
-        problems.append(f"{tag}4 <= d <= m-1 violated (d={d}, m={m})")
+        problems.append(f"4 <= d <= m-1 violated (d={d}, m={m})")
     if T < 1:
-        problems.append(f"{tag}T >= 1 violated (T={T})")
+        problems.append(f"T >= 1 violated (T={T})")
     elif B is not None and not 1 <= B <= T:
-        problems.append(f"{tag}1 <= B <= T violated (B={B}, T={T})")
-    return problems
+        problems.append(f"1 <= B <= T violated (B={B}, T={T})")
+    return problems + range_violations({"noise_variance": noise_variance}, _NOISE_RULE)
 
 
 def make_fixed_linear_env(
@@ -225,9 +223,7 @@ def make_fixed_linear_env(
     Arm a's context is e1/sqrt(2) + e_{a+1} every round.  Outcomes are the
     linear value plus i.i.d. Gaussian noise.
     """
-    problems = fixed_linear_violations(m, K, d, T, B)
-    if problems:
-        raise ConfigurationError(problems)
+    raise_if_any(fixed_linear_violations(m, K, d, noise_variance, T, B))
 
     e = np.eye(m)
     theta_reward = (e[0] + e[1]) / SQRT2
@@ -273,8 +269,7 @@ def make_glm_env(
     cost_norms = np.linalg.norm(theta_cost, axis=1)
     if (cost_norms > 1 + 1e-9).any():
         problems.append(f"cost parameter norm {cost_norms.max():.4f} exceeds 1")
-    if problems:
-        raise ConfigurationError(problems)
+    raise_if_any(problems)
     return EnvironmentSpec(
         instance=instance,
         theta_reward=theta_reward,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_if_any
 
 
 @dataclass
@@ -53,8 +53,7 @@ def dual_init(d: int, Z: float, T: int) -> DualState:
         problems.append(f"T must be >= 1 (got {T})")
     if d < 1:
         problems.append(f"d must be >= 1 (got {d})")
-    if problems:
-        raise ConfigurationError(problems)
+    raise_if_any(problems)
     eta = math.sqrt(math.log(d + 1) / T)
     return DualState(logw=np.zeros(d + 1), Z=float(Z), eta=eta)
 

@@ -13,57 +13,32 @@ import ctypes
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .baseline import LinUcbConfig, run_linucb
 from .core import fixed_linear_violations, make_fixed_linear_env, realized_regret
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_if_any
 from .lp import exact_opt_fixed_context
 from .policy import PolicyConfig, run_squarecbwk
 from .twostage import TwoStageConfig, run_twostage
 
 CSV_HEADER = "algorithm,sweep_param,sweep_value,seed,regret,tau,total_reward,runtime_ms"
 KNOWN_ALGORITHMS = ("glmtron", "ogd", "linucb", "twostage")
-RNG_NAME = "numpy PCG64"
-
-_REQUIRED_KEYS = (
-    "environment.family",
-    "environment.m",
-    "environment.K",
-    "environment.d",
-    "environment.T",
-    "environment.B",
-    "environment.noise_variance",
-    "algorithm.list",
-    "seeds.count",
-    "seeds.base",
-)
-# optional key -> (ExperimentConfig field, type); an absent key keeps the field's default
-_OPTIONAL_KEYS = {
-    "environment.mode": ("mode", str),
-    "environment.null_arm": ("null_arm", bool),
-    "output.dir": ("output_dir", str),
-    "algorithm.gamma": ("gamma", float),
-    "algorithm.z": ("z", float),
-    "algorithm.t0": ("t0", int),
-    "algorithm.confidence": ("confidence", float),
-    "algorithm.bound_scale": ("bound_scale", float),
-    "algorithm.eta_scale": ("eta_scale", float),
-    "algorithm.err_scale": ("err_scale", float),
-    "algorithm.twostage_oracle": ("twostage_oracle", str),
-}
-
-
-# (field, comparison, bound) of each algorithm.* number; an unset gamma, z or
-# t0 is skipped.  NaN breaks every bound.
-_ALGORITHM_RANGES = (("gamma", ">", 0), ("z", ">", 0), ("t0", ">=", 1), ("eta_scale", ">", 0),
-                     ("bound_scale", ">=", 0), ("err_scale", ">=", 0), ("confidence", ">=", 0))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep: environment, algorithms and their run configs, grid and seeds.
+
+    Constructing one checks every rule it breaks and reports them together,
+    so a config that exists is valid.  The environment rules are checked for
+    the base values and for every sweep value.  ``twostage.policy`` is the
+    one policy config: glmtron and ogd cells run it with their own oracle,
+    two-stage cells with z unset, so that phase one estimates the radius.
+    """
+
     family: str
     m: int
     K: int
@@ -71,25 +46,60 @@ class ExperimentConfig:
     T: int
     budget_spec: str  # a number, "T", or "T/<number>"
     noise_variance: float
+    algorithms: tuple
+    seeds_count: int
+    seeds_base: int
     mode: str = "replication"
     null_arm: bool = False
-    algorithms: tuple = ("glmtron",)
-    gamma: float | None = None
-    z: float | None = None
-    t0: int | None = None
-    confidence: float = 1.0
-    bound_scale: float = 1.0
-    eta_scale: float = 1.0
-    err_scale: float = 1.0
-    twostage_oracle: str = "glmtron"
+    twostage: TwoStageConfig = TwoStageConfig()
+    linucb: LinUcbConfig = LinUcbConfig()
     sweep_param: str = "T"
     sweep_values: tuple = ()
-    seeds_count: int = 10
-    seeds_base: int = 0
     output_dir: str = "results"
 
+    def __post_init__(self):
+        problems = []
+        if self.family != "fixed_linear":
+            problems.append(f"environment.family must be fixed_linear (got {self.family!r})")
+        if self.mode not in ("replication", "bounded"):
+            problems.append(f"environment.mode must be replication or bounded (got {self.mode!r})")
+        problems += [f"unknown algorithm {alg!r} (known: {', '.join(KNOWN_ALGORITHMS)})"
+                     for alg in self.algorithms if alg not in KNOWN_ALGORITHMS]
+        if not self.algorithms:
+            problems.append("algorithm.list is empty")
+        if self.seeds_count < 1:
+            problems.append(f"seeds.count must be >= 1 (got {self.seeds_count})")
+        if self.seeds_base < 0:
+            problems.append(f"seeds.base must be >= 0 (got {self.seeds_base})")
+        if self.sweep_param not in ("m", "K", "T"):
+            problems.append(f"sweep.param must be one of m, K, T (got {self.sweep_param!r})")
+        if not self.sweep_values:
+            problems.append("sweep.values is empty")
+        base = {"m": self.m, "K": self.K, "d": self.d, "T": self.T}
+        base_problems = self._environment_violations(base)
+        problems += base_problems
+        for v in self.sweep_values:  # a rule the base values break already is not repeated
+            problems += [f"sweep value {v}: {p}" for p in
+                         self._environment_violations({**base, self.sweep_param: v})
+                         if p not in base_problems]
+        raise_if_any(problems)
+
+    def _environment_violations(self, params: dict) -> list:
+        """Rules of the fixed-linear environment broken at one (m, K, d, T)."""
+        try:
+            B, problems = self.resolve_budget(params["T"]), []
+        except (ValueError, ZeroDivisionError):
+            B, problems = None, [f"environment.B: cannot parse {self.budget_spec!r}"]
+        return problems + fixed_linear_violations(params["m"], params["K"], params["d"],
+                                                  self.noise_variance, params["T"], B)
+
     def resolve_budget(self, T: int) -> float:
-        return _resolve_budget(self.budget_spec, T)
+        spec = self.budget_spec.strip()
+        if spec == "T":
+            return float(T)
+        if spec.startswith("T/"):
+            return T / float(spec[2:])
+        return float(spec)
 
     def cell_params(self, value) -> dict:
         """Environment parameters with one sweep value applied."""
@@ -98,67 +108,44 @@ class ExperimentConfig:
         params["B"] = self.resolve_budget(params["T"])
         return params
 
-    def validate(self) -> None:
-        """Raise ConfigurationError listing every constraint the config breaks.
 
-        The environment constraints are checked for the base values and for
-        every sweep value, so a sweep grid overridden after parsing is held to
-        the same rules as one read from the file.
-        """
-        problems = []
-        if self.family != "fixed_linear":
-            problems.append(f"environment.family must be fixed_linear (got {self.family!r})")
-        if self.mode not in ("replication", "bounded"):
-            problems.append(f"environment.mode must be replication or bounded (got {self.mode!r})")
-        for alg in self.algorithms:
-            if alg not in KNOWN_ALGORITHMS:
-                problems.append(f"unknown algorithm {alg!r} (known: {', '.join(KNOWN_ALGORITHMS)})")
-        if not self.algorithms:
-            problems.append("algorithm.list is empty")
-        if self.twostage_oracle not in ("glmtron", "ogd"):
-            problems.append("algorithm.twostage_oracle must be glmtron or ogd "
-                            f"(got {self.twostage_oracle!r})")
-        for key, op, lower in _ALGORITHM_RANGES:
-            value = getattr(self, key)
-            if value is not None and not (value > lower if op == ">" else value >= lower):
-                problems.append(f"algorithm.{key} {op} {lower} violated (got {value})")
-        if self.seeds_count < 1:
-            problems.append(f"seeds.count must be >= 1 (got {self.seeds_count})")
-        if self.sweep_param not in ("m", "K", "T"):
-            problems.append(f"sweep.param must be one of m, K, T (got {self.sweep_param!r})")
-        if not self.sweep_values:
-            problems.append("sweep.values is empty")
-        base = {"m": self.m, "K": self.K, "d": self.d, "T": self.T}
-        problems += _environment_violations(base, self.budget_spec, "")
-        if not self.noise_variance >= 0:  # NaN too
-            problems.append(f"noise_variance >= 0 violated (got {self.noise_variance})")
-        for v in self.sweep_values:
-            problems += _environment_violations({**base, self.sweep_param: v},
-                                                self.budget_spec, f"sweep value {v}: ")
-        if problems:
-            raise ConfigurationError(problems)
+# config key -> (owner, field, kind).  The owners are ExperimentConfig and the
+# run configs it holds; each checks its own fields.  A key is required when
+# its field has no default.  A list kind [k] is a comma-separated tuple of k.
+_KEYS = {
+    "environment.family": (ExperimentConfig, "family", str),
+    "environment.m": (ExperimentConfig, "m", int),
+    "environment.K": (ExperimentConfig, "K", int),
+    "environment.d": (ExperimentConfig, "d", int),
+    "environment.T": (ExperimentConfig, "T", int),
+    "environment.B": (ExperimentConfig, "budget_spec", str),
+    "environment.noise_variance": (ExperimentConfig, "noise_variance", float),
+    "environment.mode": (ExperimentConfig, "mode", str),
+    "environment.null_arm": (ExperimentConfig, "null_arm", bool),
+    "algorithm.list": (ExperimentConfig, "algorithms", [str]),
+    "algorithm.gamma": (PolicyConfig, "gamma", float),
+    "algorithm.z": (PolicyConfig, "z", float),
+    "algorithm.bound_scale": (PolicyConfig, "bound_scale", float),
+    "algorithm.eta_scale": (PolicyConfig, "eta_scale", float),
+    "algorithm.twostage_oracle": (PolicyConfig, "oracle", str),
+    "algorithm.t0": (TwoStageConfig, "t0", int),
+    "algorithm.err_scale": (TwoStageConfig, "err_scale", float),
+    "algorithm.confidence": (LinUcbConfig, "confidence_scale", float),
+    "sweep.param": (ExperimentConfig, "sweep_param", str),
+    "sweep.values": (ExperimentConfig, "sweep_values", [int]),
+    "seeds.count": (ExperimentConfig, "seeds_count", int),
+    "seeds.base": (ExperimentConfig, "seeds_base", int),
+    "output.dir": (ExperimentConfig, "output_dir", str),
+}
+_REQUIRED = tuple(key for key, (owner, name, _) in _KEYS.items()
+                  if any(f.name == name and f.default is MISSING and f.default_factory is MISSING
+                         for f in fields(owner)))
 
 
-def _environment_violations(params: dict, budget_spec: str, tag: str) -> list:
-    """Rules of the fixed-linear environment broken by one (m, K, d, T) and the budget."""
-    try:
-        B, problems = _resolve_budget(budget_spec, params["T"]), []
-    except (ValueError, ZeroDivisionError):
-        B, problems = None, [f"environment.B: cannot parse {budget_spec!r}"]
-    return problems + fixed_linear_violations(params["m"], params["K"], params["d"],
-                                              params["T"], B, tag)
-
-
-def _resolve_budget(spec: str, T: int) -> float:
-    spec = spec.strip()
-    if spec == "T":
-        return float(T)
-    if spec.startswith("T/"):
-        return T / float(spec[2:])
-    return float(spec)
-
-
-def _parse_scalar(raw: str, kind: type, key: str, problems: list):
+def _parse(raw: str, kind, key: str, problems: list):
+    if isinstance(kind, list):
+        items = (_parse(x.strip(), kind[0], key, problems) for x in raw.split(",") if x.strip())
+        return tuple(v for v in items if v is not None)
     try:
         if kind is bool:
             if raw.lower() in ("true", "false"):
@@ -170,8 +157,21 @@ def _parse_scalar(raw: str, kind: type, key: str, problems: list):
         return None
 
 
+def _build(owner: type, values: dict, problems: list, **held):
+    """``owner`` from its parsed fields; if it breaks a rule, its violations join
+    ``problems`` under their config keys and its defaults stand in."""
+    try:
+        return owner(**values[owner], **held)
+    except ConfigurationError as exc:
+        keys = {name: key for key, (o, name, _) in _KEYS.items() if o is owner}
+        for violation in exc.violations:
+            name, _, rule = violation.partition(" ")
+            problems.append(f"{keys.get(name, name)} {rule}")
+        return owner(**held)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document, reporting every violation."""
+    """Parse a config document into an ExperimentConfig, reporting every violation."""
     problems = []
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -187,54 +187,33 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"line {lineno}: duplicate key {key}")
         pairs[key] = value
 
-    known = {*_REQUIRED_KEYS, *_OPTIONAL_KEYS, "sweep.param", "sweep.values"}
-    for key in pairs:
-        if key not in known:
+    values = {owner: {} for owner, _, _ in _KEYS.values()}
+    for key, raw in pairs.items():
+        if key not in _KEYS:
             problems.append(f"unknown key: {key}")
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
-            problems.append(f"missing required key: {key}")
-    if problems and any(p.startswith("missing required key") for p in problems):
-        raise ConfigurationError(problems)
-
-    kwargs = dict(
-        family=pairs["environment.family"],
-        m=_parse_scalar(pairs["environment.m"], int, "environment.m", problems),
-        K=_parse_scalar(pairs["environment.K"], int, "environment.K", problems),
-        d=_parse_scalar(pairs["environment.d"], int, "environment.d", problems),
-        T=_parse_scalar(pairs["environment.T"], int, "environment.T", problems),
-        budget_spec=pairs["environment.B"],
-        noise_variance=_parse_scalar(pairs["environment.noise_variance"], float,
-                                     "environment.noise_variance", problems),
-        algorithms=tuple(a.strip() for a in pairs["algorithm.list"].split(",") if a.strip()),
-        seeds_count=_parse_scalar(pairs["seeds.count"], int, "seeds.count", problems),
-        seeds_base=_parse_scalar(pairs["seeds.base"], int, "seeds.base", problems),
-    )
-    for key, (name, kind) in _OPTIONAL_KEYS.items():
-        if key in pairs:
-            kwargs[name] = _parse_scalar(pairs[key], kind, key, problems)
-
-    sweep_param = pairs.get("sweep.param")
-    sweep_values_raw = pairs.get("sweep.values")
-    if (sweep_param is None) != (sweep_values_raw is None):
+            continue
+        owner, name, kind = _KEYS[key]
+        value = _parse(raw, kind, key, problems)
+        if value is not None:
+            values[owner][name] = value
+    missing = [f"missing required key: {key}" for key in _REQUIRED if key not in pairs]
+    if missing:
+        raise ConfigurationError(problems + missing)
+    experiment = values[ExperimentConfig]
+    if ("sweep.param" in pairs) != ("sweep.values" in pairs):
         problems.append("sweep.param and sweep.values must be given together")
-    if sweep_param is None:  # sweep the base horizon alone
-        T = kwargs["T"]
-        kwargs["sweep_values"] = (T,) if T is not None else ()
-    else:
-        kwargs["sweep_param"] = sweep_param
-        kwargs["sweep_values"] = tuple(
-            v for v in (
-                _parse_scalar(x.strip(), int, "sweep.values", problems)
-                for x in sweep_values_raw.split(",") if x.strip()
-            ) if v is not None
-        )
+    elif "sweep.param" not in pairs and "T" in experiment:  # sweep the base horizon alone
+        experiment["sweep_values"] = (experiment["T"],)
+    raise_if_any(problems)
 
-    if problems:
-        raise ConfigurationError(problems)
-
-    config = ExperimentConfig(**kwargs)
-    config.validate()
+    policy = _build(PolicyConfig, values, problems)
+    held = {"twostage": _build(TwoStageConfig, values, problems, policy=policy),
+            "linucb": _build(LinUcbConfig, values, problems)}
+    try:
+        config = ExperimentConfig(**experiment, **held)
+    except ConfigurationError as exc:
+        problems += exc.violations
+    raise_if_any(problems)
     return config
 
 
@@ -258,21 +237,13 @@ class SweepResult:
     aggregates: list = field(default_factory=list)  # (algorithm, value, mean, std)
 
     def recompute_aggregates(self) -> None:
-        keys = []
-        for row in self.rows:
-            key = (row.algorithm, row.sweep_value)
-            if key not in keys:
-                keys.append(key)
         self.aggregates = []
-        for alg, value in keys:
+        for alg, value in dict.fromkeys((r.algorithm, r.sweep_value) for r in self.rows):
             regrets = np.array([r.regret for r in self.rows
                                 if r.algorithm == alg and r.sweep_value == value])
             finite = regrets[np.isfinite(regrets)]
-            if finite.size:
-                self.aggregates.append((alg, value, float(finite.mean()),
-                                        float(finite.std())))
-            else:
-                self.aggregates.append((alg, value, float("nan"), float("nan")))
+            stats = (float(finite.mean()), float(finite.std())) if finite.size else (math.nan,) * 2
+            self.aggregates.append((alg, value, *stats))
 
 
 def build_env(config: ExperimentConfig, value=None):
@@ -292,18 +263,13 @@ def _run_cell(spec: dict) -> SweepRow:
     try:
         env = build_env(config, value)
         rng = np.random.default_rng(seed)
+        policy = config.twostage.policy
         if alg == "linucb":
-            trace = run_linucb(env, LinUcbConfig(confidence_scale=config.confidence), rng)
+            trace = run_linucb(env, config.linucb, rng)
+        elif alg == "twostage":
+            trace = run_twostage(env, replace(config.twostage, policy=replace(policy, z=None)), rng)
         else:
-            twostage = alg == "twostage"
-            policy = PolicyConfig(oracle=config.twostage_oracle if twostage else alg,
-                                  gamma=config.gamma, z=None if twostage else config.z,
-                                  bound_scale=config.bound_scale, eta_scale=config.eta_scale)
-            if twostage:
-                trace = run_twostage(env, TwoStageConfig(t0=config.t0, err_scale=config.err_scale,
-                                                         policy=policy), rng)
-            else:
-                trace = run_squarecbwk(env, policy, rng)
+            trace = run_squarecbwk(env, replace(policy, oracle=alg), rng)
         opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(),
                                       env.instance.budget_rate)
         regret = realized_regret(trace, opt, env.instance.T)

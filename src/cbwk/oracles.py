@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+ORACLE_KINDS = ("glmtron", "ogd")
 PROJECTION_BISECTIONS = 20
 _REINIT_DENOM_TOL = 1e-12
 
@@ -100,7 +101,7 @@ class VectorPredictor:
 
     def __init__(self, kind: str, d: int, dim: int, *, stacks: int = 1,
                  link: str = "identity", eta_scale: float = 1.0):
-        if kind not in ("ogd", "glmtron"):
+        if kind not in ORACLE_KINDS:
             raise ConfigurationError(f"unknown oracle kind {kind!r}")
         if link not in _LINKS:
             raise ConfigurationError(f"unknown link {link!r}")
@@ -184,8 +185,9 @@ class VectorPredictor:
             if unstable:
                 denom[bad] = 1.0
             self.A_inv -= q * q.swapaxes(1, 2) / denom
-            if unstable or not np.logical_and.reduce(np.isfinite(self.A_inv), axis=None):
-                self._reinitialize(np.array(bad) | ~np.isfinite(self.A_inv).all(axis=(1, 2)))
+            both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
+            if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
+                self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
 
             v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
             norms = _row_norms(v)
@@ -204,7 +206,7 @@ class VectorPredictor:
             over = norms[s] > 1.0
             try:
                 v[s, over] = _project_a_norm(self.A[s], v[s, over], norms[s, over])
-            except np.linalg.LinAlgError:  # eigh did not converge: restart the metric
+            except np.linalg.LinAlgError:  # eigh failed: restart the metric
                 self._reset(s)
                 v[s, over] = _project_a_norm(self.A[s], v[s, over], norms[s, over])
         if not np.isfinite(v).all():  # a Gram matrix near overflow breaks the projection
@@ -241,6 +243,8 @@ def _project_a_norm(A, v, norms):
     the final bracket is returned so the constraint is never violated.
     """
     eigvals, Q = np.linalg.eigh(A)
+    if not np.isfinite(eigvals).all():  # a Gram matrix near overflow can give NaN without raising
+        raise np.linalg.LinAlgError("eigenvalues are not finite")
     lz = eigvals * np.einsum("ji,rj->ri", Q, v)
     lo = np.zeros(v.shape[0])
     hi = eigvals[-1] * (norms - 1.0)

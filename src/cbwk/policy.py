@@ -15,15 +15,15 @@ import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .dual import DualState, dual_init, dual_lambda, dual_update
-from .errors import ConfigurationError
-from .oracles import OracleBoundSpec, bound_spec, make_vector_predictor
+from .errors import raise_if_any, range_violations
+from .oracles import ORACLE_KINDS, OracleBoundSpec, bound_spec, make_vector_predictor
 # make_predictor is kept for perfbench/tracer.py, which patches it
 from .oracles import make_predictor  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
-    """Knobs for one run.
+    """Knobs for one run; constructing one checks every field.
 
     ``gamma`` and ``z`` default to the learning rate derived from the oracle
     family's regret bounds and to T/B respectively.  ``bound_scale`` is the
@@ -37,10 +37,11 @@ class PolicyConfig:
     eta_scale: float = 1.0
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive (got {self.gamma})")
-        if self.z is not None and self.z <= 0:
-            raise ConfigurationError(f"z must be positive (got {self.z})")
+        problems = range_violations(vars(self), (("gamma", ">", 0), ("z", ">", 0),
+                                                 ("bound_scale", ">=", 0), ("eta_scale", ">", 0)))
+        if self.oracle not in ORACLE_KINDS:
+            problems.append(f"oracle must be {' or '.join(ORACLE_KINDS)} (got {self.oracle!r})")
+        raise_if_any(problems)
 
 
 def gamma_default(K: int, T: int, bounds: OracleBoundSpec, Z: float) -> float:

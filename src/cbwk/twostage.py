@@ -11,21 +11,21 @@ horizon and budget.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_if_any, range_violations
 # solve_lp is kept for perfbench/tracer.py, which patches it
 from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
 from .oracles import BatchPredictor, online_to_batch
 from .policy import PolicyConfig, run_squarecbwk
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoStageConfig:
-    """Knobs for one two-stage run.
+    """Knobs for one two-stage run; constructing one checks every field.
 
     ``policy`` serves both phases: its oracle family and eta_scale fit phase
     one and learn in phase 2, and its gamma and bound_scale size phase 2's
@@ -34,11 +34,10 @@ class TwoStageConfig:
 
     t0: int | None = None  # per-arm exploration length; default from t0_default
     err_scale: float = 1.0  # leading constant of the estimation-error bounds
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    policy: PolicyConfig = PolicyConfig()
 
     def __post_init__(self):
-        if self.t0 is not None and self.t0 < 1:
-            raise ConfigurationError(f"t0 must be >= 1 (got {self.t0})")
+        raise_if_any(range_violations(vars(self), (("t0", ">=", 1), ("err_scale", ">=", 0))))
 
 
 def t0_default(m: int, d: int, K: int, T: int) -> int:

@@ -159,7 +159,8 @@ def _scaling_config(sweep_param, values, m, seeds_base):
         family="fixed_linear", m=m, K=3, d=4, T=2000, budget_spec="T",
         noise_variance=0.2, mode="replication",
         algorithms=("glmtron", "ogd", "linucb"),
-        bound_scale=BOUND_SCALE, confidence=CONFIDENCE,
+        twostage=TwoStageConfig(policy=PolicyConfig(bound_scale=BOUND_SCALE)),
+        linucb=LinUcbConfig(CONFIDENCE),
         sweep_param=sweep_param, sweep_values=tuple(values),
         seeds_count=10, seeds_base=seeds_base, output_dir="results/acceptance",
     )

@@ -2,11 +2,13 @@ import ctypes
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbwk import harness
+from cbwk.baseline import LinUcbConfig
 from cbwk.errors import ConfigurationError
 from cbwk.harness import (
     CSV_HEADER,
@@ -18,6 +20,8 @@ from cbwk.harness import (
     run_sweep,
     write_csv,
 )
+from cbwk.policy import PolicyConfig
+from cbwk.twostage import TwoStageConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -82,10 +86,53 @@ def test_required_keys_alone_take_the_dataclass_defaults():
                 "algorithm.bound_scale = 0.01\nalgorithm.eta_scale = 0.7\n"
                 "algorithm.err_scale = 0.2\nalgorithm.twostage_oracle = ogd\n"
                 "sweep.param = K\nsweep.values = 3, 4\n")
+    policy = PolicyConfig(oracle="ogd", gamma=2.5, z=1.5, bound_scale=0.01, eta_scale=0.7)
     assert parse_config(REQUIRED_ONLY + optional) == ExperimentConfig(
-        **required, mode="bounded", null_arm=True, output_dir="out", gamma=2.5, z=1.5,
-        t0=3, confidence=0.5, bound_scale=0.01, eta_scale=0.7, err_scale=0.2,
-        twostage_oracle="ogd", sweep_param="K", sweep_values=(3, 4))
+        **required, mode="bounded", null_arm=True, output_dir="out",
+        twostage=TwoStageConfig(t0=3, err_scale=0.2, policy=policy),
+        linucb=LinUcbConfig(confidence_scale=0.5), sweep_param="K", sweep_values=(3, 4))
+
+
+def test_an_invalid_experiment_config_cannot_be_built():
+    config = parse_config(TINY_CONFIG)
+    for change, message in (({"seeds_count": 0}, "seeds.count must be >= 1"),
+                            ({"seeds_base": -3}, "seeds.base must be >= 0"),
+                            ({"noise_variance": float("inf")}, "noise_variance must be finite"),
+                            ({"sweep_param": "K", "sweep_values": (1,)},
+                             "sweep value 1: K >= 2 violated")):
+        with pytest.raises(ConfigurationError, match=message):
+            replace(config, **change)
+
+
+# (run config, field, config key, bad values): every rule a run config checks
+# in its constructor, covering negatives, 0 where the rule is > 0, NaN, inf
+# and an unknown oracle
+_NAN, _INF = float("nan"), float("inf")
+RUN_CONFIG_RULES = (
+    (PolicyConfig, "gamma", "algorithm.gamma", (-1.0, 0.0, _NAN, _INF, -_INF)),
+    (PolicyConfig, "z", "algorithm.z", (-1.0, 0.0, _NAN, _INF)),
+    (PolicyConfig, "eta_scale", "algorithm.eta_scale", (-2.0, 0.0, _NAN, _INF)),
+    (PolicyConfig, "bound_scale", "algorithm.bound_scale", (-1.0, _NAN, _INF)),
+    (PolicyConfig, "oracle", "algorithm.twostage_oracle", ("linucb", "sgd")),
+    (TwoStageConfig, "t0", "algorithm.t0", (-1, 0)),
+    (TwoStageConfig, "err_scale", "algorithm.err_scale", (-0.5, _NAN, _INF)),
+    (LinUcbConfig, "confidence_scale", "algorithm.confidence", (-3.0, _NAN, _INF)),
+)
+
+
+@pytest.mark.parametrize("config_type, name, key, value", [
+    pytest.param(config_type, name, key, value, id=f"{key}={value}")
+    for config_type, name, key, values in RUN_CONFIG_RULES for value in values])
+def test_one_validator_for_library_and_config_file(config_type, name, key, value):
+    # the library constructor refuses the value, and the config file reports
+    # the library's own violation under the key that sets the field
+    with pytest.raises(ConfigurationError) as lib:
+        config_type(**{name: value})
+    (violation,) = lib.value.violations
+    assert violation.startswith(f"{name} ")
+    with pytest.raises(ConfigurationError) as parsed:
+        parse_config(TINY_CONFIG + f"\n{key} = {value}\n")
+    assert parsed.value.violations == [key + violation[len(name):]]
 
 
 def test_k_equals_m_rejected_with_named_constraint():
@@ -365,30 +412,40 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    # out-of-range algorithm.* numbers are refused before any cell runs; they
-    # used to fail every cell (bound_scale, gamma, z, t0) or run silently
-    # (confidence, eta_scale)
-    for key, value, bound in (("bound_scale", "-1", ">= 0"), ("gamma", "-1", "> 0"),
-                              ("z", "0", "> 0"), ("t0", "0", ">= 1"),
-                              ("confidence", "-3", ">= 0"), ("eta_scale", "-2", "> 0"),
-                              ("eta_scale", "0", "> 0"), ("err_scale", "-0.5", ">= 0"),
-                              ("gamma", "nan", "> 0")):
+    # out-of-range and non-finite numbers are refused before any cell runs;
+    # run late, they fail every cell, run silently or draw NaN outcomes
+    for key, value, message in (
+            ("algorithm.bound_scale", "-1", "algorithm.bound_scale >= 0 violated"),
+            ("algorithm.gamma", "-1", "algorithm.gamma > 0 violated"),
+            ("algorithm.z", "0", "algorithm.z > 0 violated"),
+            ("algorithm.t0", "0", "algorithm.t0 >= 1 violated"),
+            ("algorithm.confidence", "-3", "algorithm.confidence >= 0 violated"),
+            ("algorithm.eta_scale", "-2", "algorithm.eta_scale > 0 violated"),
+            ("algorithm.eta_scale", "0", "algorithm.eta_scale > 0 violated"),
+            ("algorithm.err_scale", "-0.5", "algorithm.err_scale >= 0 violated"),
+            ("algorithm.gamma", "nan", "algorithm.gamma > 0 violated"),
+            ("algorithm.gamma", "inf", "algorithm.gamma must be finite (got inf)"),
+            ("algorithm.z", "inf", "algorithm.z must be finite (got inf)"),
+            ("algorithm.eta_scale", "inf", "algorithm.eta_scale must be finite (got inf)"),
+            ("algorithm.bound_scale", "inf", "algorithm.bound_scale must be finite (got inf)"),
+            ("algorithm.confidence", "inf", "algorithm.confidence must be finite (got inf)"),
+            ("environment.noise_variance", "nan", "noise_variance >= 0 violated (got nan)"),
+            ("environment.noise_variance", "inf", "noise_variance must be finite (got inf)"),
+            ("seeds.base", "-3", "seeds.base must be >= 0 (got -3)")):
         cfg = tmp_path / f"{key}{value}.conf"
-        cfg.write_text(TINY_CONFIG + f"\nalgorithm.{key} = {value}\n")
+        cfg.write_text("\n".join(line for line in TINY_CONFIG.splitlines()
+                                 if not line.startswith(key + " ")) + f"\n{key} = {value}\n")
         out = tmp_path / f"{key}{value}"
         capsys.readouterr()
         assert main(["run", str(cfg), "--out", str(out)]) == 1
-        assert f"algorithm.{key} {bound} violated" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
-    # a NaN noise variance ran every cell on NaN outcomes and exited 0
-    cfg = tmp_path / "nan_noise.conf"
-    cfg.write_text(TINY_CONFIG.replace("noise_variance = 0.2", "noise_variance = nan"))
-    capsys.readouterr()
-    assert main(["run", str(cfg), "--out", str(tmp_path / "nan_noise")]) == 1
-    assert "noise_variance >= 0 violated (got nan)" in capsys.readouterr().err
-    # greedy LinUCB (confidence 0) and unscaled bounds stay valid
-    config = parse_config(TINY_CONFIG + "\nalgorithm.confidence = 0\nalgorithm.bound_scale = 0\n")
-    assert config.confidence == 0.0 and config.bound_scale == 0.0
+    # greedy LinUCB (confidence 0), unscaled bounds, exact error radii and one
+    # pull per arm stay valid
+    config = parse_config(TINY_CONFIG + "\nalgorithm.confidence = 0\nalgorithm.bound_scale = 0\n"
+                          "algorithm.err_scale = 0\nalgorithm.t0 = 1\n")
+    assert config.linucb.confidence_scale == 0.0 and config.twostage.policy.bound_scale == 0.0
+    assert config.twostage.err_scale == 0.0 and config.twostage.t0 == 1
 
     # a sweep with failed cells still writes its CSV, but exits 2
     failing = tmp_path / "failing.conf"

@@ -138,9 +138,9 @@ def test_glmtron_zeroes_a_finite_row_whose_norm_overflows():
 
 
 def test_glmtron_restarts_a_stack_whose_projection_fails():
-    # A Gram matrix that overflowed while its inverse stayed finite passes the
-    # reinitialization test, but eigh cannot decompose it.  The stack whose
-    # iterate leaves the ball restarts at the identity metric, counts one
+    # A Gram matrix that overflowed while its inverse stayed finite would
+    # break the projection's eigendecomposition.  The stack whose iterate
+    # leaves the ball restarts at the identity metric, counts one
     # reinitialization and is projected in that metric; the other stack is
     # what a one-stack oracle fed its samples gives.
     sign = np.array([1.0, -1.0, -1.0])
@@ -154,6 +154,41 @@ def test_glmtron_restarts_a_stack_whose_projection_fails():
     calm = VectorPredictor("glmtron", 1, 3)
     calm.update(phi, np.array([4.0]))
     assert (o.theta[1] == calm.theta[0]).all() and (o.A[1] == calm.A[0]).all()
+
+
+def test_glmtron_restarts_a_stack_whose_gram_matrix_overflows():
+    # The second sample overflows A += phi phi^T to inf while A_inv stays
+    # finite, so the denominator 1 + phi.A_inv.phi (about 1e10) passes.  The
+    # reinitialization test also sees A: that stack restarts at the identity
+    # metric and counts one reinitialization; the other stack is untouched.
+    big, calm_phi = np.array([1e154, 0.5]), np.array([0.5, 0.5])
+    o = VectorPredictor("glmtron", 1, 2, stacks=2)
+    calm = VectorPredictor("glmtron", 1, 2)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            o.update(np.array([big, calm_phi]), np.array([[4.0], [4.0]]))
+            calm.update(calm_phi, np.array([4.0]))
+    assert o.reinit_count == 1
+    assert (o.A[0] == np.eye(2)).all() and (o.A_inv[0] == np.eye(2)).all()
+    assert np.isfinite(o.theta).all()
+    assert (o.theta[1] == calm.theta[0]).all() and (o.A[1] == calm.A[0]).all()
+
+
+def test_projection_restarts_a_metric_whose_eigenvalues_are_not_finite():
+    # eigh returns NaN eigenvalues for this overflowed Gram matrix without
+    # raising.  The projection treats that as a failed decomposition, so the
+    # stack restarts at the identity metric and its row is projected there
+    # instead of being zeroed.
+    A = np.array([[np.inf, 5e154], [5e154, 1.25]])
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+        oracles._project_a_norm(A, np.array([[3.0, 4.0]]), np.array([5.0]))
+    o = VectorPredictor("glmtron", 1, 2)
+    o.A[0] = A
+    v = np.array([[[3.0, 4.0]]])
+    with np.errstate(all="ignore"):
+        o._project(v, np.array([[5.0]]))
+    assert o.reinit_count == 1 and (o.A[0] == np.eye(2)).all()
+    assert np.allclose(v[0, 0], [0.6, 0.8])
 
 
 def test_glmtron_regret_contract_on_realizable_stream():
