@@ -7,7 +7,6 @@ from .core import (
     ArmFeatures,
     EnvironmentSpec,
     ProblemInstance,
-    RoundOutcome,
     RunTrace,
     make_fixed_linear_env,
     make_glm_env,

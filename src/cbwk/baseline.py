@@ -17,7 +17,7 @@ import numpy as np
 # sample_outcome, dual_lambda and dual_update are kept for perfbench/tracer.py, which patches them
 from .core import EnvironmentSpec, RunTrace, sample_outcome  # noqa: F401
 from .dual import dual_init, dual_lambda, dual_update  # noqa: F401
-from .errors import raise_if_any, range_violations
+from .errors import raise_if_any, range_violations, type_violations
 from .policy import run_rounds
 
 RIDGE = 1.0  # ridge regularizer: the Gram matrix starts at RIDGE * I
@@ -30,7 +30,8 @@ class LinUcbConfig:
     confidence_scale: float = 1.0
 
     def __post_init__(self):
-        raise_if_any(range_violations(vars(self), (("confidence_scale", ">=", 0),)))
+        raise_if_any(type_violations(self)
+                     or range_violations(vars(self), (("confidence_scale", ">=", 0),)))
 
 
 def confidence_width(m: int, t: int, scale: float) -> float:
@@ -48,7 +49,6 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
 
     a_inv = np.eye(r) / RIDGE
     b_vec = np.zeros((1 + d, r))
-    targets = np.empty(1 + d)
     one_hot = np.eye(K)
 
     def estimate(t):
@@ -62,14 +62,12 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
         arm = int(scores.argmax())
         return arm, one_hot[arm]
 
-    def learn(arm, outcome):
+    def learn(arm, y):
         nonlocal a_inv, b_vec
         phi = Phi[arm]
         q = a_inv @ phi
         a_inv -= q[:, None] * q / (1.0 + q @ phi)
-        targets[0] = outcome.reward
-        targets[1:] = outcome.cost
-        b_vec += targets[:, None] * phi
+        b_vec += y[:, None] * phi
 
     return run_rounds(env, dual_init(d, T / B, T), estimate, choose, learn, rng,
                       dual_radius=T / B)

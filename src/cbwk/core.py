@@ -6,10 +6,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, raise_if_any, range_violations
+from .errors import ConfigurationError, raise_if_any, range_violations, type_violations
 
 SQRT2 = math.sqrt(2.0)
 _NOISE_RULE = (("noise_variance", ">=", 0),)  # finite too: an infinite variance draws NaN
+_INSTANCE_RULES = (("T", ">=", 1), ("d", ">=", 1), ("K", ">=", 2))
 
 
 @dataclass(frozen=True)
@@ -22,20 +23,20 @@ class ProblemInstance:
     K: int
 
     def __post_init__(self):
-        problems = []
-        if self.T < 1:
-            problems.append(f"T must be >= 1 (got {self.T})")
-        if not (1 <= self.B <= self.T):
-            problems.append(f"B must satisfy 1 <= B <= T (got B={self.B}, T={self.T})")
-        if self.d < 1:
-            problems.append(f"d must be >= 1 (got {self.d})")
-        if self.K < 2:
-            problems.append(f"K must be >= 2 (got {self.K})")
-        raise_if_any(problems)
+        raise_if_any(type_violations(self) or instance_violations(self.T, self.B, self.d, self.K))
 
     @property
     def budget_rate(self) -> float:
         return self.B / self.T
+
+
+def instance_violations(T: int, B: float | None, d: int, K: int) -> list:
+    """Rules of a ``ProblemInstance`` broken by (T, B, d, K); B is checked only
+    against a valid T, and not at all when None (it could not be resolved)."""
+    problems = range_violations({"T": T, "d": d, "K": K}, _INSTANCE_RULES)
+    if B is not None and T >= 1 and not 1 <= B <= T:
+        problems.append(f"1 <= B <= T violated (B={B}, T={T})")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,6 @@ class ArmFeatures:
         span = self.phi[:, (self.phi != 0.0).any(axis=0)]
         span.flags.writeable = False
         return span
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    reward: float
-    cost: np.ndarray  # (d,)
 
 
 @dataclass(frozen=True)
@@ -156,14 +151,6 @@ class EnvironmentSpec:
             out[-1] = 0.0
         return out
 
-    def expected_rewards(self) -> np.ndarray:
-        """Exact per-arm expected realized reward (mode-aware)."""
-        return self.expected_outcomes()[:, 0]
-
-    def expected_costs(self) -> np.ndarray:
-        """Exact per-arm expected realized cost matrix (K, d)."""
-        return self.expected_outcomes()[:, 1:]
-
 
 def clipped_gaussian_mean(mu, variance: float):
     """E[clip(X, 0, 1)] for X ~ N(mu, variance), elementwise."""
@@ -184,24 +171,14 @@ def _erf(x):
 
 def fixed_linear_violations(m: int, K: int, d: int, noise_variance: float, T: int,
                             B: float | None) -> list:
-    """Rules of the fixed-linear benchmark broken by its parameters.
-
-    ``B`` is None when it could not be resolved; it is checked only against a
-    valid T.
-    """
-    problems = []
+    """Rules of the fixed-linear benchmark broken by its parameters, its instance's first."""
+    problems = instance_violations(T, B, d, K)
     if m < 6:
         problems.append(f"m >= 6 violated (m={m})")
-    if K < 2:
-        problems.append(f"K >= 2 violated (K={K})")
     if K > m - 1:
         problems.append(f"K <= m-1 violated (K={K}, m={m})")
     if not 4 <= d <= m - 1:
         problems.append(f"4 <= d <= m-1 violated (d={d}, m={m})")
-    if T < 1:
-        problems.append(f"T >= 1 violated (T={T})")
-    elif B is not None and not 1 <= B <= T:
-        problems.append(f"1 <= B <= T violated (B={B}, T={T})")
     return problems + range_violations({"noise_variance": noise_variance}, _NOISE_RULE)
 
 
@@ -281,8 +258,8 @@ def make_glm_env(
     )
 
 
-def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> RoundOutcome:
-    """Draw one round's reward and cost vector for the pulled arm.
+def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one round's outcome row y = [reward | costs], shape (1+d,), for the pulled arm.
 
     The draws are added to the arm's cached row of ``env.outcome_means``.
     """
@@ -290,7 +267,7 @@ def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> 
     if not 0 <= arm < K:
         raise IndexError(f"arm {arm} out of range [0, {K})")
     if env.null_arm and arm == K - 1:
-        return RoundOutcome(reward=0.0, cost=np.zeros(d))
+        return np.zeros(1 + d)
 
     raw = env.outcome_means[arm]
     if env.outcome_model == "bernoulli":
@@ -299,21 +276,21 @@ def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> 
         vals = raw + rng.normal(0.0, math.sqrt(env.noise_variance), 1 + d)
         if env.bounded:
             vals.clip(0.0, 1.0, out=vals)
-    return RoundOutcome(reward=float(vals[0]), cost=vals[1:])
+    return vals
 
 
 @dataclass
 class RunTrace:
     """Record of one policy run.
 
-    Per-round arrays are truncated at the stopping time tau.  ``rhat`` and
-    ``lam`` hold NaN for rounds where the policy made no oracle prediction
-    (e.g. forced-exploration rounds).
+    Per-round arrays are truncated at the stopping time tau; ``outcomes[t]``
+    is round t's [reward | costs] row, and ``rewards`` and ``costs`` view its
+    columns.  ``rhat`` and ``lam`` hold NaN for rounds where the policy made
+    no oracle prediction (e.g. forced-exploration rounds).
     """
 
     arms: np.ndarray  # (tau,) int
-    rewards: np.ndarray  # (tau,)
-    costs: np.ndarray  # (tau, d)
+    outcomes: np.ndarray  # (tau, 1+d)
     probs: np.ndarray  # (tau, K)
     rhat: np.ndarray  # (tau, K)
     lam: np.ndarray  # (tau, d)
@@ -324,6 +301,14 @@ class RunTrace:
     aborted_in_exploration: bool = False
     gamma: float = field(default=float("nan"))
     dual_radius: float = field(default=float("nan"))
+
+    @property
+    def rewards(self) -> np.ndarray:  # (tau,)
+        return self.outcomes[:, 0]
+
+    @property
+    def costs(self) -> np.ndarray:  # (tau, d)
+        return self.outcomes[:, 1:]
 
 
 def realized_regret(trace: RunTrace, opt_per_round: float, T: int) -> float:

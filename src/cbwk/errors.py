@@ -1,6 +1,9 @@
-"""Shared exception types, and the range check every config states its rules with."""
+"""Shared exception types, and the type and range checks every config states its rules with."""
 
 import math
+import numbers
+from dataclasses import fields
+from typing import get_args, get_origin
 
 
 class ConfigurationError(ValueError):
@@ -24,6 +27,23 @@ def raise_if_any(problems: list) -> None:
     """Raise one ConfigurationError listing ``problems``, if there are any."""
     if problems:
         raise ConfigurationError(problems)
+
+
+def type_violations(config) -> list:
+    """``<name> must be an integer`` (or ``a number``) for each field of the dataclass
+    ``config`` annotated int (or float) that holds another type, None (unset) aside;
+    a ``tuple[int, ...]`` field is checked item by item.  An int is a number; a bool
+    is neither."""
+    problems = []
+    for f in fields(config):
+        kinds, value = get_args(f.type) or (f.type,), getattr(config, f.name)
+        items = value if get_origin(f.type) is tuple else (value,)
+        for kind, want, what in ((int, numbers.Integral, "an integer"),
+                                 (float, numbers.Real, "a number")):
+            problems += [f"{f.name} must be {what} (got {item!r})" for item in items
+                         if kind in kinds and item is not None
+                         and (isinstance(item, bool) or not isinstance(item, want))]
+    return problems
 
 
 def range_violations(values: dict, rules) -> list:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baseline import LinUcbConfig, run_linucb
 from .core import fixed_linear_violations, make_fixed_linear_env, realized_regret
-from .errors import ConfigurationError, raise_if_any
+from .errors import ConfigurationError, raise_if_any, type_violations
 from .lp import exact_opt_fixed_context
 from .policy import PolicyConfig, run_squarecbwk
 from .twostage import TwoStageConfig, run_twostage
@@ -33,10 +33,11 @@ class ExperimentConfig:
     """One sweep: environment, algorithms and their run configs, grid and seeds.
 
     Constructing one checks every rule it breaks and reports them together,
-    so a config that exists is valid.  The environment rules are checked for
-    the base values and for every sweep value.  ``twostage.policy`` is the
-    one policy config: glmtron and ogd cells run it with their own oracle,
-    two-stage cells with z unset, so that phase one estimates the radius.
+    so a config that exists is valid.  The environment rules, and phase one's
+    when two-stage runs, are checked for the base values and for every sweep
+    value.  ``twostage.policy`` is the one policy config: glmtron and ogd
+    cells run it with their own oracle, two-stage cells with z unset, so that
+    phase one estimates the radius.
     """
 
     family: str
@@ -54,10 +55,11 @@ class ExperimentConfig:
     twostage: TwoStageConfig = TwoStageConfig()
     linucb: LinUcbConfig = LinUcbConfig()
     sweep_param: str = "T"
-    sweep_values: tuple = ()
+    sweep_values: tuple[int, ...] = ()
     output_dir: str = "results"
 
     def __post_init__(self):
+        raise_if_any(type_violations(self))
         problems = []
         if self.family != "fixed_linear":
             problems.append(f"environment.family must be fixed_linear (got {self.family!r})")
@@ -85,13 +87,19 @@ class ExperimentConfig:
         raise_if_any(problems)
 
     def _environment_violations(self, params: dict) -> list:
-        """Rules of the fixed-linear environment broken at one (m, K, d, T)."""
+        """Rules of the environment, and of phase one if two-stage runs, at one (m, K, d, T)."""
         try:
             B, problems = self.resolve_budget(params["T"]), []
         except (ValueError, ZeroDivisionError):
             B, problems = None, [f"environment.B: cannot parse {self.budget_spec!r}"]
-        return problems + fixed_linear_violations(params["m"], params["K"], params["d"],
-                                                  self.noise_variance, params["T"], B)
+        problems += fixed_linear_violations(params["m"], params["K"], params["d"],
+                                            self.noise_variance, params["T"], B)
+        if not problems and "twostage" in self.algorithms:
+            try:
+                self.twostage.resolve_t0(params["m"], params["d"], params["K"], params["T"])
+            except ConfigurationError as exc:
+                problems += exc.violations
+        return problems
 
     def resolve_budget(self, T: int) -> float:
         spec = self.budget_spec.strip()
@@ -260,6 +268,8 @@ def _run_cell(spec: dict) -> SweepRow:
     started = time.perf_counter()
     config: ExperimentConfig = spec["config"]
     alg, value, seed = spec["algorithm"], spec["value"], spec["seed"]
+    row = SweepRow(algorithm=alg, sweep_param=config.sweep_param, sweep_value=int(value),
+                   seed=seed, regret=float("nan"), tau=0, total_reward=float("nan"))
     try:
         env = build_env(config, value)
         rng = np.random.default_rng(seed)
@@ -270,19 +280,14 @@ def _run_cell(spec: dict) -> SweepRow:
             trace = run_twostage(env, replace(config.twostage, policy=replace(policy, z=None)), rng)
         else:
             trace = run_squarecbwk(env, replace(policy, oracle=alg), rng)
-        opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(),
-                                      env.instance.budget_rate)
-        regret = realized_regret(trace, opt, env.instance.T)
-        return SweepRow(algorithm=alg, sweep_param=config.sweep_param,
-                        sweep_value=int(value), seed=seed, regret=float(regret),
-                        tau=int(trace.tau), total_reward=float(trace.total_reward),
-                        runtime_ms=(time.perf_counter() - started) * 1e3)
+        means = env.expected_outcomes()
+        opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], env.instance.budget_rate)
+        regret = float(realized_regret(trace, opt, env.instance.T))
+        row.regret, row.tau, row.total_reward = regret, int(trace.tau), float(trace.total_reward)
     except Exception as exc:  # per-row failure, never fatal to the sweep
-        return SweepRow(algorithm=alg, sweep_param=config.sweep_param,
-                        sweep_value=int(value), seed=seed, regret=float("nan"),
-                        tau=0, total_reward=float("nan"),
-                        runtime_ms=(time.perf_counter() - started) * 1e3,
-                        error=f"{type(exc).__name__}: {exc}")
+        row.error = f"{type(exc).__name__}: {exc}"
+    row.runtime_ms = (time.perf_counter() - started) * 1e3
+    return row
 
 
 def _one_blas_thread() -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .dual import DualState, dual_init, dual_lambda, dual_update
-from .errors import raise_if_any, range_violations
+from .errors import raise_if_any, range_violations, type_violations
 from .oracles import ORACLE_KINDS, OracleBoundSpec, bound_spec, make_vector_predictor
 # make_predictor is kept for perfbench/tracer.py, which patches it
 from .oracles import make_predictor  # noqa: F401
@@ -37,8 +37,8 @@ class PolicyConfig:
     eta_scale: float = 1.0
 
     def __post_init__(self):
-        problems = range_violations(vars(self), (("gamma", ">", 0), ("z", ">", 0),
-                                                 ("bound_scale", ">=", 0), ("eta_scale", ">", 0)))
+        problems = type_violations(self) or range_violations(vars(self), (
+            ("gamma", ">", 0), ("z", ">", 0), ("bound_scale", ">=", 0), ("eta_scale", ">", 0)))
         if self.oracle not in ORACLE_KINDS:
             problems.append(f"oracle must be {' or '.join(ORACLE_KINDS)} (got {self.oracle!r})")
         raise_if_any(problems)
@@ -82,18 +82,17 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
     Each round ``estimate(t)`` gives every arm's reward and cost estimates
     (K,) and (K, d), the dual prices turn them into Lagrangian scores,
     ``choose(scores)`` picks an arm and its selection distribution, the
-    outcome is sampled, ``learn(arm, outcome)`` updates the estimator and the
-    dual takes its step.  The run stops the first round any resource's
-    cumulative consumption reaches B - 1.  ``summary`` (``gamma``,
-    ``dual_radius``) is copied onto the trace.
+    outcome row y = [reward | costs] is sampled, ``learn(arm, y)`` updates
+    the estimator and the dual takes its step.  The run stops the first round
+    any resource's cumulative consumption reaches B - 1.  ``summary``
+    (``gamma``, ``dual_radius``) is copied onto the trace.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
     budget_rate = inst.budget_rate
 
     arms = np.empty(T, dtype=np.int64)
-    rewards = np.empty(T)
-    costs = np.empty((T, d))
+    outcomes = np.empty((T, 1 + d))
     probs = np.empty((T, K))
     rhat_log = np.empty((T, K))
     lam_log = np.empty((T, d))
@@ -108,28 +107,28 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         lam = dual_lambda(dual)
         scores = lagrangian_scores(rhat, chat, lam, budget_rate)
         arm, p = choose(scores)
-        outcome = sample_outcome(env, arm, rng)
+        y = sample_outcome(env, arm, rng)
+        cost = y[1:]
 
         arms[t] = arm
-        rewards[t] = outcome.reward
-        costs[t] = outcome.cost
+        outcomes[t] = y
         probs[t] = p
         rhat_log[t] = rhat
         lam_log[t] = lam
 
-        total_reward += outcome.reward
-        cum_cost += outcome.cost
+        total_reward += y[0]
+        cum_cost += cost
 
-        learn(arm, outcome)
-        dual_update(dual, outcome.cost, budget_rate)
+        learn(arm, y)
+        dual_update(dual, cost, budget_rate)
 
         if np.fmax.reduce(cum_cost) >= exit_level:  # some resource at B - 1; NaN never is
             tau = t + 1
             break
 
-    return RunTrace(arms=arms[:tau], rewards=rewards[:tau], costs=costs[:tau],
-                    probs=probs[:tau], rhat=rhat_log[:tau], lam=lam_log[:tau],
-                    tau=tau, total_reward=total_reward, total_cost=cum_cost,
+    return RunTrace(arms=arms[:tau], outcomes=outcomes[:tau], probs=probs[:tau],
+                    rhat=rhat_log[:tau], lam=lam_log[:tau],
+                    tau=tau, total_reward=float(total_reward), total_cost=cum_cost,
                     stopped_early=tau < T, **summary)
 
 
@@ -153,7 +152,6 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link,
                                    eta_scale=config.eta_scale)
     samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
-    targets = np.empty((1, 1 + d))
 
     def estimate(t):
         preds = oracle.predict_matrix(phi)[0]
@@ -163,10 +161,8 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
         p = igw_distribution(scores, gamma)
         return _sample_arm(p, rng), p
 
-    def learn(arm, outcome):
-        targets[0, 0] = outcome.reward
-        targets[0, 1:] = outcome.cost
-        oracle.update(samples[arm], targets)
+    def learn(arm, y):
+        oracle.update(samples[arm], y)
 
     return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
                       gamma=gamma, dual_radius=Z)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EnvironmentSpec, RunTrace, sample_outcome
-from .errors import ConfigurationError, raise_if_any, range_violations
+from .errors import ConfigurationError, raise_if_any, range_violations, type_violations
 # solve_lp is kept for perfbench/tracer.py, which patches it
 from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
-from .oracles import BatchPredictor, online_to_batch
+from .oracles import BatchPredictor, bound_spec, online_to_batch
 from .policy import PolicyConfig, run_squarecbwk
 
 
@@ -37,16 +37,26 @@ class TwoStageConfig:
     policy: PolicyConfig = PolicyConfig()
 
     def __post_init__(self):
-        raise_if_any(range_violations(vars(self), (("t0", ">=", 1), ("err_scale", ">=", 0))))
+        raise_if_any(type_violations(self) or
+                     range_violations(vars(self), (("t0", ">=", 1), ("err_scale", ">=", 0))))
+
+    def resolve_t0(self, m: int, d: int, K: int, T: int) -> int:
+        """``t0``, or ``t0_default``'s when unset; raises unless phase one fits in T."""
+        t0 = self.t0 if self.t0 is not None else t0_default(m, d, K, T)
+        raise_if_any(exploration_violations(K, T, t0))
+        return t0
+
+
+def exploration_violations(K: int, T: int, t0: int) -> list:
+    """Phase one's one rule: its (K+1)*t0 rounds must fit in the horizon T."""
+    rounds = (K + 1) * t0
+    return [f"(K+1)*T0 = {rounds} exceeds T = {T}; reduce T0 or increase T"] if rounds > T else []
 
 
 def t0_default(m: int, d: int, K: int, T: int) -> int:
-    """Exploration length per arm for a linear class: ceil((m d)^(1/3) sqrt(T/K))."""
+    """Exploration length per arm for a linear class, if it fits: ceil((m d)^(1/3) sqrt(T/K))."""
     t0 = math.ceil((m * d) ** (1.0 / 3.0) * math.sqrt(T / K))
-    if (K + 1) * t0 >= T:
-        raise ConfigurationError(
-            f"(K+1)*T0 = {(K + 1) * t0} >= T = {T}; reduce T0 or increase T"
-        )
+    raise_if_any(exploration_violations(K, T, t0))
     return t0
 
 
@@ -54,19 +64,13 @@ def estimation_errors(oracle: str, m: int, d: int, t0: int, T: int,
                       scale: float = 1.0) -> tuple[float, float]:
     """Closed-form batch estimation-error bounds after T0 samples per arm.
 
-    Online-to-batch conversion inherits the online regret bound divided by the
-    sample count, times log T for the 1/T failure probability.
+    Online-to-batch conversion inherits the online regret bound (the oracle
+    family's ``bound_spec`` at t0) divided by the sample count, times log T
+    for the 1/T failure probability.
     """
-    log_t = math.log(T)
-    if oracle == "glmtron":
-        reg_r = m * max(1.0, math.log(t0))
-        reg_c = d * m * max(1.0, math.log(t0))
-    elif oracle == "ogd":
-        reg_r = math.sqrt(t0)
-        reg_c = d * math.sqrt(t0)
-    else:
-        raise ConfigurationError(f"unknown oracle kind {oracle!r}")
-    return scale * reg_r * log_t / t0, scale * reg_c * log_t / t0
+    bounds, log_t = bound_spec(oracle, m, d), math.log(T)
+    return (scale * bounds.reward_bound(t0) * log_t / t0,
+            scale * bounds.cost_bound(t0) * log_t / t0)
 
 
 def m_t0(t0: int, K: int, d: int, err_f: float, err_g: float, T: int) -> float:
@@ -94,38 +98,32 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
     """
     inst = env.instance
     K, d, B = inst.K, inst.d, inst.B
-    if (K + 1) * t0 > inst.T:
-        raise ConfigurationError(f"(K+1)*T0 = {(K + 1) * t0} exceeds T = {inst.T}")
+    raise_if_any(exploration_violations(K, inst.T, t0))
     exit_level = B - 1.0
 
     total_rounds = (K + 1) * t0
     arms = np.empty(total_rounds, dtype=np.int64)
-    rewards = np.empty(total_rounds)
-    costs = np.empty((total_rounds, d))
+    outcomes = np.empty((total_rounds, 1 + d))
     consumed = np.zeros(d)
-    aborted = False
 
-    n = 0
+    n, aborted = total_rounds, False
     for t in range(total_rounds):
         if t < K * t0:
             arm = t // t0
         else:
             arm = K - 1 if env.null_arm else int(rng.integers(K))
-        outcome = sample_outcome(env, arm, rng)
+        y = sample_outcome(env, arm, rng)
         arms[t] = arm
-        rewards[t] = outcome.reward
-        costs[t] = outcome.cost
-        consumed += outcome.cost
-        n = t + 1
+        outcomes[t] = y
+        consumed += y[1:]
         if (consumed >= exit_level).any():
-            aborted = True
+            n, aborted = t + 1, True
             break
 
-    probs = np.zeros((n, K))
-    probs[np.arange(n), arms[:n]] = 1.0
-    return RunTrace(arms=arms[:n], rewards=rewards[:n], costs=costs[:n], probs=probs,
+    probs = np.eye(K)[arms[:n]]
+    return RunTrace(arms=arms[:n], outcomes=outcomes[:n], probs=probs,
                     rhat=np.full((n, K), np.nan), lam=np.full((n, d), np.nan),
-                    tau=n, total_reward=float(rewards[:n].sum()), total_cost=consumed,
+                    tau=n, total_reward=float(outcomes[:n, 0].sum()), total_cost=consumed,
                     stopped_early=aborted, aborted_in_exploration=aborted)
 
 
@@ -167,7 +165,7 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     m = env.contexts.phi.shape[1]
     phi = env.contexts.span
     oracle, eta_scale = cfg.policy.oracle, cfg.policy.eta_scale
-    t0 = cfg.t0 if cfg.t0 is not None else t0_default(m, d, K, inst.T)
+    t0 = cfg.resolve_t0(m, d, K, inst.T)
 
     err_f, err_g = estimation_errors(oracle, m, d, t0, inst.T, cfg.err_scale)
     m_val = m_t0(t0, K, d, err_f, err_g, inst.T)
@@ -178,9 +176,7 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
                               m_val=m_val, z=None)
 
     # Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1: sample i of stack a is round a*t0 + i.
-    rows = slice(0, K * t0)
-    targets = np.concatenate([expl.rewards[rows].reshape(K, t0, 1),
-                              expl.costs[rows].reshape(K, t0, d)], axis=2).transpose(1, 0, 2)
+    targets = expl.outcomes[:K * t0].reshape(K, t0, 1 + d).transpose(1, 0, 2)
     fits = online_to_batch(oracle, np.broadcast_to(phi, (t0,) + phi.shape), targets,
                            link=env.link, eta_scale=eta_scale)
 
@@ -190,7 +186,7 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
                           m_val=m_val, z=z)
 
 
-_PER_ROUND = ("arms", "rewards", "costs", "probs", "rhat", "lam")
+_PER_ROUND = ("arms", "outcomes", "probs", "rhat", "lam")
 
 
 def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,

@@ -218,8 +218,8 @@ def test_criterion_8_radius_sandwich():
     with _report(8, "estimated dual radius within the two-sided envelope"):
         T, B = 2000, 1000
         env = make_fixed_linear_env(10, 3, 4, 0.01, T=T, B=B)
-        opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(),
-                                      B / T)
+        means = env.expected_outcomes()
+        opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], B / T)
         target = T * opt / B
         lower = upper = 0
         for seed in range(50):

@@ -24,8 +24,7 @@ def test_zero_confidence_is_greedy_and_locks_on():
     Phi = env.contexts.phi
     pulled = Phi[trace.arms[:at]]
     gram = np.eye(Phi.shape[1]) + pulled.T @ pulled
-    targets = np.column_stack([trace.rewards[:at], trace.costs[:at]])
-    means = Phi @ np.linalg.solve(gram, pulled.T @ targets)
+    means = Phi @ np.linalg.solve(gram, pulled.T @ trace.outcomes[:at])
     assert np.abs(trace.rhat[at] - means[:, 0]).max() <= 1e-9
     scores = means[:, 0] + (env.instance.budget_rate - means[:, 1:]) @ trace.lam[at]
     assert trace.arms[at] == np.argmax(scores)

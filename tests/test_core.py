@@ -36,8 +36,8 @@ def test_problem_instance_invariants():
 
 def test_benchmark_env_expected_values():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=1000, B=1000)
-    rewards = env.expected_rewards()
-    costs = env.expected_costs()
+    means = env.expected_outcomes()
+    rewards, costs = means[:, 0], means[:, 1:]
     # arm 1: 1/2 + 1/sqrt(2); other arms 1/2
     assert rewards[0] == pytest.approx(HALF_PLUS_INV_SQRT2, abs=1e-12)
     assert rewards[1] == pytest.approx(0.5, abs=1e-12)
@@ -63,8 +63,6 @@ def test_expected_outcomes_are_the_sampled_means():
     assert rows.shape == (3, 5)
     assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
     assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
-    assert (bounded.expected_rewards() == rows[:, 0]).all()
-    assert (bounded.expected_costs() == rows[:, 1:]).all()
     glm = make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full(2, 0.5),
                        np.full((2, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]], null_arm=True)
     assert (glm.outcome_means[-1] == 0.5).all() and (glm.expected_outcomes()[-1] == 0.0).all()
@@ -103,16 +101,16 @@ def test_glm_env_zero_parameter_means_half():
     inst = ProblemInstance(T=100, B=100, d=2, K=2)
     env = make_glm_env(inst, np.zeros(3), np.zeros((2, 3)),
                        np.eye(3)[:2] * 0.9)
-    assert np.allclose(env.expected_rewards(), 0.5)
-    assert np.allclose(env.expected_costs(), 0.5)
+    assert env.expected_outcomes().shape == (2, 3)
+    assert np.allclose(env.expected_outcomes(), 0.5)
 
 
 def test_glm_env_logistic_mean():
     inst = ProblemInstance(T=100, B=100, d=1, K=2)
     contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
     env = make_glm_env(inst, np.array([1.0, 0.0]), np.zeros((1, 2)), contexts)
-    assert env.expected_rewards()[0] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-9)
-    assert env.expected_rewards()[0] == pytest.approx(0.73106, abs=1e-5)
+    assert env.expected_outcomes()[0, 0] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-9)
+    assert env.expected_outcomes()[0, 0] == pytest.approx(0.73106, abs=1e-5)
 
 
 def test_glm_env_rejects_large_parameters():
@@ -126,9 +124,9 @@ def test_glm_outcomes_are_binary():
     env = make_glm_env(inst, np.array([0.5, 0.0]), np.zeros((2, 2)) + 0.3, np.eye(2) * 0.8)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = sample_outcome(env, 0, rng)
-        assert out.reward in (0.0, 1.0)
-        assert set(np.unique(out.cost)) <= {0.0, 1.0}
+        y = sample_outcome(env, 0, rng)
+        assert y.shape == (3,)
+        assert set(np.unique(y)) <= {0.0, 1.0}
 
 
 def test_null_arm_outcomes_identically_zero():
@@ -136,19 +134,18 @@ def test_null_arm_outcomes_identically_zero():
                                 bounded=True, null_arm=True)
     rng = np.random.default_rng(3)
     for _ in range(10**4):
-        out = sample_outcome(env, 2, rng)
-        assert out.reward == 0.0
-        assert (out.cost == 0.0).all()
+        y = sample_outcome(env, 2, rng)
+        assert y.shape == (5,) and (y == 0.0).all()
 
 
 def test_zero_noise_matches_analytic_means():
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=1000, B=1000)
     rng = np.random.default_rng(1)
-    out = sample_outcome(env, 1, rng)
-    assert out.reward == pytest.approx(0.5, abs=1e-12)
-    assert out.cost[0] == pytest.approx(HALF_PLUS_INV_SQRT2, abs=1e-12)
-    out = sample_outcome(env, 0, rng)
-    assert out.cost[0] == pytest.approx(0.5, abs=1e-12)
+    y = sample_outcome(env, 1, rng)  # [reward | costs]
+    assert y[0] == pytest.approx(0.5, abs=1e-12)
+    assert y[1] == pytest.approx(HALF_PLUS_INV_SQRT2, abs=1e-12)
+    y = sample_outcome(env, 0, rng)
+    assert y[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_arm_out_of_range():
@@ -161,7 +158,7 @@ def test_monte_carlo_mean_within_four_standard_errors():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=1000, B=1000)
     rng = np.random.default_rng(42)
     n = 10**5
-    draws = np.array([sample_outcome(env, 0, rng).reward for _ in range(n)])
+    draws = np.array([sample_outcome(env, 0, rng)[0] for _ in range(n)])
     se = math.sqrt(0.2 / n)
     assert abs(draws.mean() - HALF_PLUS_INV_SQRT2) <= 4 * se
 
@@ -169,14 +166,14 @@ def test_monte_carlo_mean_within_four_standard_errors():
 def test_bounded_mode_clips_and_adjusts_means():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=1000, B=1000, bounded=True)
     rng = np.random.default_rng(9)
-    draws = np.array([sample_outcome(env, 0, rng).reward for _ in range(2000)])
+    draws = np.array([sample_outcome(env, 0, rng)[0] for _ in range(2000)])
     assert draws.min() >= 0.0 and draws.max() <= 1.0
     # clipped-mean helper agrees with a direct Monte Carlo estimate
     mc = np.clip(np.random.default_rng(5).normal(HALF_PLUS_INV_SQRT2,
                                                  math.sqrt(0.2), 10**6), 0, 1).mean()
     assert clipped_gaussian_mean(np.array([HALF_PLUS_INV_SQRT2]), 0.2)[0] == \
         pytest.approx(mc, abs=2e-3)
-    assert env.expected_rewards()[0] < HALF_PLUS_INV_SQRT2
+    assert env.expected_outcomes()[0, 0] < HALF_PLUS_INV_SQRT2
 
 
 def test_feature_norm_bound_enforced():
@@ -207,8 +204,8 @@ def test_span_keeps_every_column_of_dense_contexts():
 
 def _dummy_trace(total_reward, tau):
     z = np.zeros
-    return RunTrace(arms=z(tau, dtype=int), rewards=z(tau), costs=z((tau, 1)),
-                    probs=z((tau, 2)), rhat=z((tau, 2)), lam=z((tau, 1)), tau=tau,
+    return RunTrace(arms=z(tau, dtype=int), outcomes=z((tau, 2)), probs=z((tau, 2)),
+                    rhat=z((tau, 2)), lam=z((tau, 1)), tau=tau,
                     total_reward=total_reward, total_cost=z(1))
 
 

@@ -1,5 +1,6 @@
 import ctypes
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -64,7 +65,7 @@ environment.family = fixed_linear
 environment.m = 10
 environment.K = 3
 environment.d = 4
-environment.T = 60
+environment.T = 100
 environment.B = T/2
 environment.noise_variance = 0.2
 algorithm.list = ogd, twostage
@@ -74,11 +75,11 @@ seeds.base = 7
 
 
 def test_required_keys_alone_take_the_dataclass_defaults():
-    required = dict(family="fixed_linear", m=10, K=3, d=4, T=60, budget_spec="T/2",
+    required = dict(family="fixed_linear", m=10, K=3, d=4, T=100, budget_spec="T/2",
                     noise_variance=0.2, algorithms=("ogd", "twostage"),
                     seeds_count=2, seeds_base=7)
     # an absent sweep runs the base horizon alone
-    assert parse_config(REQUIRED_ONLY) == ExperimentConfig(**required, sweep_values=(60,))
+    assert parse_config(REQUIRED_ONLY) == ExperimentConfig(**required, sweep_values=(100,))
 
     optional = ("environment.mode = bounded\nenvironment.null_arm = true\n"
                 "output.dir = out\nalgorithm.gamma = 2.5\nalgorithm.z = 1.5\n"
@@ -99,9 +100,23 @@ def test_an_invalid_experiment_config_cannot_be_built():
                             ({"seeds_base": -3}, "seeds.base must be >= 0"),
                             ({"noise_variance": float("inf")}, "noise_variance must be finite"),
                             ({"sweep_param": "K", "sweep_values": (1,)},
-                             "sweep value 1: K >= 2 violated")):
+                             "sweep value 1: K >= 2 violated"),
+                            ({"m": "10"}, "m must be an integer"),
+                            ({"T": 60.0}, "T must be an integer"),
+                            ({"seeds_count": True}, "seeds_count must be an integer"),
+                            ({"noise_variance": "0.2"}, "noise_variance must be a number"),
+                            ({"sweep_values": (10, 10.5)},
+                             re.escape("sweep_values must be an integer (got 10.5)")),
+                            # phase one's (K+1)*t0 rounds must fit in T, at a set t0
+                            # or the default one (16 per arm at m = 10, 17 at m = 12)
+                            ({"algorithms": ("ogd", "twostage"),
+                              "twostage": TwoStageConfig(t0=50)},
+                             re.escape("(K+1)*T0 = 200 exceeds T = 60")),
+                            ({"algorithms": ("twostage",)},
+                             re.escape("sweep value 12: (K+1)*T0 = 68 exceeds T = 60"))):
         with pytest.raises(ConfigurationError, match=message):
             replace(config, **change)
+    assert replace(config, algorithms=("twostage",), T=72).T == 72  # 4 * 18 = 72 at m = 12
 
 
 # (run config, field, config key, bad values): every rule a run config checks
@@ -118,18 +133,36 @@ RUN_CONFIG_RULES = (
     (TwoStageConfig, "err_scale", "algorithm.err_scale", (-0.5, _NAN, _INF)),
     (LinUcbConfig, "confidence_scale", "algorithm.confidence", (-3.0, _NAN, _INF)),
 )
+# (run config, field, values of another type): a config file parses every
+# value to its field's kind first, so only the constructors meet these
+RUN_CONFIG_TYPES = (
+    (PolicyConfig, "gamma", ("1", True)),
+    (PolicyConfig, "z", ("2.0", False)),
+    (PolicyConfig, "bound_scale", ("0.01",)),
+    (PolicyConfig, "eta_scale", (True,)),
+    (TwoStageConfig, "t0", (2.5, 3.0, "3", True)),
+    (TwoStageConfig, "err_scale", ("0.5",)),
+    (LinUcbConfig, "confidence_scale", ("1", False)),
+)
 
 
 @pytest.mark.parametrize("config_type, name, key, value", [
     pytest.param(config_type, name, key, value, id=f"{key}={value}")
-    for config_type, name, key, values in RUN_CONFIG_RULES for value in values])
+    for config_type, name, key, values in RUN_CONFIG_RULES for value in values] + [
+    pytest.param(config_type, name, None, value, id=f"{name}={value!r}")
+    for config_type, name, values in RUN_CONFIG_TYPES for value in values])
 def test_one_validator_for_library_and_config_file(config_type, name, key, value):
     # the library constructor refuses the value, and the config file reports
-    # the library's own violation under the key that sets the field
+    # the library's own violation under the key that sets the field; a value of
+    # another type (no key) is refused as such
     with pytest.raises(ConfigurationError) as lib:
         config_type(**{name: value})
     (violation,) = lib.value.violations
     assert violation.startswith(f"{name} ")
+    if key is None:
+        assert violation == f"{name} must be {'an integer' if name == 't0' else 'a number'} " \
+                            f"(got {value!r})"
+        return
     with pytest.raises(ConfigurationError) as parsed:
         parse_config(TINY_CONFIG + f"\n{key} = {value}\n")
     assert parsed.value.violations == [key + violation[len(name):]]
@@ -300,19 +333,23 @@ def test_aggregates_match_independent_recomputation():
         assert std == pytest.approx(regrets.std(), abs=1e-12)
 
 
+# B = 15 is a budget rate of 0.5 at T = 30, where the per-round optimum is
+# feasible, and 0.25 at T = 60, where no arm mix meets it: valid configs whose
+# cells at T = 60 fail at run time
+INFEASIBLE_AT_60 = (TINY_CONFIG.replace("environment.B = T", "environment.B = 15")
+                    .replace("sweep.param = m", "sweep.param = T")
+                    .replace("sweep.values = 10, 12", "sweep.values = 30, 60"))
+
+
 def test_cell_failures_recorded_per_row():
-    # twostage with an oversized exploration length fails inside its cells
-    config = parse_config(
-        TINY_CONFIG.replace("algorithm.list = ogd, linucb",
-                            "algorithm.list = ogd, twostage")
-        + "\nalgorithm.t0 = 50\n"
-    )
+    config = parse_config(INFEASIBLE_AT_60)
     result = run_sweep(config)
-    ogd_rows = [r for r in result.rows if r.algorithm == "ogd"]
-    two_rows = [r for r in result.rows if r.algorithm == "twostage"]
-    assert all(r.error is None for r in ogd_rows)
-    assert all(r.error is not None for r in two_rows)
-    assert all(np.isnan(r.regret) for r in two_rows)
+    ok_rows = [r for r in result.rows if r.sweep_value == 30]
+    failed_rows = [r for r in result.rows if r.sweep_value == 60]
+    assert len(ok_rows) == len(failed_rows) == 4
+    assert all(r.error is None for r in ok_rows)
+    assert all(r.error is not None and r.error.startswith("InfeasibleError") for r in failed_rows)
+    assert all(np.isnan(r.regret) for r in failed_rows)
 
 
 def test_render_plot_single_cell(tmp_path):
@@ -447,11 +484,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert config.linucb.confidence_scale == 0.0 and config.twostage.policy.bound_scale == 0.0
     assert config.twostage.err_scale == 0.0 and config.twostage.t0 == 1
 
+    # phase one's rounds must fit in T: an oversized t0 is refused before any cell runs
+    oversized = tmp_path / "oversized.conf"
+    oversized.write_text(TINY_CONFIG.replace("algorithm.list = ogd, linucb",
+                                             "algorithm.list = ogd, twostage")
+                         + "\nalgorithm.t0 = 50\n")
+    out = tmp_path / "oversized"
+    capsys.readouterr()
+    assert main(["run", str(oversized), "--out", str(out)]) == 1
+    assert "(K+1)*T0 = 200 exceeds T = 60" in capsys.readouterr().err
+    assert not out.exists()
+
     # a sweep with failed cells still writes its CSV, but exits 2
     failing = tmp_path / "failing.conf"
-    failing.write_text(TINY_CONFIG.replace("algorithm.list = ogd, linucb",
-                                           "algorithm.list = ogd, twostage")
-                       + "\nalgorithm.t0 = 50\n")
+    failing.write_text(INFEASIBLE_AT_60)
     out = tmp_path / "failing"
     assert main(["run", str(failing), "--out", str(out), "--seeds", "1"]) == 2
     assert "2 of 4 cells failed" in capsys.readouterr().err

@@ -179,8 +179,7 @@ def test_oracle_feed_discipline(monkeypatch):
     for t, (phi, y) in enumerate(oracle.updates):
         phi, y = phi.ravel(), y.ravel()  # the one stack's sample
         assert (phi == env.contexts.span[trace.arms[t]]).all()
-        assert y[0] == trace.rewards[t]
-        assert (y[1:] == trace.costs[t]).all()
+        assert (y == trace.outcomes[t]).all()
 
 
 def test_high_gamma_with_perfect_predictions_is_greedy(monkeypatch):

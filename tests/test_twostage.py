@@ -88,7 +88,7 @@ def _assert_trace_invariants(trace, K, d):
     """What every run_rounds trace satisfies: one distribution and one outcome per round."""
     tau = trace.tau
     assert tau == trace.arms.size == trace.rewards.size
-    assert trace.costs.shape == (tau, d) and trace.lam.shape == (tau, d)
+    assert trace.outcomes.shape == (tau, 1 + d) and trace.lam.shape == (tau, d)
     assert trace.probs.shape == trace.rhat.shape == (tau, K)
     assert (trace.probs >= 0.0).all()
     assert np.abs(trace.probs.sum(axis=1) - 1.0).max() <= 1e-12
@@ -228,7 +228,8 @@ def test_run_twostage_degenerate_split():
     with pytest.warns(RuntimeWarning):
         trace = run_twostage(env, cfg, np.random.default_rng(4))
     assert trace.tau == 20
-    opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(), 1.0)
+    means = env.expected_outcomes()
+    opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], 1.0)
     assert 20 * opt - trace.total_reward == pytest.approx(
         20 * opt - trace.rewards.sum(), abs=1e-9)
     assert np.isnan(trace.rhat).all()
@@ -278,8 +279,7 @@ def test_phase_one_datasets_and_estimates():
         features = np.tile(span[a], (t0, 1))
         alone = online_to_batch("glmtron", features, expl.costs[rows, 1])
         assert (p1.fits.params[a, 2] == alone.params[0, 0]).all()
-        arm = online_to_batch("glmtron", features,
-                              np.column_stack([expl.rewards[rows], expl.costs[rows]]))
+        arm = online_to_batch("glmtron", features, expl.outcomes[rows])
         preds[a] = arm.predict_matrix(span[a])[0, 0]
     opt_hat = exact_opt_fixed_context(preds[:, 0], preds[:, 1:], 1000 / 2000 + 2.0 * p1.m_val)
     assert p1.opt_hat == pytest.approx(opt_hat, abs=1e-12)
@@ -373,7 +373,7 @@ def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     assert p1.m_val == m_t0(t0, K, d, err_f, err_g, T)
     rows = slice(0, t0)
     fit = online_to_batch(policy.oracle, np.tile(env.contexts.span[0], (t0, 1)),
-                          np.column_stack([head.rewards[rows], head.costs[rows]]),
+                          head.outcomes[rows],
                           eta_scale=policy.eta_scale)
     assert (p1.fits.params[0] == fit.params[0]).all()
 
@@ -382,7 +382,8 @@ def test_radius_sandwich_quick():
     # 10-seed version of the radius check; the acceptance suite runs 50 seeds
     T, B = 2000, 1000
     env = make_fixed_linear_env(10, 3, 4, 0.01, T=T, B=B)
-    opt = exact_opt_fixed_context(env.expected_rewards(), env.expected_costs(), B / T)
+    means = env.expected_outcomes()
+    opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], B / T)
     lower = upper = 0
     for seed in range(10):
         p1 = phase_one(env, TwoStageConfig(), np.random.default_rng(seed))
