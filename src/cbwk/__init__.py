@@ -27,11 +27,9 @@ from .harness import (
 from .lp import LpProblem, LpSolution, exact_opt_fixed_context, solve_lp
 from .oracles import (
     BatchPredictor,
-    OnlinePredictor,
     OracleBoundSpec,
     VectorPredictor,
     bound_spec,
-    make_predictor,
     make_vector_predictor,
     online_to_batch,
 )

@@ -230,9 +230,6 @@ def make_glm_env(
     theta_reward,
     theta_cost,
     contexts,
-    *,
-    link: str = "logistic",
-    null_arm: bool = False,
 ) -> EnvironmentSpec:
     """Generalized-linear environment: mean sigma(<theta, phi>), Bernoulli draws.
 
@@ -252,9 +249,8 @@ def make_glm_env(
         theta_reward=theta_reward,
         theta_cost=theta_cost,
         contexts=ArmFeatures(contexts, norm_bound=1.0),
-        link=link,
+        link="logistic",
         outcome_model="bernoulli",
-        null_arm=null_arm,
     )
 
 

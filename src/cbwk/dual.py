@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, raise_if_any
+from .errors import ConfigurationError, raise_if_any, range_violations
 
 
 @dataclass
@@ -46,14 +46,8 @@ class DualState:
 
 def dual_init(d: int, Z: float, T: int) -> DualState:
     """Uniform start on the d+1 simplex with eta = sqrt(log(d+1) / T)."""
-    problems = []
-    if Z <= 0:
-        problems.append(f"Z must be positive (got {Z})")
-    if T < 1:
-        problems.append(f"T must be >= 1 (got {T})")
-    if d < 1:
-        problems.append(f"d must be >= 1 (got {d})")
-    raise_if_any(problems)
+    raise_if_any(range_violations({"d": d, "Z": Z, "T": T},
+                                  (("d", ">=", 1), ("Z", ">", 0), ("T", ">=", 1))))
     eta = math.sqrt(math.log(d + 1) / T)
     return DualState(logw=np.zeros(d + 1), Z=float(Z), eta=eta)
 

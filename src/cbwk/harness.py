@@ -34,10 +34,13 @@ class ExperimentConfig:
 
     Constructing one checks every rule it breaks and reports them together,
     so a config that exists is valid.  The environment rules, and phase one's
-    when two-stage runs, are checked for the base values and for every sweep
-    value.  ``twostage.policy`` is the one policy config: glmtron and ogd
-    cells run it with their own oracle, two-stage cells with z unset, so that
-    phase one estimates the radius.
+    when two-stage runs, are checked at each sweep cell: the base values with
+    the swept parameter set to one sweep value.  No cell runs the swept
+    parameter's base value, so it is not checked.  A violation every cell
+    shares is reported once, the others as ``sweep value v: ...``.
+    ``twostage.policy`` is the one policy config: glmtron and ogd cells run it
+    with their own oracle, two-stage cells with z unset, so that phase one
+    estimates the radius.
     """
 
     family: str
@@ -78,12 +81,12 @@ class ExperimentConfig:
         if not self.sweep_values:
             problems.append("sweep.values is empty")
         base = {"m": self.m, "K": self.K, "d": self.d, "T": self.T}
-        base_problems = self._environment_violations(base)
-        problems += base_problems
-        for v in self.sweep_values:  # a rule the base values break already is not repeated
-            problems += [f"sweep value {v}: {p}" for p in
-                         self._environment_violations({**base, self.sweep_param: v})
-                         if p not in base_problems]
+        cells = [self._environment_violations({**base, self.sweep_param: v})
+                 for v in self.sweep_values]
+        shared = [p for p in cells[0] if all(p in cell for cell in cells)] if cells else []
+        problems += shared
+        for v, cell in zip(self.sweep_values, cells):
+            problems += [f"sweep value {v}: {p}" for p in cell if p not in shared]
         raise_if_any(problems)
 
     def _environment_violations(self, params: dict) -> list:
@@ -134,7 +137,6 @@ _KEYS = {
     "algorithm.gamma": (PolicyConfig, "gamma", float),
     "algorithm.z": (PolicyConfig, "z", float),
     "algorithm.bound_scale": (PolicyConfig, "bound_scale", float),
-    "algorithm.eta_scale": (PolicyConfig, "eta_scale", float),
     "algorithm.twostage_oracle": (PolicyConfig, "oracle", str),
     "algorithm.t0": (TwoStageConfig, "t0", int),
     "algorithm.err_scale": (TwoStageConfig, "err_scale", float),

@@ -3,7 +3,7 @@
 Two families are provided, both producing predictions clipped to [0, 1]:
 
 * ``ogd`` -- projected online gradient descent on the squared loss with step
-  size eta_scale / sqrt(t), projected onto the unit euclidean ball.
+  size 1 / sqrt(t), projected onto the unit euclidean ball.
 * ``glmtron`` -- a Newton-style residual update preconditioned by the inverse
   of A_t = I + sum_s phi_s phi_s^T (maintained by rank-one updates), followed
   by projection onto the unit ball in the metric induced by A_{t+1}.
@@ -14,7 +14,7 @@ A_t and its inverse, kept by a single Sherman-Morrison update per sample
 however many rows the stack has.  Stacks are independent oracles stepped
 together.  The policy fits its reward and its d costs as one (1+d)-row stack,
 and online-to-batch fits the K arms of two-stage's phase one as K stacks in one
-pass.  A scalar oracle is one stack of one row.
+pass.  A scalar oracle is one stack of one row: ``VectorPredictor(kind, 1, dim)``.
 """
 
 import math
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_if_any, range_violations
 
 ORACLE_KINDS = ("glmtron", "ogd")
 PROJECTION_BISECTIONS = 20
@@ -32,10 +32,6 @@ _REINIT_DENOM_TOL = 1e-12
 
 def _identity(z):
     return z
-
-
-def _identity_slope(z):
-    return np.ones_like(z)
 
 
 def _sigmoid(z):
@@ -52,7 +48,8 @@ def _sigmoid_slope(z):
     return s * (1.0 - s)
 
 
-_LINKS = {"identity": (_identity, _identity_slope), "logistic": (_sigmoid, _sigmoid_slope)}
+# link -> (link, slope); the identity's slope is 1, which the OGD step never multiplies by
+_LINKS = {"identity": (_identity, None), "logistic": (_sigmoid, _sigmoid_slope)}
 
 
 def _rows(arr, shape, what):
@@ -100,17 +97,17 @@ class VectorPredictor:
     """
 
     def __init__(self, kind: str, d: int, dim: int, *, stacks: int = 1,
-                 link: str = "identity", eta_scale: float = 1.0):
+                 link: str = "identity"):
+        problems = range_violations({"d": d, "stacks": stacks},
+                                    (("d", ">=", 1), ("stacks", ">=", 1)))
         if kind not in ORACLE_KINDS:
-            raise ConfigurationError(f"unknown oracle kind {kind!r}")
+            problems.append(f"unknown oracle kind {kind!r}")
         if link not in _LINKS:
-            raise ConfigurationError(f"unknown link {link!r}")
-        if d < 1 or stacks < 1:
-            raise ConfigurationError(f"d and stacks must be >= 1 (got d={d}, stacks={stacks})")
+            problems.append(f"unknown link {link!r}")
+        raise_if_any(problems)
         self.kind = kind
         self.dim = dim
         self.link = link
-        self.eta_scale = eta_scale
         self.theta = np.zeros((stacks, d, dim))
         self.t = 0
         self.reinit_count = 0  # rebuilds of some stack's inverse Gram matrix
@@ -125,17 +122,14 @@ class VectorPredictor:
 
     # -- prediction ---------------------------------------------------------
 
-    def _predict(self, phis) -> np.ndarray:
+    def predict_matrix(self, phis) -> np.ndarray:
+        """(K, dim) features, shared by every stack -> (S, K, d) clipped predictions."""
         phis = np.asarray(phis, dtype=float)
         if phis.ndim != 2 or phis.shape[1] != self.dim:
             raise ConfigurationError(
                 f"feature matrix has shape {phis.shape}, expected (K, {self.dim})"
             )
         return _LINKS[self.link][0](np.einsum("kj,snj->skn", phis, self.theta)).clip(0.0, 1.0)
-
-    def predict_matrix(self, phis) -> np.ndarray:
-        """(K, dim) features, shared by every stack -> (S, K, d) clipped predictions."""
-        return self._predict(phis)
 
     # -- updates ------------------------------------------------------------
 
@@ -158,9 +152,9 @@ class VectorPredictor:
         link, slope = _LINKS[self.link]
         z = np.einsum("snj,sj->sn", self.theta, phi)
         self.t += 1
-        eta = self.eta_scale / math.sqrt(self.t)
+        eta = 1.0 / math.sqrt(self.t)
         coeff = eta * 2.0 * (link(z) - y)
-        if link is not _identity:  # the identity's slope is 1
+        if slope is not None:
             coeff *= slope(z)
         theta = self.theta - coeff[:, :, None] * phi[:, None, :]
         norms = _row_norms(theta)
@@ -259,29 +253,23 @@ def _project_a_norm(A, v, norms):
 
 
 class OnlinePredictor(VectorPredictor):
-    """Scalar online regression oracle: one stack of one row, with scalar targets."""
+    """A one-stack, one-row ``VectorPredictor``; the library itself builds none.
 
-    def __init__(self, kind: str, dim: int, *, link: str = "identity", eta_scale: float = 1.0):
-        super().__init__(kind, 1, dim, link=link, eta_scale=eta_scale)
+    Kept, with ``make_predictor``, because ``perfbench/tracer.py`` patches the
+    ``predict_matrix`` and ``update`` methods this class inherits.
+    """
 
-    def predict(self, phi) -> float:
-        return float(self._predict(_rows(phi, (1, self.dim), "feature vector"))[0, 0, 0])
-
-    def predict_matrix(self, phis) -> np.ndarray:
-        return self._predict(phis)[0, :, 0]
-
-    def update(self, phi, y: float) -> None:
-        self._step(_rows(phi, (1, self.dim), "feature vector"), np.array([[float(y)]]))
+    def __init__(self, kind: str, dim: int, *, link: str = "identity"):
+        super().__init__(kind, 1, dim, link=link)
 
 
-def make_predictor(kind: str, dim: int, *, link: str = "identity",
-                   eta_scale: float = 1.0) -> OnlinePredictor:
-    return OnlinePredictor(kind, dim, link=link, eta_scale=eta_scale)
+def make_predictor(kind: str, dim: int, *, link: str = "identity") -> OnlinePredictor:
+    return OnlinePredictor(kind, dim, link=link)
 
 
-def make_vector_predictor(kind: str, d: int, dim: int, *, link: str = "identity",
-                          eta_scale: float = 1.0) -> VectorPredictor:
-    return VectorPredictor(kind, d, dim, link=link, eta_scale=eta_scale)
+def make_vector_predictor(kind: str, d: int, dim: int, *,
+                          link: str = "identity") -> VectorPredictor:
+    return VectorPredictor(kind, d, dim, link=link)
 
 
 class BatchPredictor:
@@ -292,42 +280,35 @@ class BatchPredictor:
         self.link = link
 
     def predict_matrix(self, phis) -> np.ndarray:
-        """Clipped predictions (S, K, n) of every stack's n targets at K feature rows.
-
-        ``phis`` is (K, dim), shared by every stack, or (S, K, dim), stack s
-        predicted at phis[s].
-        """
-        cols = np.swapaxes(np.atleast_2d(np.asarray(phis, dtype=float)), -1, -2)
-        if cols.ndim == 3:
-            cols = cols[:, None]
-        vals = np.clip(_LINKS[self.link][0](self.params @ cols), 0.0, 1.0)
+        """(S, K, dim) features, stack s predicted at phis[s] -> (S, K, n) clipped predictions."""
+        phis = np.asarray(phis, dtype=float)
+        stacks, dim = self.params.shape[0], self.params.shape[3]
+        if phis.ndim != 3 or phis.shape[0] != stacks or phis.shape[2] != dim:
+            raise ConfigurationError(
+                f"feature array has shape {phis.shape}, expected ({stacks}, K, {dim})"
+            )
+        vals = np.clip(_LINKS[self.link][0](self.params @ phis.swapaxes(1, 2)[:, None]), 0.0, 1.0)
         return vals.mean(axis=2).transpose(0, 2, 1)
 
 
-def online_to_batch(kind: str, features, targets, *, link: str = "identity",
-                    eta_scale: float = 1.0) -> BatchPredictor:
+def online_to_batch(kind: str, features, targets, *, link: str = "identity") -> BatchPredictor:
     """Run the online oracle once through the dataset and average its iterates.
 
     The i-th recorded iterate is the predictor *before* consuming sample i, so
     the result is the uniform average of the M prediction functions the online
     oracle would have played.  Features (M, S, dim) and targets (M, S, n) are
     S datasets of M samples, fitted in M steps of one S-stack oracle: stack s
-    sees only features[:, s] and targets[:, s].  Features (M, dim) with
-    targets (M, n) or (M,) are one stack.  The result predicts all S stacks'
-    n targets at once.
+    sees only features[:, s] and targets[:, s].  The result predicts all S
+    stacks' n targets at once.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 0 or targets.shape[0] < 1:
         raise ConfigurationError("online-to-batch conversion needs a nonempty dataset")
-    if features.ndim == 2:  # one stack
-        features = features[:, None]
-        targets = targets.reshape(targets.shape[0], 1, -1)
     if features.ndim != 3 or targets.ndim != 3 or features.shape[:2] != targets.shape[:2]:
-        raise ConfigurationError("features and targets disagree on sample or stack count")
+        raise ConfigurationError("features (M, S, dim) and targets (M, S, n) disagree in shape")
     M, stacks, dim = features.shape
-    oracle = VectorPredictor(kind, targets.shape[2], dim, stacks=stacks, link=link,
-                             eta_scale=eta_scale)
+    oracle = VectorPredictor(kind, targets.shape[2], dim, stacks=stacks, link=link)
     params = np.empty((stacks, targets.shape[2], M, dim))
     for i in range(M):
         params[:, :, i] = oracle.theta

@@ -34,11 +34,10 @@ class PolicyConfig:
     gamma: float | None = None
     z: float | None = None
     bound_scale: float = 1.0
-    eta_scale: float = 1.0
 
     def __post_init__(self):
         problems = type_violations(self) or range_violations(vars(self), (
-            ("gamma", ">", 0), ("z", ">", 0), ("bound_scale", ">=", 0), ("eta_scale", ">", 0)))
+            ("gamma", ">", 0), ("z", ">", 0), ("bound_scale", ">=", 0)))
         if self.oracle not in ORACLE_KINDS:
             problems.append(f"oracle must be {' or '.join(ORACLE_KINDS)} (got {self.oracle!r})")
         raise_if_any(problems)
@@ -149,8 +148,7 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     Z = config.z if config.z is not None else T / B
     bounds = bound_spec(config.oracle, m, d, config.bound_scale)
     gamma = config.gamma if config.gamma is not None else gamma_default(K, T, bounds, Z)
-    oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link,
-                                   eta_scale=config.eta_scale)
+    oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link)
     samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
 
     def estimate(t):

@@ -27,9 +27,9 @@ from .policy import PolicyConfig, run_squarecbwk
 class TwoStageConfig:
     """Knobs for one two-stage run; constructing one checks every field.
 
-    ``policy`` serves both phases: its oracle family and eta_scale fit phase
-    one and learn in phase 2, and its gamma and bound_scale size phase 2's
-    learning rate.  A set ``policy.z`` replaces the phase-one radius in phase 2.
+    ``policy`` serves both phases: its oracle family fits phase one and
+    learns in phase 2, and its gamma and bound_scale size phase 2's learning
+    rate.  A set ``policy.z`` replaces the phase-one radius in phase 2.
     """
 
     t0: int | None = None  # per-arm exploration length; default from t0_default
@@ -164,7 +164,7 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     K, d = inst.K, inst.d
     m = env.contexts.phi.shape[1]
     phi = env.contexts.span
-    oracle, eta_scale = cfg.policy.oracle, cfg.policy.eta_scale
+    oracle = cfg.policy.oracle
     t0 = cfg.resolve_t0(m, d, K, inst.T)
 
     err_f, err_g = estimation_errors(oracle, m, d, t0, inst.T, cfg.err_scale)
@@ -178,7 +178,7 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     # Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1: sample i of stack a is round a*t0 + i.
     targets = expl.outcomes[:K * t0].reshape(K, t0, 1 + d).transpose(1, 0, 2)
     fits = online_to_batch(oracle, np.broadcast_to(phi, (t0,) + phi.shape), targets,
-                           link=env.link, eta_scale=eta_scale)
+                           link=env.link)
 
     opt_hat = empirical_opt(fits, phi, inst.budget_rate, m_val)
     z = z_estimate(opt_hat, m_val, inst.T, inst.B)

@@ -20,7 +20,7 @@ from cbwk.dual import dual_init, dual_lambda, dual_update
 from cbwk.errors import InfeasibleError
 from cbwk.harness import ExperimentConfig, run_sweep, write_csv
 from cbwk.lp import exact_opt_fixed_context
-from cbwk.oracles import OnlinePredictor, online_to_batch
+from cbwk.oracles import VectorPredictor, online_to_batch
 from cbwk.policy import PolicyConfig, igw_distribution, run_squarecbwk
 from cbwk.twostage import TwoStageConfig, phase_one, run_twostage
 from lp_reference import brute_force_opt
@@ -124,7 +124,7 @@ def _oracle_regret_curve(kind: str, T: int, seed: int, checkpoints):
     m = 5
     theta = np.zeros(m)
     theta[0] = 0.9
-    oracle = OnlinePredictor(kind, m)
+    oracle = VectorPredictor(kind, 1, m)  # one stack of one row
     out = {}
     reg = 0.0
     for t in range(1, T + 1):
@@ -132,8 +132,8 @@ def _oracle_regret_curve(kind: str, T: int, seed: int, checkpoints):
         v /= np.linalg.norm(v)
         phi = (np.eye(m)[0] + 0.4 * v) / 1.4
         fstar = phi @ theta
-        reg += (oracle.predict(phi) - fstar) ** 2
-        oracle.update(phi, fstar + rng.uniform(-0.25, 0.25))
+        reg += (oracle.predict_matrix(phi[None])[0, 0, 0] - fstar) ** 2
+        oracle.update(phi, [fstar + rng.uniform(-0.25, 0.25)])
         if t in checkpoints:
             out[t] = reg
     return out
@@ -249,8 +249,8 @@ def test_criterion_9_otb_estimation():
             fstar = support @ theta
             idx = rng.integers(0, 5, M)
             ys = fstar[idx] + rng.normal(0, math.sqrt(0.2), M)
-            bp = online_to_batch("glmtron", support[idx], ys)
-            preds = bp.predict_matrix(support)[0, :, 0]
+            bp = online_to_batch("glmtron", support[idx, None], ys[:, None, None])
+            preds = bp.predict_matrix(support[None])[0, :, 0]
             errors.append(float(np.mean((preds - fstar) ** 2)))
         bound = 5 * m * math.log(M) / M
         assert np.median(errors) <= bound, f"median {np.median(errors):.4f} > {bound:.4f}"

@@ -63,8 +63,9 @@ def test_expected_outcomes_are_the_sampled_means():
     assert rows.shape == (3, 5)
     assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
     assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
-    glm = make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full(2, 0.5),
-                       np.full((2, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]], null_arm=True)
+    glm = replace(make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full(2, 0.5),
+                               np.full((2, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]]),
+                  null_arm=True)  # make_glm_env builds no null arm; the spec takes one
     assert (glm.outcome_means[-1] == 0.5).all() and (glm.expected_outcomes()[-1] == 0.0).all()
     assert (glm.expected_outcomes()[:2] == glm.outcome_means[:2]).all()
 

@@ -19,12 +19,14 @@ def test_init_eta_formula():
 
 
 def test_init_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        dual_init(1, 0.0, 10)
-    with pytest.raises(ConfigurationError):
-        dual_init(1, 1.0, 0)
-    with pytest.raises(ConfigurationError):
-        dual_init(0, 1.0, 10)
+    # the run configs' wording; an infinite radius would give NaN prices
+    for args, message in (((1, 0.0, 10), "Z > 0 violated (got 0.0)"),
+                          ((1, 1.0, 0), "T >= 1 violated (got 0)"),
+                          ((0, 1.0, 10), "d >= 1 violated (got 0)"),
+                          ((1, math.inf, 10), "Z must be finite (got inf)")):
+        with pytest.raises(ConfigurationError) as err:
+            dual_init(*args)
+        assert err.value.violations == [message]
 
 
 def test_lambda_scaling_and_slack():

@@ -84,10 +84,10 @@ def test_required_keys_alone_take_the_dataclass_defaults():
     optional = ("environment.mode = bounded\nenvironment.null_arm = true\n"
                 "output.dir = out\nalgorithm.gamma = 2.5\nalgorithm.z = 1.5\n"
                 "algorithm.t0 = 3\nalgorithm.confidence = 0.5\n"
-                "algorithm.bound_scale = 0.01\nalgorithm.eta_scale = 0.7\n"
+                "algorithm.bound_scale = 0.01\n"
                 "algorithm.err_scale = 0.2\nalgorithm.twostage_oracle = ogd\n"
                 "sweep.param = K\nsweep.values = 3, 4\n")
-    policy = PolicyConfig(oracle="ogd", gamma=2.5, z=1.5, bound_scale=0.01, eta_scale=0.7)
+    policy = PolicyConfig(oracle="ogd", gamma=2.5, z=1.5, bound_scale=0.01)
     assert parse_config(REQUIRED_ONLY + optional) == ExperimentConfig(
         **required, mode="bounded", null_arm=True, output_dir="out",
         twostage=TwoStageConfig(t0=3, err_scale=0.2, policy=policy),
@@ -99,8 +99,11 @@ def test_an_invalid_experiment_config_cannot_be_built():
     for change, message in (({"seeds_count": 0}, "seeds.count must be >= 1"),
                             ({"seeds_base": -3}, "seeds.base must be >= 0"),
                             ({"noise_variance": float("inf")}, "noise_variance must be finite"),
-                            ({"sweep_param": "K", "sweep_values": (1,)},
+                            ({"sweep_param": "K", "sweep_values": (1, 3)},
                              "sweep value 1: K >= 2 violated"),
+                            # every cell breaks it: reported once, without a prefix
+                            ({"sweep_param": "K", "sweep_values": (1,)},
+                             re.escape("K >= 2 violated (got 1)")),
                             ({"m": "10"}, "m must be an integer"),
                             ({"T": 60.0}, "T must be an integer"),
                             ({"seeds_count": True}, "seeds_count must be an integer"),
@@ -126,7 +129,6 @@ _NAN, _INF = float("nan"), float("inf")
 RUN_CONFIG_RULES = (
     (PolicyConfig, "gamma", "algorithm.gamma", (-1.0, 0.0, _NAN, _INF, -_INF)),
     (PolicyConfig, "z", "algorithm.z", (-1.0, 0.0, _NAN, _INF)),
-    (PolicyConfig, "eta_scale", "algorithm.eta_scale", (-2.0, 0.0, _NAN, _INF)),
     (PolicyConfig, "bound_scale", "algorithm.bound_scale", (-1.0, _NAN, _INF)),
     (PolicyConfig, "oracle", "algorithm.twostage_oracle", ("linucb", "sgd")),
     (TwoStageConfig, "t0", "algorithm.t0", (-1, 0)),
@@ -139,7 +141,6 @@ RUN_CONFIG_TYPES = (
     (PolicyConfig, "gamma", ("1", True)),
     (PolicyConfig, "z", ("2.0", False)),
     (PolicyConfig, "bound_scale", ("0.01",)),
-    (PolicyConfig, "eta_scale", (True,)),
     (TwoStageConfig, "t0", (2.5, 3.0, "3", True)),
     (TwoStageConfig, "err_scale", ("0.5",)),
     (LinUcbConfig, "confidence_scale", ("1", False)),
@@ -196,7 +197,45 @@ def test_all_violations_reported_together():
                       "environment.noise_variance = -1")
     with pytest.raises(ConfigurationError) as err:
         parse_config(bad)
-    assert len(err.value.violations) >= 3  # base K, both sweep values, noise
+    assert len(err.value.violations) >= 3  # K at both sweep values, the noise once
+
+
+def test_only_the_sweep_cells_are_checked():
+    # the swept parameter's base value is run by no cell, so it may break a rule
+    swept_t = REQUIRED_ONLY.replace("environment.T = 100", "environment.T = 60")
+    with pytest.raises(ConfigurationError, match=re.escape("(K+1)*T0 = 64 exceeds T = 60")):
+        parse_config(swept_t)  # without a sweep, T = 60 is the one cell
+    config = parse_config(swept_t + "sweep.param = T\nsweep.values = 1000\n")
+    assert config.T == 60 and config.sweep_values == (1000,)
+    one_arm = TINY_CONFIG.replace("environment.K = 3", "environment.K = 1")
+    config = parse_config(one_arm.replace("sweep.param = m", "sweep.param = K")
+                          .replace("sweep.values = 10, 12", "sweep.values = 3"))
+    assert config.K == 1 and config.sweep_values == (3,)
+    # a violation every cell shares is reported once, the others per sweep value
+    bad = TINY_CONFIG.replace("environment.K = 3", "environment.K = 11")
+    bad = bad.replace("environment.noise_variance = 0.2", "environment.noise_variance = -1")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(bad)
+    assert err.value.violations == ["noise_variance >= 0 violated (got -1.0)",
+                                    "sweep value 10: K <= m-1 violated (K=11, m=10)"]
+
+
+def test_cli_opt_uses_the_base_values(tmp_path, capsys):
+    from cbwk.cli import main
+
+    swept = TINY_CONFIG.replace("sweep.param = m", "sweep.param = K") \
+        .replace("sweep.values = 10, 12", "sweep.values = 3")
+    cfg = tmp_path / "k1.conf"
+    cfg.write_text(swept.replace("environment.K = 3", "environment.K = 1"))
+    capsys.readouterr()
+    assert main(["opt", str(cfg)]) == 1  # K = 1 is valid for the sweep, not for opt
+    assert "config error: K >= 2 violated (got 1)" in capsys.readouterr().err
+    cfg.write_text(TINY_CONFIG.replace("sweep.param = m", "sweep.param = T")
+                   .replace("sweep.values = 10, 12", "sweep.values = 1000"))
+    assert main(["opt", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    opt = float(re.search(r"^OPT = (\S+)$", out, re.M).group(1))
+    assert f"T * OPT = {60 * opt!r}" in out  # the base T = 60, not the swept 1000
 
 
 def test_sweep_values_respect_constraints():
@@ -434,7 +473,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", os.path.join(CONFIG_DIR, "sweep_m.conf"), "--param", "K",
                  "--values", "1", "--out", str(out)]) == 1
-    assert "sweep value 1: K >= 2 violated" in capsys.readouterr().err
+    assert "config error: K >= 2 violated (got 1)" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", _write_tiny(tmp_path), "--seeds", "0"]) == 1
 
@@ -457,13 +496,10 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("algorithm.z", "0", "algorithm.z > 0 violated"),
             ("algorithm.t0", "0", "algorithm.t0 >= 1 violated"),
             ("algorithm.confidence", "-3", "algorithm.confidence >= 0 violated"),
-            ("algorithm.eta_scale", "-2", "algorithm.eta_scale > 0 violated"),
-            ("algorithm.eta_scale", "0", "algorithm.eta_scale > 0 violated"),
             ("algorithm.err_scale", "-0.5", "algorithm.err_scale >= 0 violated"),
             ("algorithm.gamma", "nan", "algorithm.gamma > 0 violated"),
             ("algorithm.gamma", "inf", "algorithm.gamma must be finite (got inf)"),
             ("algorithm.z", "inf", "algorithm.z must be finite (got inf)"),
-            ("algorithm.eta_scale", "inf", "algorithm.eta_scale must be finite (got inf)"),
             ("algorithm.bound_scale", "inf", "algorithm.bound_scale must be finite (got inf)"),
             ("algorithm.confidence", "inf", "algorithm.confidence must be finite (got inf)"),
             ("environment.noise_variance", "nan", "noise_variance >= 0 violated (got nan)"),

@@ -6,7 +6,7 @@ import pytest
 from cbwk import oracles
 from cbwk.errors import ConfigurationError
 from cbwk.oracles import (
-    OnlinePredictor,
+    BatchPredictor,
     VectorPredictor,
     bound_spec,
     online_to_batch,
@@ -15,55 +15,62 @@ from cbwk.oracles import (
 E1 = np.eye(3)[0]
 
 
+def predict(o, phi) -> float:
+    """A scalar oracle's prediction at one feature row."""
+    return float(o.predict_matrix(np.asarray(phi)[None])[0, 0, 0])
+
+
 def test_predict_zero_parameter():
-    o = OnlinePredictor("ogd", 3)
-    assert o.predict(np.array([0.3, -0.2, 0.9])) == 0.0
+    o = VectorPredictor("ogd", 1, 3)
+    assert predict(o, np.array([0.3, -0.2, 0.9])) == 0.0
 
 
 def test_predict_inner_product_and_clipping():
-    o = OnlinePredictor("ogd", 3)
+    o = VectorPredictor("ogd", 1, 3)
     o.theta[0] = E1
-    assert o.predict(0.7 * E1) == pytest.approx(0.7, abs=1e-12)
-    assert o.predict(1.4 * E1) == 1.0
+    assert predict(o, 0.7 * E1) == pytest.approx(0.7, abs=1e-12)
+    assert predict(o, 1.4 * E1) == 1.0
 
 
 def test_predict_shape_error():
-    o = OnlinePredictor("ogd", 3)
+    o = VectorPredictor("ogd", 1, 3)
     with pytest.raises(ConfigurationError):
-        o.predict(np.ones(4))
+        predict(o, np.ones(4))
+    with pytest.raises(ConfigurationError):
+        o.predict_matrix(E1)  # one feature row is a (1, dim) matrix
 
 
 def test_ogd_zero_gradient_fixed_point():
-    o = OnlinePredictor("ogd", 3)
-    o.update(E1, 0.0)
+    o = VectorPredictor("ogd", 1, 3)
+    o.update(E1, [0.0])
     assert (o.theta == 0.0).all()
 
 
 def test_ogd_one_step_hand_value():
     # theta=0, phi=e1, y=1, eta_1=1: gradient -2 e1, projection of 2 e1 is e1.
-    o = OnlinePredictor("ogd", 3)
-    o.update(E1, 1.0)
+    o = VectorPredictor("ogd", 1, 3)
+    o.update(E1, [1.0])
     assert np.allclose(o.theta, E1, atol=1e-12)
     assert o.t == 1
 
 
 def test_ogd_projection_contract():
-    o = OnlinePredictor("ogd", 3)
-    o.update(3.0 * E1, 5.0)  # pre-projection iterate far outside the ball
+    o = VectorPredictor("ogd", 1, 3)
+    o.update(3.0 * E1, [5.0])  # pre-projection iterate far outside the ball
     assert np.linalg.norm(o.theta) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_glmtron_zero_residual_noop():
-    o = OnlinePredictor("glmtron", 2)
+    o = VectorPredictor("glmtron", 1, 2)
     o.theta[0] = np.array([0.5, 0.0])
     phi = np.array([0.8, 0.0])
-    o.update(phi, 0.4)  # prediction exactly 0.4
+    o.update(phi, [0.4])  # prediction exactly 0.4
     assert np.allclose(o.theta, [0.5, 0.0], atol=1e-12)
 
 
 def test_glmtron_sherman_morrison_hand_value():
-    o = OnlinePredictor("glmtron", 2)
-    o.update(np.array([1.0, 0.0]), 1.0)
+    o = VectorPredictor("glmtron", 1, 2)
+    o.update(np.array([1.0, 0.0]), [1.0])
     assert np.allclose(o.A, [[2.0, 0.0], [0.0, 1.0]], atol=1e-12)
     assert np.allclose(o.A_inv, [[0.5, 0.0], [0.0, 1.0]], atol=1e-12)
 
@@ -71,13 +78,13 @@ def test_glmtron_sherman_morrison_hand_value():
 def test_rank_one_updates_match_direct_inversion():
     rng = np.random.default_rng(0)
     m = 8
-    o = OnlinePredictor("glmtron", m)
+    o = VectorPredictor("glmtron", 1, m)
     acc = np.eye(m)
     for _ in range(1000):
         phi = rng.normal(size=m)
         phi /= max(np.linalg.norm(phi), 1.0)
         acc += np.outer(phi, phi)
-        o.update(phi, rng.random())
+        o.update(phi, [rng.random()])
     direct = np.linalg.inv(acc)
     assert np.linalg.norm(o.A_inv - direct) <= 1e-6
     # still positive definite
@@ -87,26 +94,27 @@ def test_rank_one_updates_match_direct_inversion():
 def test_projection_invariant_adversarial_updates():
     rng = np.random.default_rng(1)
     for kind in ("ogd", "glmtron"):
-        o = OnlinePredictor(kind, 4)
+        o = VectorPredictor(kind, 1, 4)
         for _ in range(10**5):
             phi = rng.normal(size=4) * rng.choice([0.1, 1.0, 5.0])
-            o.update(phi, rng.choice([-3.0, 0.0, 1.0, 4.0]))
+            o.update(phi, [rng.choice([-3.0, 0.0, 1.0, 4.0])])
             assert np.linalg.norm(o.theta) <= 1.0 + 1e-9
 
 
 def test_glmtron_reinitialization_path():
-    o = OnlinePredictor("glmtron", 4)
+    o = VectorPredictor("glmtron", 1, 4)
     rng = np.random.default_rng(2)
     phi = np.full(4, 0.5)
+    one = np.array([1.0])
     for _ in range(10**6):
-        o.update(phi, 1.0)
+        o.update(phi, one)
     # corrupting feature overflows the accumulated matrix
-    o.update(np.full(4, 1e170), 1.0)
+    o.update(np.full(4, 1e170), one)
     assert o.reinit_count >= 1
     for _ in range(10):
-        o.update(rng.normal(size=4) / 2, 0.5)
-    assert np.isfinite(o.predict(phi))
-    assert 0.0 <= o.predict(phi) <= 1.0
+        o.update(rng.normal(size=4) / 2, [0.5])
+    assert np.isfinite(predict(o, phi))
+    assert 0.0 <= predict(o, phi) <= 1.0
 
 
 def test_ogd_recovers_from_a_nan_target():
@@ -198,7 +206,7 @@ def test_glmtron_regret_contract_on_realizable_stream():
         m = 5
         theta = np.zeros(m)
         theta[0] = 0.9
-        o = OnlinePredictor("glmtron", m)
+        o = VectorPredictor("glmtron", 1, m)
         reg_at = {}
         checkpoints = {5000, T}
         reg = 0.0
@@ -207,8 +215,8 @@ def test_glmtron_regret_contract_on_realizable_stream():
             v /= np.linalg.norm(v)
             phi = (np.eye(m)[0] + 0.4 * v) / 1.4
             fstar = phi @ theta
-            reg += (o.predict(phi) - fstar) ** 2
-            o.update(phi, fstar + rng.uniform(-0.25, 0.25))
+            reg += (predict(o, phi) - fstar) ** 2
+            o.update(phi, [fstar + rng.uniform(-0.25, 0.25)])
             if t in checkpoints:
                 reg_at[t] = reg
         return reg_at
@@ -223,16 +231,18 @@ def test_glmtron_regret_contract_on_realizable_stream():
 
 
 def test_vector_degenerate_lift_matches_scalar():
-    scalar = OnlinePredictor("glmtron", 3)
-    vec = VectorPredictor("glmtron", 1, 3)
+    # a scalar oracle fed the one-stack shorthand, a (dim,) row and a (1,)
+    # target, is bitwise the oracle fed the stacked (1, dim) and (1, 1) shapes
+    short = VectorPredictor("glmtron", 1, 3)
+    stacked = VectorPredictor("glmtron", 1, 3)
     rng = np.random.default_rng(3)
     for _ in range(50):
         phi = rng.normal(size=3) / 2
         y = rng.random()
-        scalar.update(phi, y)
-        vec.update(phi, np.array([y]))
-    assert (scalar.theta == vec.theta).all()
-    assert (scalar.A_inv == vec.A_inv).all()
+        short.update(phi, [y])
+        stacked.update(phi[None], np.array([[y]]))
+    assert (short.theta == stacked.theta).all()
+    assert (short.A_inv == stacked.A_inv).all()
 
 
 def test_vector_coordinate_independence():
@@ -260,10 +270,20 @@ def test_vector_shape_errors():
         vec.update(E1, np.ones(3))
     with pytest.raises(ConfigurationError):
         vec.predict_matrix(np.ones((2, 4)))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^d >= 1 violated \(got 0\)$"):
         VectorPredictor("ogd", 0, 3)
+    with pytest.raises(ConfigurationError, match=r"^stacks >= 1 violated \(got 0\)$"):
+        VectorPredictor("ogd", 2, 3, stacks=0)
     with pytest.raises(ConfigurationError):
         VectorPredictor("sgd", 2, 3)
+    # online-to-batch takes (M, S, dim) features with (M, S, n) targets, and
+    # its batch predictor (S, K, dim) features: the one-stack forms are gone
+    with pytest.raises(ConfigurationError):
+        online_to_batch("ogd", np.ones((4, 3)), np.ones((4, 2)))
+    fit = BatchPredictor(np.zeros((1, 2, 4, 3)), "identity")
+    assert fit.predict_matrix(np.ones((1, 5, 3))).shape == (1, 5, 2)
+    with pytest.raises(ConfigurationError):
+        fit.predict_matrix(np.ones((5, 3)))
 
 
 def _adversarial_stream(rng, n, dim, length):
@@ -291,29 +311,29 @@ def test_fused_stack_matches_independent_scalars(kind, link, monkeypatch):
     probe = rng.normal(size=(5, dim))
 
     fused = VectorPredictor(kind, n, dim, link=link)
-    scalars = [OnlinePredictor(kind, dim, link=link) for _ in range(n)]
+    scalars = [VectorPredictor(kind, 1, dim, link=link) for _ in range(n)]
     for phi, y in stream:
-        assert (fused.predict_matrix(probe)
-                == np.column_stack([s.predict_matrix(probe) for s in scalars])).all()
+        assert (fused.predict_matrix(probe)[0]
+                == np.column_stack([s.predict_matrix(probe)[0, :, 0] for s in scalars])).all()
         fused.update(phi, y)
         for s, target in zip(scalars, y):
-            s.update(phi, target)
+            s.update(phi, [target])
     assert (fused.theta[0] == np.vstack([s.theta[0] for s in scalars])).all()
     assert fused.t == scalars[0].t == length
     if kind == "glmtron":
         assert sum(projected) > 0
         assert all((fused.A_inv == s.A_inv).all() for s in scalars)
 
-    X = np.array([phi for phi, _ in stream])
-    Y = np.array([y for _, y in stream])
+    X = np.array([phi for phi, _ in stream])[:, None]  # one stack: (M, 1, dim)
+    Y = np.array([y for _, y in stream])[:, None]  # (M, 1, n)
     fit = online_to_batch(kind, X, Y, link=link)
     assert fit.params.shape == (1, n, length, dim) and fit.params.flags.c_contiguous
-    preds = fit.predict_matrix(probe)
+    preds = fit.predict_matrix(probe[None])
     assert preds.shape == (1, len(probe), n)
     for j in range(n):
-        alone = online_to_batch(kind, X, Y[:, j], link=link)
+        alone = online_to_batch(kind, X, Y[:, :, j:j + 1], link=link)
         assert (fit.params[0, j] == alone.params[0, 0]).all()
-        assert (preds[0, :, j] == alone.predict_matrix(probe)[0, :, 0]).all()
+        assert (preds[0, :, j] == alone.predict_matrix(probe[None])[0, :, 0]).all()
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
@@ -366,15 +386,15 @@ def test_vector_regret_decomposition():
 
 
 def test_otb_single_sample_is_initial_predictor():
-    bp = online_to_batch("glmtron", np.array([[0.5, 0.5]]), np.array([1.0]))
+    bp = online_to_batch("glmtron", np.array([[[0.5, 0.5]]]), np.array([[[1.0]]]))
     # average of one iterate: the untrained predictor
-    assert bp.predict_matrix(np.array([0.9, 0.1])).tolist() == [[[0.0]]]
+    assert bp.predict_matrix(np.array([[[0.9, 0.1]]])).tolist() == [[[0.0]]]
     assert bp.params.shape == (1, 1, 1, 2)
 
 
 def test_otb_empty_dataset_rejected():
     with pytest.raises(ConfigurationError):
-        online_to_batch("ogd", np.empty((0, 2)), np.empty(0))
+        online_to_batch("ogd", np.empty((0, 1, 2)), np.empty((0, 1, 1)))
 
 
 def test_otb_noiseless_linear_recovery():
@@ -384,10 +404,10 @@ def test_otb_noiseless_linear_recovery():
     theta /= np.linalg.norm(theta) * 1.5
     phis = np.abs(rng.normal(size=(M, m)))
     phis /= np.maximum(np.linalg.norm(phis, axis=1, keepdims=True), 1.0) * 1.2
-    bp = online_to_batch("glmtron", phis, phis @ theta)
+    bp = online_to_batch("glmtron", phis[:, None], (phis @ theta)[:, None, None])
     fresh = np.abs(rng.normal(size=(200, m)))
     fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1.0) * 1.2
-    mse = np.mean((bp.predict_matrix(fresh)[0, :, 0] - fresh @ theta) ** 2)
+    mse = np.mean((bp.predict_matrix(fresh[None])[0, :, 0] - fresh @ theta) ** 2)
     assert mse < 0.01
 
 
@@ -398,17 +418,17 @@ def test_otb_zero_targets_error_decreases():
     m = 3
     phis = np.abs(rng.normal(size=(400, m)))
     phis /= np.maximum(np.linalg.norm(phis, axis=1, keepdims=True), 1.0)
-    probe = np.full(m, 0.5)
+    probe = np.full((1, 1, m), 0.5)
     initial = 0.5  # sigma(0)
     errors = []
     for M in (10, 50, 200, 400):
-        bp = online_to_batch("glmtron", phis[:M], np.zeros(M), link="logistic")
+        bp = online_to_batch("glmtron", phis[:M, None], np.zeros((M, 1, 1)), link="logistic")
         errors.append(bp.predict_matrix(probe)[0, 0, 0])
     assert all(e <= initial for e in errors)
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0]
 
-    identity = online_to_batch("glmtron", phis[:50], np.zeros(50))
+    identity = online_to_batch("glmtron", phis[:50, None], np.zeros((50, 1, 1)))
     assert identity.predict_matrix(probe)[0, 0, 0] == 0.0
 
 

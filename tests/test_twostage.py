@@ -276,11 +276,11 @@ def test_phase_one_datasets_and_estimates():
     for a in range(3):
         rows = slice(a * t0, (a + 1) * t0)
         assert (expl.arms[rows] == a).all()
-        features = np.tile(span[a], (t0, 1))
-        alone = online_to_batch("glmtron", features, expl.costs[rows, 1])
+        features = np.tile(span[a], (t0, 1, 1))  # one stack: (t0, 1, dim)
+        alone = online_to_batch("glmtron", features, expl.costs[rows, 1][:, None, None])
         assert (p1.fits.params[a, 2] == alone.params[0, 0]).all()
-        arm = online_to_batch("glmtron", features, expl.outcomes[rows])
-        preds[a] = arm.predict_matrix(span[a])[0, 0]
+        arm = online_to_batch("glmtron", features, expl.outcomes[rows][:, None])
+        preds[a] = arm.predict_matrix(span[a][None, None])[0, 0]
     opt_hat = exact_opt_fixed_context(preds[:, 0], preds[:, 1:], 1000 / 2000 + 2.0 * p1.m_val)
     assert p1.opt_hat == pytest.approx(opt_hat, abs=1e-12)
 
@@ -320,31 +320,32 @@ def test_stacked_fit_matches_one_stack_per_arm(kind, link, monkeypatch):
 
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = online_to_batch(kind, features, targets, link=link)
-        alone = [online_to_batch(kind, features[:, a], targets[:, a], link=link)
+        alone = [online_to_batch(kind, features[:, a:a + 1], targets[:, a:a + 1], link=link)
                  for a in range(K)]
     if kind == "glmtron":
         assert sum(projected) > 0 and sum(reinits) > 0
     assert stacked.params.shape == (K, 1 + d, M, dim)
-    shared = stacked.predict_matrix(probe)
+    shared = stacked.predict_matrix(np.broadcast_to(probe, (K,) + probe.shape))
     own = stacked.predict_matrix(phi[:, None])[:, 0]
     for a, fit in enumerate(alone):
-        assert np.abs(shared[a] - fit.predict_matrix(probe)[0]).max() <= 1e-12
-        assert np.abs(own[a] - fit.predict_matrix(phi[a])[0, 0]).max() <= 1e-12
+        assert np.abs(shared[a] - fit.predict_matrix(probe[None])[0]).max() <= 1e-12
+        assert np.abs(own[a] - fit.predict_matrix(phi[None, a:a + 1])[0, 0]).max() <= 1e-12
     rate = own[:, 1:].max(axis=1).min()  # the cheapest arm alone is just feasible
     for rate, m_val in ((rate, 0.0), (rate - 0.05, 0.05)):
         want = exact_opt_fixed_context(own[:, 0], own[:, 1:], rate + 2.0 * m_val)
         assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want, abs=1e-12)
-        per_arm = np.array([fit.predict_matrix(phi[a])[0, 0] for a, fit in enumerate(alone)])
+        per_arm = np.array([fit.predict_matrix(phi[None, a:a + 1])[0, 0]
+                            for a, fit in enumerate(alone)])
         want_alone = exact_opt_fixed_context(per_arm[:, 0], per_arm[:, 1:], rate + 2.0 * m_val)
         assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want_alone, abs=1e-12)
 
 
 @pytest.mark.parametrize("policy", [PolicyConfig(oracle="ogd", bound_scale=0.01),
-                                    PolicyConfig(oracle="ogd", bound_scale=0.01, eta_scale=0.3),
+                                    PolicyConfig(bound_scale=0.01),
                                     PolicyConfig(gamma=40.0)])
 def test_run_twostage_is_phase_one_then_squarecbwk(policy):
-    # One PolicyConfig drives both phases: phase one fits with its oracle and
-    # eta_scale, and phase 2 is run_squarecbwk on the rest with z = Z.
+    # One PolicyConfig drives both phases: phase one fits with its oracle, and
+    # phase 2 is run_squarecbwk on the rest with z = Z.
     T, B, K, d, m, t0 = 1200, 900.0, 3, 4, 10, 40
     env = make_fixed_linear_env(m, K, d, 0.1, T=T, B=B)
     cfg = TwoStageConfig(t0=t0, policy=policy)
@@ -372,9 +373,8 @@ def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     err_f, err_g = estimation_errors(policy.oracle, m, d, t0, T)
     assert p1.m_val == m_t0(t0, K, d, err_f, err_g, T)
     rows = slice(0, t0)
-    fit = online_to_batch(policy.oracle, np.tile(env.contexts.span[0], (t0, 1)),
-                          head.outcomes[rows],
-                          eta_scale=policy.eta_scale)
+    fit = online_to_batch(policy.oracle, np.tile(env.contexts.span[0], (t0, 1, 1)),
+                          head.outcomes[rows][:, None])
     assert (p1.fits.params[0] == fit.params[0]).all()
 
 
