@@ -27,11 +27,10 @@ from .harness import (
 from .lp import LpProblem, LpSolution, exact_opt_fixed_context, solve_lp
 from .oracles import (
     BatchPredictor,
-    OracleBoundSpec,
     VectorPredictor,
-    bound_spec,
     make_vector_predictor,
     online_to_batch,
+    regret_bounds,
 )
 from .policy import (
     PolicyConfig,

@@ -50,13 +50,14 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     a_inv = np.eye(r) / RIDGE
     b_vec = np.zeros((1 + d, r))
     one_hot = np.eye(K)
+    optimism = np.r_[1.0, np.full(d, -1.0)]  # optimistic reward, pessimistic costs
 
     def estimate(t):
         theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, r)
         means = Phi @ theta_hat.T  # (K, 1+d)
         widths = np.sqrt(np.einsum("ki,ij,kj->k", Phi, a_inv, Phi))
         beta = confidence_width(m, t + 1, config.confidence_scale)
-        return means[:, 0] + beta * widths, means[:, 1:] - beta * widths[:, None]
+        return means + (beta * widths)[:, None] * optimism
 
     def choose(scores):
         arm = int(scores.argmax())

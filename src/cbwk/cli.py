@@ -81,8 +81,7 @@ def cmd_sweep(args) -> int:
 def cmd_opt(args) -> int:
     config = _load_config(args.config)
     env = build_env(config)
-    means = env.expected_outcomes()
-    opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], env.instance.budget_rate)
+    opt = exact_opt_fixed_context(env.expected_outcomes(), env.instance.budget_rate)
     print(f"OPT = {opt!r}")
     print(f"T * OPT = {env.instance.T * opt!r}")
     return 0

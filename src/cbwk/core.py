@@ -81,56 +81,49 @@ class ArmFeatures:
 class EnvironmentSpec:
     """Generative model: true parameters, fixed context set, noise law, link.
 
-    ``outcome_model`` is "gaussian" (linear value plus N(0, noise_variance))
-    or "bernoulli" (mean sigma(<theta, phi>), outcomes in {0, 1}).  With
-    ``bounded`` set, realized gaussian outcomes are clipped to [0, 1]; the
-    default leaves them unclipped, which is what the scaling benchmarks use
-    even though some expected values exceed 1.  ``null_arm`` designates the
-    last arm as a do-nothing action with exactly zero reward and cost.
+    ``theta`` holds one parameter row per outcome coordinate: row 0 is the
+    reward and rows 1..d are the costs, the [reward | costs] layout of every
+    outcome row.  The link sets the outcome law: ``identity`` draws the linear
+    value plus N(0, noise_variance), and ``logistic`` draws Bernoulli outcomes
+    of mean sigma(<theta, phi>).  With ``bounded`` set, realized gaussian
+    outcomes are clipped to [0, 1]; the default leaves them unclipped, which
+    is what the scaling benchmarks use even though some expected values
+    exceed 1.  ``null_arm`` designates the last arm as a do-nothing action
+    with exactly zero reward and cost.
     """
 
     instance: ProblemInstance
-    theta_reward: np.ndarray  # (m,)
-    theta_cost: np.ndarray  # (d, m)
+    theta: np.ndarray  # (1+d, m)
     contexts: ArmFeatures
     noise_variance: float = 0.0
     link: str = "identity"
-    outcome_model: str = "gaussian"
     bounded: bool = False
     null_arm: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_reward", np.asarray(self.theta_reward, dtype=float))
-        object.__setattr__(self, "theta_cost", np.atleast_2d(np.asarray(self.theta_cost, dtype=float)))
+        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         problems = []
-        if self.theta_cost.shape[0] != self.instance.d:
-            problems.append(
-                f"theta_cost has {self.theta_cost.shape[0]} rows, expected d={self.instance.d}"
-            )
+        shape = (1 + self.instance.d, self.contexts.phi.shape[1])
+        if self.theta.shape != shape:
+            problems.append(f"theta has shape {self.theta.shape}, expected (1+d, m) = {shape}")
         if self.contexts.K != self.instance.K:
             problems.append(f"contexts have {self.contexts.K} arms, expected K={self.instance.K}")
-        m = self.contexts.phi.shape[1]
-        if not self.theta_reward.size == self.theta_cost.shape[1] == m:
-            problems.append(f"theta_reward and theta_cost must have the feature width m={m}")
         problems += range_violations(vars(self), _NOISE_RULE)
         if self.link not in ("identity", "logistic"):
             problems.append(f"unknown link {self.link!r}")
-        if self.outcome_model not in ("gaussian", "bernoulli"):
-            problems.append(f"unknown outcome model {self.outcome_model!r}")
         raise_if_any(problems)
 
     @cached_property
     def outcome_means(self) -> np.ndarray:
         """Pre-noise [reward | costs] of every arm, link applied, shape (K, 1+d).
 
-        Rows are built from per-arm dot products rather than one matrix
-        product, so they are bitwise equal to evaluating each arm on its own.
+        Rows are built from per-arm products rather than one matrix product,
+        so they are bitwise equal to evaluating each arm on its own.
         """
         phi = self.contexts.phi
         rows = np.empty((self.instance.K, 1 + self.instance.d))
         for a in range(self.instance.K):
-            rows[a, 0] = phi[a] @ self.theta_reward
-            rows[a, 1:] = self.theta_cost @ phi[a]
+            rows[a] = self.theta @ phi[a]
         if self.link == "logistic":
             rows = 1.0 / (1.0 + np.exp(-rows))
         rows.flags.writeable = False
@@ -143,7 +136,7 @@ class EnvironmentSpec:
         around, taken through the clip in bounded mode; the null arm's row is
         zero.
         """
-        if self.outcome_model == "gaussian" and self.bounded:
+        if self.link == "identity" and self.bounded:
             out = clipped_gaussian_mean(self.outcome_means, self.noise_variance)
         else:
             out = self.outcome_means.copy()
@@ -203,12 +196,12 @@ def make_fixed_linear_env(
     raise_if_any(fixed_linear_violations(m, K, d, noise_variance, T, B))
 
     e = np.eye(m)
-    theta_reward = (e[0] + e[1]) / SQRT2
-    theta_cost = np.zeros((d, m))
-    theta_cost[0] = (e[0] + e[2]) / SQRT2
-    theta_cost[1] = (e[1] + e[2] + e[3] + e[4]) / 2.0
+    theta = np.zeros((1 + d, m))
+    theta[0] = (e[0] + e[1]) / SQRT2
+    theta[1] = (e[0] + e[2]) / SQRT2
+    theta[2] = (e[1] + e[2] + e[3] + e[4]) / 2.0
     for j in range(2, d):
-        theta_cost[j] = e[j + 1]
+        theta[1 + j] = e[j + 1]
 
     contexts = e[0] / SQRT2 + e[1 : K + 1]
     if null_arm:
@@ -216,8 +209,7 @@ def make_fixed_linear_env(
         contexts[-1] = 0.0
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=K),
-        theta_reward=theta_reward,
-        theta_cost=theta_cost,
+        theta=theta,
         contexts=ArmFeatures(contexts, norm_bound=SQRT2),
         noise_variance=noise_variance,
         bounded=bounded,
@@ -225,32 +217,21 @@ def make_fixed_linear_env(
     )
 
 
-def make_glm_env(
-    instance: ProblemInstance,
-    theta_reward,
-    theta_cost,
-    contexts,
-) -> EnvironmentSpec:
+def make_glm_env(instance: ProblemInstance, theta, contexts) -> EnvironmentSpec:
     """Generalized-linear environment: mean sigma(<theta, phi>), Bernoulli draws.
 
-    Parameter and feature norms must lie in the unit ball.
+    ``theta`` is (1+d, m), the reward row then the cost rows.  Every parameter
+    row and every feature row must lie in the unit ball.
     """
-    theta_reward = np.asarray(theta_reward, dtype=float)
-    theta_cost = np.atleast_2d(np.asarray(theta_cost, dtype=float))
-    problems = []
-    if np.linalg.norm(theta_reward) > 1 + 1e-9:
-        problems.append(f"reward parameter norm {np.linalg.norm(theta_reward):.4f} exceeds 1")
-    cost_norms = np.linalg.norm(theta_cost, axis=1)
-    if (cost_norms > 1 + 1e-9).any():
-        problems.append(f"cost parameter norm {cost_norms.max():.4f} exceeds 1")
-    raise_if_any(problems)
+    theta = np.asarray(theta, dtype=float)
+    norms = np.linalg.norm(theta, axis=-1)
+    if (norms > 1 + 1e-9).any():
+        raise ConfigurationError(f"parameter row norm {norms.max():.4f} exceeds 1")
     return EnvironmentSpec(
         instance=instance,
-        theta_reward=theta_reward,
-        theta_cost=theta_cost,
+        theta=theta,
         contexts=ArmFeatures(contexts, norm_bound=1.0),
         link="logistic",
-        outcome_model="bernoulli",
     )
 
 
@@ -266,7 +247,7 @@ def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> 
         return np.zeros(1 + d)
 
     raw = env.outcome_means[arm]
-    if env.outcome_model == "bernoulli":
+    if env.link == "logistic":
         vals = (rng.random(1 + d) < raw).astype(float)
     else:
         vals = raw + rng.normal(0.0, math.sqrt(env.noise_variance), 1 + d)

@@ -282,8 +282,7 @@ def _run_cell(spec: dict) -> SweepRow:
             trace = run_twostage(env, replace(config.twostage, policy=replace(policy, z=None)), rng)
         else:
             trace = run_squarecbwk(env, replace(policy, oracle=alg), rng)
-        means = env.expected_outcomes()
-        opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], env.instance.budget_rate)
+        opt = exact_opt_fixed_context(env.expected_outcomes(), env.instance.budget_rate)
         regret = float(realized_regret(trace, opt, env.instance.T))
         row.regret, row.tau, row.total_reward = regret, int(trace.tau), float(trace.total_reward)
     except Exception as exc:  # per-row failure, never fatal to the sweep

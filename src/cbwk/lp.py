@@ -203,21 +203,23 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     )
 
 
-def exact_opt_fixed_context(rewards, costs, budget_rate: float) -> float:
+def exact_opt_fixed_context(outcomes, budget_rate: float) -> float:
     """Per-round optimum of the static allocation over one fixed context.
 
-    maximize sum_a p_a * rewards[a]  over the probability simplex, subject to
-    sum_a p_a * costs[a, j] <= budget_rate for every resource j.
+    ``outcomes`` is (K, 1+d), each arm's [reward | costs] row: maximize
+    sum_a p_a * outcomes[a, 0] over the probability simplex, subject to
+    sum_a p_a * outcomes[a, 1 + j] <= budget_rate for every resource j.
     """
-    rewards = np.asarray(rewards, dtype=float)
-    costs = np.atleast_2d(np.asarray(costs, dtype=float))
-    K = rewards.size
-    if costs.shape[0] != K:
-        raise ConfigurationError(f"costs has {costs.shape[0]} rows, expected {K}")
+    outcomes = np.asarray(outcomes, dtype=float)
+    if outcomes.ndim != 2 or outcomes.shape[1] < 2:
+        raise ConfigurationError(
+            f"outcomes has shape {outcomes.shape}, expected (K, 1+d) with d >= 1"
+        )
+    K, n = outcomes.shape
     problem = LpProblem(
-        c=rewards,
-        a_ub=costs.T,
-        b_ub=np.full(costs.shape[1], float(budget_rate)),
+        c=outcomes[:, 0],
+        a_ub=outcomes[:, 1:].T,
+        b_ub=np.full(n - 1, float(budget_rate)),
         a_eq=np.ones((1, K)),
         b_eq=np.array([1.0]),
     )

@@ -18,8 +18,6 @@ pass.  A scalar oracle is one stack of one row: ``VectorPredictor(kind, 1, dim)`
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -98,8 +96,8 @@ class VectorPredictor:
 
     def __init__(self, kind: str, d: int, dim: int, *, stacks: int = 1,
                  link: str = "identity"):
-        problems = range_violations({"d": d, "stacks": stacks},
-                                    (("d", ">=", 1), ("stacks", ">=", 1)))
+        problems = range_violations({"d": d, "stacks": stacks, "dim": dim},
+                                    (("d", ">=", 1), ("stacks", ">=", 1), ("dim", ">=", 0)))
         if kind not in ORACLE_KINDS:
             problems.append(f"unknown oracle kind {kind!r}")
         if link not in _LINKS:
@@ -316,29 +314,15 @@ def online_to_batch(kind: str, features, targets, *, link: str = "identity") -> 
     return BatchPredictor(params, link)
 
 
-@dataclass(frozen=True)
-class OracleBoundSpec:
-    """Closed-form regression-regret bounds for one oracle family.
+def regret_bounds(kind: str, m: int, d: int, n: int,
+                  scale: float = 1.0) -> tuple[float, float]:
+    """Closed-form regression-regret bounds (Reg_r(n), Reg_c(n)) of one oracle family.
 
-    ``reward_bound(T)`` and ``cost_bound(T)`` are the cumulative squared-error
-    bounds used to size the policy's learning rate; the cost bound covers the
-    full d-coordinate oracle.
+    They are the cumulative squared-error bounds after n steps that size the
+    policy's learning rate; the cost bound covers the full d-coordinate oracle.
     """
-
-    reward_bound: Callable[[float], float]
-    cost_bound: Callable[[float], float]
-
-
-def bound_spec(kind: str, m: int, d: int, scale: float = 1.0) -> OracleBoundSpec:
     if kind == "glmtron":
-        return OracleBoundSpec(
-            reward_bound=lambda T: scale * m * max(1.0, np.log(T)),
-            cost_bound=lambda T: scale * d * m * max(1.0, np.log(T)),
-        )
+        return scale * m * max(1.0, np.log(n)), scale * d * m * max(1.0, np.log(n))
     if kind == "ogd":
-        return OracleBoundSpec(
-            reward_bound=lambda T: scale * np.sqrt(T),
-            cost_bound=lambda T: scale * d * np.sqrt(T),
-        )
+        return scale * np.sqrt(n), scale * d * np.sqrt(n)
     raise ConfigurationError(f"unknown oracle kind {kind!r}")
-

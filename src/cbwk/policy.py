@@ -16,7 +16,7 @@ import numpy as np
 from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .dual import DualState, dual_init, dual_lambda, dual_update
 from .errors import raise_if_any, range_violations, type_violations
-from .oracles import ORACLE_KINDS, OracleBoundSpec, bound_spec, make_vector_predictor
+from .oracles import ORACLE_KINDS, make_vector_predictor, regret_bounds
 # make_predictor is kept for perfbench/tracer.py, which patches it
 from .oracles import make_predictor  # noqa: F401
 
@@ -43,16 +43,16 @@ class PolicyConfig:
         raise_if_any(problems)
 
 
-def gamma_default(K: int, T: int, bounds: OracleBoundSpec, Z: float) -> float:
-    """Learning rate sqrt(KT / (Reg_r(T) + (Z+1)^2 Reg_c(T) + 4 log(2T)))."""
-    denom = bounds.reward_bound(T) + (Z + 1.0) ** 2 * bounds.cost_bound(T) + 4.0 * math.log(2 * T)
+def gamma_default(K: int, T: int, reg_r: float, reg_c: float, Z: float) -> float:
+    """Learning rate sqrt(KT / (Reg_r(T) + (Z+1)^2 Reg_c(T) + 4 log(2T))), given the
+    oracle family's regret bounds Reg_r(T) and Reg_c(T)."""
+    denom = reg_r + (Z + 1.0) ** 2 * reg_c + 4.0 * math.log(2 * T)
     return math.sqrt(K * T / denom)
 
 
-def lagrangian_scores(rhat: np.ndarray, chat: np.ndarray, lam: np.ndarray,
-                      budget_rate: float) -> np.ndarray:
-    """Score each arm by predicted reward plus priced budget slack."""
-    return rhat + (budget_rate - chat) @ lam
+def lagrangian_scores(est: np.ndarray, lam: np.ndarray, budget_rate: float) -> np.ndarray:
+    """Score each arm's (1+d) estimate row by its reward plus priced budget slack."""
+    return est[:, 0] + (budget_rate - est[:, 1:]) @ lam
 
 
 def igw_distribution(scores: np.ndarray, gamma: float) -> np.ndarray:
@@ -78,8 +78,8 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
                rng: np.random.Generator, **summary) -> RunTrace:
     """The primal-dual round shared by every policy, run until T or B - 1.
 
-    Each round ``estimate(t)`` gives every arm's reward and cost estimates
-    (K,) and (K, d), the dual prices turn them into Lagrangian scores,
+    Each round ``estimate(t)`` gives every arm's [reward | costs] estimate
+    row, (K, 1+d), the dual prices turn it into Lagrangian scores,
     ``choose(scores)`` picks an arm and its selection distribution, the
     outcome row y = [reward | costs] is sampled, ``learn(arm, y)`` updates
     the estimator and the dual takes its step.  The run stops the first round
@@ -102,9 +102,9 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
     exit_level = B - 1.0
 
     for t in range(T):
-        rhat, chat = estimate(t)
+        est = estimate(t)
         lam = dual_lambda(dual)
-        scores = lagrangian_scores(rhat, chat, lam, budget_rate)
+        scores = lagrangian_scores(est, lam, budget_rate)
         arm, p = choose(scores)
         y = sample_outcome(env, arm, rng)
         cost = y[1:]
@@ -112,7 +112,7 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         arms[t] = arm
         outcomes[t] = y
         probs[t] = p
-        rhat_log[t] = rhat
+        rhat_log[t] = est[:, 0]
         lam_log[t] = lam
 
         total_reward += y[0]
@@ -146,14 +146,13 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     phi = env.contexts.span
 
     Z = config.z if config.z is not None else T / B
-    bounds = bound_spec(config.oracle, m, d, config.bound_scale)
-    gamma = config.gamma if config.gamma is not None else gamma_default(K, T, bounds, Z)
+    gamma = config.gamma if config.gamma is not None else gamma_default(
+        K, T, *regret_bounds(config.oracle, m, d, T, config.bound_scale), Z)
     oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link)
     samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
 
     def estimate(t):
-        preds = oracle.predict_matrix(phi)[0]
-        return preds[:, 0], preds[:, 1:]
+        return oracle.predict_matrix(phi)[0]
 
     def choose(scores):
         p = igw_distribution(scores, gamma)

@@ -19,7 +19,7 @@ from .core import EnvironmentSpec, RunTrace, sample_outcome
 from .errors import ConfigurationError, raise_if_any, range_violations, type_violations
 # solve_lp is kept for perfbench/tracer.py, which patches it
 from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
-from .oracles import BatchPredictor, bound_spec, online_to_batch
+from .oracles import BatchPredictor, online_to_batch, regret_bounds
 from .policy import PolicyConfig, run_squarecbwk
 
 
@@ -65,12 +65,11 @@ def estimation_errors(oracle: str, m: int, d: int, t0: int, T: int,
     """Closed-form batch estimation-error bounds after T0 samples per arm.
 
     Online-to-batch conversion inherits the online regret bound (the oracle
-    family's ``bound_spec`` at t0) divided by the sample count, times log T
+    family's ``regret_bounds`` at t0) divided by the sample count, times log T
     for the 1/T failure probability.
     """
-    bounds, log_t = bound_spec(oracle, m, d), math.log(T)
-    return (scale * bounds.reward_bound(t0) * log_t / t0,
-            scale * bounds.cost_bound(t0) * log_t / t0)
+    (reg_r, reg_c), log_t = regret_bounds(oracle, m, d, t0), math.log(T)
+    return scale * reg_r * log_t / t0, scale * reg_c * log_t / t0
 
 
 def m_t0(t0: int, K: int, d: int, err_f: float, err_g: float, T: int) -> float:
@@ -139,7 +138,7 @@ def empirical_opt(fits: BatchPredictor, phi: np.ndarray, budget_rate: float,
     K-variable program.
     """
     preds = fits.predict_matrix(phi[:, None, :])[:, 0]
-    return exact_opt_fixed_context(preds[:, 0], preds[:, 1:], budget_rate + 2.0 * m_val)
+    return exact_opt_fixed_context(preds, budget_rate + 2.0 * m_val)
 
 
 @dataclass

@@ -93,7 +93,7 @@ def test_criterion_3_lp_oracle_equivalence():
             costs = rng.random((K, d))
             rate = rng.uniform(0.05, 1.0)
             try:
-                exact = exact_opt_fixed_context(rewards, costs, rate)
+                exact = exact_opt_fixed_context(np.column_stack([rewards, costs]), rate)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     brute_force_opt(rewards, costs, rate)
@@ -218,8 +218,7 @@ def test_criterion_8_radius_sandwich():
     with _report(8, "estimated dual radius within the two-sided envelope"):
         T, B = 2000, 1000
         env = make_fixed_linear_env(10, 3, 4, 0.01, T=T, B=B)
-        means = env.expected_outcomes()
-        opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], B / T)
+        opt = exact_opt_fixed_context(env.expected_outcomes(), B / T)
         target = T * opt / B
         lower = upper = 0
         for seed in range(50):

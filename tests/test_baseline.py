@@ -39,8 +39,7 @@ def test_zero_costs_and_full_budget_run_to_horizon():
     contexts = np.eye(2)
     env = EnvironmentSpec(
         instance=ProblemInstance(T=60, B=60, d=1, K=2),
-        theta_reward=np.array([0.9, 0.2]),
-        theta_cost=np.zeros((1, 2)),
+        theta=np.array([[0.9, 0.2], [0.0, 0.0]]),
         contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=0.0,
     )

@@ -63,8 +63,8 @@ def test_expected_outcomes_are_the_sampled_means():
     assert rows.shape == (3, 5)
     assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
     assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
-    glm = replace(make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full(2, 0.5),
-                               np.full((2, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]]),
+    glm = replace(make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full((3, 2), 0.5),
+                               [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]]),
                   null_arm=True)  # make_glm_env builds no null arm; the spec takes one
     assert (glm.outcome_means[-1] == 0.5).all() and (glm.expected_outcomes()[-1] == 0.0).all()
     assert (glm.expected_outcomes()[:2] == glm.outcome_means[:2]).all()
@@ -92,16 +92,26 @@ def test_benchmark_env_dimension_guards():
 def test_environment_rejects_parameters_of_another_feature_width():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
     narrow = ArmFeatures(env.contexts.phi[:, :8], norm_bound=env.contexts.norm_bound)
-    with pytest.raises(ConfigurationError, match="feature width m=8"):
-        replace(env, contexts=narrow)  # phi narrower than theta_reward and theta_cost
-    with pytest.raises(ConfigurationError, match="feature width m=10"):
-        replace(env, theta_cost=env.theta_cost[:, :9])
+    with pytest.raises(ConfigurationError, match=r"expected \(1\+d, m\) = \(5, 8\)"):
+        replace(env, contexts=narrow)  # phi narrower than theta
+    with pytest.raises(ConfigurationError, match=r"\(5, 9\), expected \(1\+d, m\) = \(5, 10\)"):
+        replace(env, theta=env.theta[:, :9])
+
+
+def test_environment_reports_wrong_d_and_wrong_k_together():
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
+    two_arms = ArmFeatures(env.contexts.phi[:2], norm_bound=env.contexts.norm_bound)
+    with pytest.raises(ConfigurationError) as err:
+        replace(env, theta=env.theta[:4], contexts=two_arms)  # d = 3 rows and K = 2 arms
+    assert err.value.violations == [
+        "theta has shape (4, 10), expected (1+d, m) = (5, 10)",
+        "contexts have 2 arms, expected K=3",
+    ]
 
 
 def test_glm_env_zero_parameter_means_half():
     inst = ProblemInstance(T=100, B=100, d=2, K=2)
-    env = make_glm_env(inst, np.zeros(3), np.zeros((2, 3)),
-                       np.eye(3)[:2] * 0.9)
+    env = make_glm_env(inst, np.zeros((3, 3)), np.eye(3)[:2] * 0.9)
     assert env.expected_outcomes().shape == (2, 3)
     assert np.allclose(env.expected_outcomes(), 0.5)
 
@@ -109,20 +119,22 @@ def test_glm_env_zero_parameter_means_half():
 def test_glm_env_logistic_mean():
     inst = ProblemInstance(T=100, B=100, d=1, K=2)
     contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    env = make_glm_env(inst, np.array([1.0, 0.0]), np.zeros((1, 2)), contexts)
+    env = make_glm_env(inst, np.array([[1.0, 0.0], [0.0, 0.0]]), contexts)
     assert env.expected_outcomes()[0, 0] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-9)
     assert env.expected_outcomes()[0, 0] == pytest.approx(0.73106, abs=1e-5)
 
 
 def test_glm_env_rejects_large_parameters():
     inst = ProblemInstance(T=100, B=100, d=1, K=2)
-    with pytest.raises(ConfigurationError):
-        make_glm_env(inst, np.array([1.5, 0.0]), np.zeros((1, 2)), np.eye(2))
+    with pytest.raises(ConfigurationError, match="parameter row norm 1.5000 exceeds 1"):
+        make_glm_env(inst, np.array([[1.5, 0.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(ConfigurationError, match="parameter row norm 1.2000 exceeds 1"):
+        make_glm_env(inst, np.array([[0.0, 0.0], [0.0, 1.2]]), np.eye(2))  # a cost row
 
 
 def test_glm_outcomes_are_binary():
     inst = ProblemInstance(T=100, B=100, d=2, K=2)
-    env = make_glm_env(inst, np.array([0.5, 0.0]), np.zeros((2, 2)) + 0.3, np.eye(2) * 0.8)
+    env = make_glm_env(inst, np.array([[0.5, 0.0], [0.3, 0.3], [0.3, 0.3]]), np.eye(2) * 0.8)
     rng = np.random.default_rng(0)
     for _ in range(50):
         y = sample_outcome(env, 0, rng)
@@ -197,8 +209,7 @@ def test_span_keeps_every_column_of_dense_contexts():
     rng = np.random.default_rng(9)
     contexts = rng.normal(size=(3, 5))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
-    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.zeros(5),
-                       np.zeros((2, 5)), contexts)
+    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.zeros((3, 5)), contexts)
     assert env.contexts.span.shape == (3, 5)
     assert (env.contexts.span == env.contexts.phi).all()
 

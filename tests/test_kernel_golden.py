@@ -43,7 +43,7 @@ def _logistic():
     theta_r /= np.linalg.norm(theta_r) * 1.2
     theta_c = rng.normal(size=(2, 4))
     theta_c /= np.linalg.norm(theta_c, axis=1, keepdims=True) * 1.2
-    return make_glm_env(inst, theta_r, theta_c, contexts)
+    return make_glm_env(inst, np.vstack([theta_r, theta_c]), contexts)
 
 
 def _squarecb(oracle, env_fn):

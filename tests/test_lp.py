@@ -67,7 +67,7 @@ def test_lp_matches_brute_force_on_random_instances():
         costs = rng.random((K, d))
         rate = rng.uniform(0.05, 1.0)
         try:
-            exact = exact_opt_fixed_context(rewards, costs, rate)
+            exact = exact_opt_fixed_context(np.column_stack([rewards, costs]), rate)
             brute = brute_force_opt(rewards, costs, rate)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
@@ -81,7 +81,7 @@ def test_weak_duality_spot_check():
     rewards = rng.random(3)
     costs = rng.random((3, 2))
     rate = 0.4
-    value = exact_opt_fixed_context(rewards, costs, rate)
+    value = exact_opt_fixed_context(np.column_stack([rewards, costs]), rate)
     for _ in range(100):
         lam = rng.uniform(0, 3, 2)
         bound = max(rewards[a] + lam @ (rate - costs[a]) for a in range(3))
@@ -102,22 +102,26 @@ def test_objective_scaling():
 
 
 def test_exact_opt_nonbinding_budget():
-    rewards = np.array([0.9, 0.2])
-    costs = np.array([[0.8], [0.1]])
-    assert exact_opt_fixed_context(rewards, costs, 0.9) == pytest.approx(0.9, abs=1e-9)
+    outcomes = np.array([[0.9, 0.8], [0.2, 0.1]])  # per arm: [reward | cost]
+    assert exact_opt_fixed_context(outcomes, 0.9) == pytest.approx(0.9, abs=1e-9)
 
 
 def test_exact_opt_null_arm_only():
     # A single effective arm with zero reward and cost alongside an arm that
     # can never be played: all mass goes to the null arm.
-    rewards = np.array([0.7, 0.0])
-    costs = np.array([[2.0], [0.0]])
-    assert exact_opt_fixed_context(rewards, costs, 0.0) == pytest.approx(0.0, abs=1e-9)
+    outcomes = np.array([[0.7, 2.0], [0.0, 0.0]])
+    assert exact_opt_fixed_context(outcomes, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exact_opt_hand_instance():
-    value = exact_opt_fixed_context([0.9, 0.2], [[0.8], [0.1]], 0.45)
+    value = exact_opt_fixed_context([[0.9, 0.8], [0.2, 0.1]], 0.45)
     assert value == pytest.approx(0.55, abs=1e-9)
+
+
+def test_exact_opt_refuses_rows_without_costs():
+    for outcomes in (np.array([0.9, 0.2]), np.array([[0.9], [0.2]])):  # (K,) and (K, 1)
+        with pytest.raises(ConfigurationError, match=r"expected \(K, 1\+d\) with d >= 1"):
+            exact_opt_fixed_context(outcomes, 0.5)
 
 
 def test_brute_force_guards_and_degenerate_cases():

@@ -8,8 +8,8 @@ from cbwk.errors import ConfigurationError
 from cbwk.oracles import (
     BatchPredictor,
     VectorPredictor,
-    bound_spec,
     online_to_batch,
+    regret_bounds,
 )
 
 E1 = np.eye(3)[0]
@@ -274,6 +274,8 @@ def test_vector_shape_errors():
         VectorPredictor("ogd", 0, 3)
     with pytest.raises(ConfigurationError, match=r"^stacks >= 1 violated \(got 0\)$"):
         VectorPredictor("ogd", 2, 3, stacks=0)
+    with pytest.raises(ConfigurationError, match=r"^dim >= 0 violated \(got -1\)$"):
+        VectorPredictor("ogd", 1, -1)
     with pytest.raises(ConfigurationError):
         VectorPredictor("sgd", 2, 3)
     # online-to-batch takes (M, S, dim) features with (M, S, n) targets, and
@@ -432,12 +434,10 @@ def test_otb_zero_targets_error_decreases():
     assert identity.predict_matrix(probe)[0, 0, 0] == 0.0
 
 
-def test_bound_spec_monotone_positive():
+def test_regret_bounds_monotone_positive():
     for kind in ("glmtron", "ogd"):
-        bounds = bound_spec(kind, m=5, d=4)
         ts = [1, 2, 10, 100, 10**4]
-        rvals = [bounds.reward_bound(t) for t in ts]
-        cvals = [bounds.cost_bound(t) for t in ts]
+        rvals, cvals = zip(*(regret_bounds(kind, m=5, d=4, n=t) for t in ts))
         assert all(v > 0 for v in rvals + cvals)
         assert all(a <= b + 1e-12 for a, b in zip(rvals, rvals[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(cvals, cvals[1:]))

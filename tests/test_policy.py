@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
-from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
+from cbwk.core import (
+    ArmFeatures,
+    EnvironmentSpec,
+    ProblemInstance,
+    make_fixed_linear_env,
+    make_glm_env,
+)
 from cbwk import policy
 from cbwk.errors import ConfigurationError
-from cbwk.oracles import OracleBoundSpec, VectorPredictor
+from cbwk.oracles import VectorPredictor
 from cbwk.policy import (
     PolicyConfig,
     gamma_default,
@@ -21,40 +27,37 @@ def _constant_cost_env(cost_value: float, T: int, B: float, d: int = 1,
                        reward: float = 0.5, noise: float = 0.0):
     """Two-arm linear environment where every arm costs cost_value per round."""
     contexts = np.eye(2)
-    theta_cost = np.full((d, 2), cost_value)
-    theta_reward = np.full(2, reward)
+    theta = np.full((1 + d, 2), cost_value)
+    theta[0] = reward
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
-        theta_reward=theta_reward,
-        theta_cost=theta_cost,
+        theta=theta,
         contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=noise,
     )
 
 
 def test_gamma_default_hand_value():
-    bounds = OracleBoundSpec(lambda T: 5 * math.log(T), lambda T: 5 * math.log(T))
-    assert gamma_default(4, 10**4, bounds, 1.0) == pytest.approx(12.17, abs=0.01)
+    reg = 5 * math.log(10**4)
+    assert gamma_default(4, 10**4, reg, reg, 1.0) == pytest.approx(12.17, abs=0.01)
 
 
 def test_gamma_default_vanishes_with_huge_rates():
-    bounds = OracleBoundSpec(lambda T: 1e12, lambda T: 1e12)
-    assert gamma_default(4, 10**4, bounds, 1.0) < 1e-3
+    assert gamma_default(4, 10**4, 1e12, 1e12, 1.0) < 1e-3
 
 
 def test_gamma_default_single_arm_positive():
-    bounds = OracleBoundSpec(lambda T: 10.0, lambda T: 10.0)
-    assert gamma_default(1, 100, bounds, 1.0) > 0
+    assert gamma_default(1, 100, 10.0, 10.0, 1.0) > 0
     assert np.allclose(igw_distribution(np.array([0.3]), 5.0), [1.0])
 
 
 def test_lagrangian_scores_examples():
-    rhat = np.array([0.6, 0.1])
-    chat = np.array([[0.9], [0.2]])
-    assert np.allclose(lagrangian_scores(rhat, chat, np.zeros(1), 0.5), rhat)
-    scores = lagrangian_scores(rhat, chat, np.array([2.0]), 0.5)
+    est = np.array([[0.6, 0.9], [0.1, 0.2]])  # per arm: [reward | cost]
+    rhat = est[:, 0]
+    assert np.allclose(lagrangian_scores(est, np.zeros(1), 0.5), rhat)
+    scores = lagrangian_scores(est, np.array([2.0]), 0.5)
     assert scores[0] == pytest.approx(0.6 + 2.0 * (0.5 - 0.9), abs=1e-12)  # -0.2
-    balanced = lagrangian_scores(rhat, np.full((2, 1), 0.5), np.array([7.0]), 0.5)
+    balanced = lagrangian_scores(np.array([[0.6, 0.5], [0.1, 0.5]]), np.array([7.0]), 0.5)
     assert np.allclose(balanced, rhat)
 
 
@@ -130,11 +133,10 @@ def test_budget_never_binds_with_zero_costs():
 
 def test_null_arm_only_environment_runs_full_horizon():
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=30, B=30, null_arm=True)
-    env = EnvironmentSpec(
-        instance=env.instance, theta_reward=env.theta_reward,
-        theta_cost=np.zeros_like(env.theta_cost), contexts=env.contexts,
-        noise_variance=0.0, null_arm=True,
-    )
+    theta = env.theta.copy()
+    theta[1:] = 0.0  # zero costs, the benchmark's reward
+    env = EnvironmentSpec(instance=env.instance, theta=theta, contexts=env.contexts,
+                          noise_variance=0.0, null_arm=True)
     trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(1))
     assert trace.tau == 30
 
@@ -186,8 +188,7 @@ def test_high_gamma_with_perfect_predictions_is_greedy(monkeypatch):
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=200, B=200)
     span = slice(0, 4)  # arm a's context is e1/sqrt(2) + e_{a+1}
     oracle = VectorPredictor("glmtron", 5, 4)
-    oracle.theta[0, 0] = env.theta_reward[span]
-    oracle.theta[0, 1:] = env.theta_cost[:, span]
+    oracle.theta[0] = env.theta[:, span]
     monkeypatch.setattr(policy, "make_vector_predictor", lambda *args, **kwargs: oracle)
     trace = run_squarecbwk(env, PolicyConfig(gamma=1e9), np.random.default_rng(4))
     # arm 1 dominates: reward 1.21 (clipped prediction 1.0) vs 0.5
@@ -203,8 +204,6 @@ def test_policy_config_validation():
 
 
 def test_policy_on_bernoulli_environment():
-    from cbwk.core import make_glm_env
-
     inst = ProblemInstance(T=150, B=150, d=2, K=3)
     rng = np.random.default_rng(5)
     contexts = rng.normal(size=(3, 4))
@@ -213,12 +212,24 @@ def test_policy_on_bernoulli_environment():
     theta_r /= np.linalg.norm(theta_r) * 1.2
     theta_c = rng.normal(size=(2, 4))
     theta_c /= np.linalg.norm(theta_c, axis=1, keepdims=True) * 1.2
-    env = make_glm_env(inst, theta_r, theta_c, contexts)
+    env = make_glm_env(inst, np.vstack([theta_r, theta_c]), contexts)
     trace = run_squarecbwk(env, PolicyConfig(oracle="glmtron"),
                            np.random.default_rng(6))
     assert trace.tau <= 150
     assert set(np.unique(trace.rewards)) <= {0.0, 1.0}
     assert trace.total_cost.max() < 150.0
+
+
+@pytest.mark.parametrize("oracle", ["glmtron", "ogd"])
+def test_all_zero_contexts_learn_on_a_zero_width_span(oracle):
+    # every context is 0, so the span has no columns and the stack is
+    # VectorPredictor(oracle, 1+d, 0): it predicts sigma(0) = 0.5 throughout
+    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.full((3, 4), 0.5),
+                       np.zeros((3, 4)))
+    assert env.contexts.span.shape == (3, 0)
+    trace = run_squarecbwk(env, PolicyConfig(oracle=oracle), np.random.default_rng(8))
+    assert trace.tau == 100 and not trace.stopped_early
+    assert (trace.rhat == 0.5).all()
 
 
 def test_dual_radius_default_is_horizon_over_budget():

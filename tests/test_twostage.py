@@ -44,8 +44,7 @@ def _two_arm_env(cost_value=0.5, T=60, B=60.0, d=2, noise=0.0, null_arm=False):
         contexts = np.array([[1.0, 0.0], [0.0, 0.0]])
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
-        theta_reward=np.array([0.8, 0.4]),
-        theta_cost=np.full((d, 2), cost_value),
+        theta=np.vstack([[0.8, 0.4], np.full((d, 2), cost_value)]),
         contexts=ArmFeatures(contexts, norm_bound=1.0),
         noise_variance=noise,
         null_arm=null_arm,
@@ -228,8 +227,7 @@ def test_run_twostage_degenerate_split():
     with pytest.warns(RuntimeWarning):
         trace = run_twostage(env, cfg, np.random.default_rng(4))
     assert trace.tau == 20
-    means = env.expected_outcomes()
-    opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], 1.0)
+    opt = exact_opt_fixed_context(env.expected_outcomes(), 1.0)
     assert 20 * opt - trace.total_reward == pytest.approx(
         20 * opt - trace.rewards.sum(), abs=1e-9)
     assert np.isnan(trace.rhat).all()
@@ -281,7 +279,7 @@ def test_phase_one_datasets_and_estimates():
         assert (p1.fits.params[a, 2] == alone.params[0, 0]).all()
         arm = online_to_batch("glmtron", features, expl.outcomes[rows][:, None])
         preds[a] = arm.predict_matrix(span[a][None, None])[0, 0]
-    opt_hat = exact_opt_fixed_context(preds[:, 0], preds[:, 1:], 1000 / 2000 + 2.0 * p1.m_val)
+    opt_hat = exact_opt_fixed_context(preds, 1000 / 2000 + 2.0 * p1.m_val)
     assert p1.opt_hat == pytest.approx(opt_hat, abs=1e-12)
 
 
@@ -332,11 +330,11 @@ def test_stacked_fit_matches_one_stack_per_arm(kind, link, monkeypatch):
         assert np.abs(own[a] - fit.predict_matrix(phi[None, a:a + 1])[0, 0]).max() <= 1e-12
     rate = own[:, 1:].max(axis=1).min()  # the cheapest arm alone is just feasible
     for rate, m_val in ((rate, 0.0), (rate - 0.05, 0.05)):
-        want = exact_opt_fixed_context(own[:, 0], own[:, 1:], rate + 2.0 * m_val)
+        want = exact_opt_fixed_context(own, rate + 2.0 * m_val)
         assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want, abs=1e-12)
         per_arm = np.array([fit.predict_matrix(phi[None, a:a + 1])[0, 0]
                             for a, fit in enumerate(alone)])
-        want_alone = exact_opt_fixed_context(per_arm[:, 0], per_arm[:, 1:], rate + 2.0 * m_val)
+        want_alone = exact_opt_fixed_context(per_arm, rate + 2.0 * m_val)
         assert empirical_opt(stacked, phi, rate, m_val) == pytest.approx(want_alone, abs=1e-12)
 
 
@@ -382,8 +380,7 @@ def test_radius_sandwich_quick():
     # 10-seed version of the radius check; the acceptance suite runs 50 seeds
     T, B = 2000, 1000
     env = make_fixed_linear_env(10, 3, 4, 0.01, T=T, B=B)
-    means = env.expected_outcomes()
-    opt = exact_opt_fixed_context(means[:, 0], means[:, 1:], B / T)
+    opt = exact_opt_fixed_context(env.expected_outcomes(), B / T)
     lower = upper = 0
     for seed in range(10):
         p1 = phase_one(env, TwoStageConfig(), np.random.default_rng(seed))
