@@ -15,6 +15,16 @@ however many rows the stack has.  Stacks are independent oracles stepped
 together.  The policy fits its reward and its d costs as one (1+d)-row stack,
 and online-to-batch fits the K arms of two-stage's phase one as K stacks in one
 pass.  A scalar oracle is one stack of one row: ``VectorPredictor(kind, 1, dim)``.
+
+A sample whose feature rows are all zero, such as the null arm's, changes
+neither A nor A^{-1}, and its gradient term is 0, so the step is only its norm
+check; ``update`` computes just that.  Every step that moves theta assigns a
+new array and never writes into the previous one, so while ``theta`` is the
+same array the parameters have not moved, and a caller may keep the
+predictions it made from them.  The steps let overflow run to inf and repair
+the rows it reaches; the loops that drive an oracle (``online_to_batch`` and
+``policy.run_squarecbwk``) silence those floating-point warnings once around
+the whole loop, not once per step.
 """
 
 import math
@@ -134,11 +144,44 @@ class VectorPredictor:
     def update(self, phi, y) -> None:
         """One sample: (S, dim) feature rows and (S, d) targets, one row of each per stack.
 
-        A single stack also takes a (dim,) feature row and (d,) targets.
+        A single stack also takes a (dim,) feature row and (d,) targets.  A
+        sample whose feature rows are all zero takes ``_zero_feature_step``,
+        which is the full step's result computed without its algebra.
         """
         stacks = self.theta.shape[0]
-        self._step(_rows(phi, (stacks, self.dim), "feature matrix"),
-                   _rows(y, (stacks, self.d), "target matrix"))
+        phi = _rows(phi, (stacks, self.dim), "feature matrix")
+        y = _rows(y, (stacks, self.d), "target matrix")
+        if np.count_nonzero(phi) or not self._zero_feature_step(y):
+            self._step(phi, y)
+
+    def _zero_feature_step(self, y) -> bool:
+        """The step on all-zero feature rows, if it is exact; else False and no change.
+
+        With phi = 0 the gradient term (resid x phi) is 0, and A and A^{-1}
+        gain exactly 0, so the step reduces to its norm check on the current
+        rows: OGD divides each row by max(||theta||, 1), and GLMtron projects
+        in the A-norm every row above 1.  That holds while the targets, theta
+        and (GLMtron) A and A^{-1} are finite; OGD also needs 2 (link(0) - y)
+        finite, which y.y finite implies.  Otherwise the full step runs, with
+        its repairs.  theta is replaced only when a row moves.
+        """
+        theta = self.theta
+        if not math.isfinite(np.vdot(y, y) + np.vdot(theta, theta)):
+            return False  # a target or a parameter is not finite, or near overflow
+        if self.kind == "glmtron" and not math.isfinite(
+                np.add.reduce(self.A + self.A_inv, axis=None)):
+            return False
+        squares = np.add.reduce(theta * theta, axis=-1)  # as in _row_norms
+        if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the full step's top row norm
+            norms = np.sqrt(squares)
+            if self.kind == "ogd":
+                self.theta = theta / np.maximum(norms, 1.0)[:, :, None]
+            else:
+                v = theta.copy()
+                self._project(v, norms)
+                self.theta = v
+        self.t += 1
+        return True
 
     def _step(self, phi, y):
         if self.kind == "ogd":
@@ -164,33 +207,32 @@ class VectorPredictor:
     def _glmtron_step(self, phi, y):
         link = _LINKS[self.link][0]
         col, row = phi[:, :, None], phi[:, None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
-            grad = resid[:, :, None] * row
+        resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
+        grad = resid[:, :, None] * row
 
-            q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
-            denom = 1.0 + row @ q
-            self.A += col * row
-            # tested in Python: S floats are cheaper to test than an array
-            bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
-            unstable = any(bad)
-            if unstable:
-                denom[bad] = 1.0
-            self.A_inv -= q * q.swapaxes(1, 2) / denom
-            both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
-            if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
-                self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
+        q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
+        denom = 1.0 + row @ q
+        self.A += col * row
+        # tested in Python: S floats are cheaper to test than an array
+        bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
+        unstable = any(bad)
+        if unstable:
+            denom[bad] = 1.0
+        self.A_inv -= q * q.swapaxes(1, 2) / denom
+        both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
+        if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
+            self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
 
-            v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
-            norms = _row_norms(v)
-            top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
-            if not math.isfinite(top):  # some row may be non-finite
-                norms = _zero_nonfinite_rows(v, norms)
-                top = np.maximum.reduce(norms, axis=None)
-            if top > 1.0:
-                self._project(v, norms)
-            self.theta = v
-            self.t += 1
+        v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
+        norms = _row_norms(v)
+        top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
+        if not math.isfinite(top):  # some row may be non-finite
+            norms = _zero_nonfinite_rows(v, norms)
+            top = np.maximum.reduce(norms, axis=None)
+        if top > 1.0:
+            self._project(v, norms)
+        self.theta = v
+        self.t += 1
 
     def _project(self, v, norms):
         """Project, stack by stack, every row of v outside the unit ball in its stack's A-norm."""
@@ -205,7 +247,11 @@ class VectorPredictor:
             v[~np.isfinite(v).all(axis=2)] = 0.0
 
     def _reinitialize(self, stacks):
-        """Rebuild each flagged stack's inverse by direct inversion; reset a corrupt Gram matrix."""
+        """Rebuild each flagged stack's inverse by direct inversion; reset a corrupt Gram matrix.
+
+        A reset stack's non-finite rows are zeroed in a copy of theta, as
+        every step leaves the theta array it started from unchanged.
+        """
         for s in np.flatnonzero(stacks):
             if np.isfinite(self.A[s]).all():
                 try:
@@ -215,14 +261,14 @@ class VectorPredictor:
                 except np.linalg.LinAlgError:
                     pass
             self._reset(s)
+            theta = self.theta = self.theta.copy()
+            theta[s, ~np.isfinite(theta[s]).all(axis=1)] = 0.0
 
     def _reset(self, s):
-        """Restart stack s at the identity metric and zero its non-finite rows."""
+        """Restart stack s at the identity metric."""
         self.reinit_count += 1
         self.A[s] = np.eye(self.dim)
         self.A_inv[s] = np.eye(self.dim)
-        theta = self.theta[s]
-        theta[~np.isfinite(theta).all(axis=1)] = 0.0
 
 
 def _project_a_norm(A, v, norms):
@@ -308,9 +354,10 @@ def online_to_batch(kind: str, features, targets, *, link: str = "identity") -> 
     M, stacks, dim = features.shape
     oracle = VectorPredictor(kind, targets.shape[2], dim, stacks=stacks, link=link)
     params = np.empty((stacks, targets.shape[2], M, dim))
-    for i in range(M):
-        params[:, :, i] = oracle.theta
-        oracle.update(features[i], targets[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # the step repairs what overflows
+        for i in range(M):
+            params[:, :, i] = oracle.theta
+            oracle.update(features[i], targets[i])
     return BatchPredictor(params, link)
 
 

@@ -138,7 +138,12 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     The reward and the d costs are learned by one (1+d)-row oracle stack,
     row 0 the reward and rows 1..d the costs, so all targets share one Gram
     matrix.  The stack learns on the context set's span (``ArmFeatures.span``);
-    gamma is sized from the declared feature width m.
+    gamma is sized from the declared feature width m.  A round reuses the
+    previous round's estimate while ``oracle.theta`` is the same array: every
+    oracle step that moves the parameters must assign a new array, so the same
+    array means the same parameters.  A pull of a zero-feature arm, such as
+    the null arm, usually leaves the array in place, and the next round then
+    makes no prediction.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
@@ -150,9 +155,14 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
         K, T, *regret_bounds(config.oracle, m, d, T, config.bound_scale), Z)
     oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link)
     samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
+    predicted_from, est = None, None
 
     def estimate(t):
-        return oracle.predict_matrix(phi)[0]
+        nonlocal predicted_from, est
+        if oracle.theta is not predicted_from:
+            predicted_from = oracle.theta
+            est = oracle.predict_matrix(phi)[0]
+        return est
 
     def choose(scores):
         p = igw_distribution(scores, gamma)
@@ -161,5 +171,6 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     def learn(arm, y):
         oracle.update(samples[arm], y)
 
-    return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
-                      gamma=gamma, dual_radius=Z)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle repairs what overflows
+        return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
+                          gamma=gamma, dual_radius=Z)

@@ -199,6 +199,39 @@ def test_projection_restarts_a_metric_whose_eigenvalues_are_not_finite():
     assert np.allclose(v[0, 0], [0.6, 0.8])
 
 
+@pytest.mark.parametrize("features", ["pulled", "zero"])
+@pytest.mark.parametrize("repair", ["reinitialize", "project"])
+def test_a_step_never_writes_into_the_previous_theta(repair, features, monkeypatch):
+    # Both repairs restart a stack's metric, and the stack's NaN row is
+    # zeroed; that must happen in the step's own array.  The policy keeps its
+    # estimate while theta is the same array, so a step that moves theta
+    # assigns a new one and leaves the previous one as it was.
+    o = VectorPredictor("glmtron", 2, 3)
+    o.theta = np.array([[[np.nan, 0.0, 0.0], [3.0, 0.0, 0.0]]])
+    if repair == "reinitialize":
+        o.A[0, 0, 0] = np.inf
+    else:
+        project = oracles._project_a_norm
+        calls = []
+
+        def failing_once(A, v, norms):  # as eigh does on an A near overflow
+            calls.append(len(v))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return project(A, v, norms)
+
+        monkeypatch.setattr(oracles, "_project_a_norm", failing_once)
+    previous = o.theta
+    kept = previous.copy()
+    phi = np.full(3, 0.5) if features == "pulled" else np.zeros(3)
+    with np.errstate(all="ignore"):
+        o.update(phi, np.array([1.0, 1.0]))
+    assert o.reinit_count == 1 and (o.A[0] == np.eye(3)).all()  # the metric restarted
+    assert o.theta is not previous
+    assert np.array_equal(previous, kept, equal_nan=True)
+    assert np.isfinite(o.theta).all() and (o.theta[0, 0] == 0.0).all()
+
+
 def test_glmtron_regret_contract_on_realizable_stream():
     # cumulative squared error vs the truth stays sublinear and log-like
     def run(T, seed):

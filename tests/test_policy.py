@@ -155,10 +155,54 @@ class _CountingVector(VectorPredictor):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.updates = []
+        self.replaced = []  # per update: did it assign a new theta array
+        self.predictions = 0
 
     def update(self, phi, y):
         self.updates.append((np.array(phi), np.array(y)))
+        before = self.theta
         super().update(phi, y)
+        self.replaced.append(self.theta is not before)
+
+    def predict_matrix(self, phis):
+        self.predictions += 1
+        return super().predict_matrix(phis)
+
+
+class _FreshVector(VectorPredictor):
+    """Every update assigns a new theta array, so the policy predicts every round."""
+
+    def update(self, phi, y):
+        super().update(phi, y)
+        self.theta = self.theta.copy()
+
+
+@pytest.mark.parametrize("oracle", ["glmtron", "ogd"])
+def test_estimate_is_reused_while_theta_is_unchanged(oracle, monkeypatch):
+    # B = T/4 with a null arm: most rounds pull the null arm, whose zero
+    # features leave every parameter row inside the unit ball where it was.
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=600, B=150, null_arm=True)
+    config = PolicyConfig(oracle=oracle, bound_scale=0.01)
+
+    def run(cls):
+        made = []
+        monkeypatch.setattr(policy, "make_vector_predictor",
+                            lambda *args, **kwargs: made.append(cls(*args, **kwargs)) or made[-1])
+        return run_squarecbwk(env, config, np.random.default_rng(6)), made[0]
+
+    trace, o = run(_CountingVector)
+    null = trace.arms == env.instance.K - 1
+    assert 0.5 * trace.tau < null.sum() < trace.tau
+    replaced = np.array(o.replaced)
+    assert replaced[~null].all()  # a pulled feature row always moves theta
+    # an OGD row can round to just above norm 1; the next step renormalizes it
+    assert replaced[null].sum() <= 0.1 * null.sum()
+    # one prediction in round 0, then one after each update that replaced theta
+    assert o.predictions == 1 + sum(o.replaced[:-1])
+    fresh, _ = run(_FreshVector)
+    for field in ("arms", "outcomes", "probs", "rhat", "lam"):
+        assert (getattr(trace, field) == getattr(fresh, field)).all(), field
+    assert trace.tau == fresh.tau
 
 
 def test_oracle_feed_discipline(monkeypatch):

@@ -1,8 +1,11 @@
-"""Property tests over generated inputs: IGW validity, the dual simplex, LP duality.
+"""Property tests over generated inputs: IGW validity, the dual simplex, LP duality,
+the oracles' zero-feature step.
 
 Examples are derandomized so every run checks the same inputs, and nothing is
 written to a Hypothesis example database.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from cbwk.dual import dual_init, dual_update  # noqa: E402
 from cbwk.lp import LpProblem, solve_lp  # noqa: E402
+from cbwk.oracles import ORACLE_KINDS, VectorPredictor  # noqa: E402
 from cbwk.policy import igw_distribution  # noqa: E402
 
 
@@ -80,3 +84,71 @@ def test_lp_strong_duality_through_dual_ub(lp):
     assert (a_ub.T @ y >= c - 1e-9).all()            # and A^T y >= c
     assert (a_ub @ sol.x <= b_ub + 1e-9).all() and (sol.x >= -1e-9).all()
     assert sol.value == pytest.approx(b_ub @ y, abs=1e-9)  # no duality gap
+
+
+# Row scales at and one ulp either side of the unit ball's edge, where OGD's
+# renormalization and GLMtron's projection switch on.
+UNIT_EDGE = (1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)))
+ORACLE_SHAPES = [(kind, link, stacks) for kind in ORACLE_KINDS
+                 for link in ("identity", "logistic") for stacks in (1, 3)]
+
+
+@st.composite
+def zero_feature_samples(draw):
+    """A warmed-up oracle with drawn parameter rows, maybe corrupted from outside,
+    and the targets of one zero-feature sample."""
+    kind, link, stacks = draw(st.sampled_from(ORACLE_SHAPES))
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    oracle = VectorPredictor(kind, d, dim, stacks=stacks, link=link)
+    for _ in range(draw(st.integers(0, 4))):  # a Gram matrix and a step count of its own
+        oracle.update(rng.normal(size=(stacks, dim)), rng.normal(size=(stacks, d)))
+    theta = rng.normal(size=(stacks, d, dim))
+    for s in range(stacks):
+        for j in range(d):
+            scale = draw(st.one_of(st.sampled_from(UNIT_EDGE), st.floats(0.0, 3.0)))
+            if draw(st.booleans()):  # on an axis, so the row norm is the scale itself
+                theta[s, j] = 0.0
+                theta[s, j, draw(st.integers(0, dim - 1))] = draw(st.sampled_from((-1, 1))) * scale
+            else:
+                theta[s, j] *= scale / np.linalg.norm(theta[s, j])
+    oracle.theta = theta
+
+    def index(n):
+        return draw(st.integers(0, n - 1))
+
+    corrupt = draw(st.sampled_from(("none", "none", "theta")
+                                   + (("A", "A_inv") if kind == "glmtron" else ())))
+    if corrupt != "none":  # as a caller holding the arrays could
+        bad = draw(st.sampled_from((np.nan, np.inf, -np.inf, 1e200)))
+        row = index(d) if corrupt == "theta" else index(dim)
+        getattr(oracle, corrupt)[index(stacks), row, index(dim)] = bad
+    y = draw(arrays(float, (stacks, d), elements=st.floats(-2.0, 2.0)))
+    if draw(st.sampled_from((False, False, True))):
+        y[index(stacks), index(d)] = draw(st.sampled_from((np.nan, np.inf, -np.inf, 1e200, -1e308)))
+    return oracle, y
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equal, except that -0.0 meets +0.0: the full step adds a signed 0 to each entry."""
+    return (np.asarray(a) + 0.0).tobytes() == (np.asarray(b) + 0.0).tobytes()
+
+
+@fixed(400)
+@given(sample=zero_feature_samples())
+def test_zero_feature_update_matches_the_full_step(sample):
+    oracle, y = sample
+    full = copy.deepcopy(oracle)
+    previous = oracle.theta
+    kept = previous.copy()
+    zeros = np.zeros((oracle.theta.shape[0], oracle.dim))
+    with np.errstate(all="ignore"):
+        oracle.update(zeros, y)
+        full._step(zeros, y)
+    assert _same_bits(oracle.theta, full.theta)
+    assert (oracle.t, oracle.reinit_count) == (full.t, full.reinit_count)
+    if oracle.kind == "glmtron":
+        assert _same_bits(oracle.A, full.A) and _same_bits(oracle.A_inv, full.A_inv)
+    assert kept.tobytes() == previous.tobytes()  # the step wrote into no earlier theta
+    assert (oracle.theta[~np.isfinite(y)] == 0.0).all()  # a poisoned row restarts at 0
+    assert np.isfinite(oracle.theta).all()

@@ -8,6 +8,8 @@ digests, they assume the BLAS core and CPU in ``conftest.RECORDED_ON``.
 A one-cell tight-budget sweep, the two-stage policy at K = 10 with a null
 arm and B = T/4, pins the path where phase one's empirical program binds and
 the budget stop ends the run; the shipped configs run two-stage at B = T only.
+A one-seed null-arm sweep of all four algorithms at B = T/4 pins the rounds
+that pull an arm with zero features.
 Run this file as a script to print the table for the cbwk on the path.
 """
 
@@ -52,6 +54,30 @@ seeds.base = 4000
 """
 TIGHT_BUDGET_SHA256 = "e923888970182848b03087604c96a85d40de4d7862046b722fd6334da3151e3c"
 
+# A null arm in replication mode at B = T/4 for all four algorithms: many
+# rounds pull the null arm, whose zero features take the oracles' and
+# LinUCB's zero-feature update.  LinUCB runs greedy (confidence 0), because
+# with any width its optimism never picks the width-0 null arm; greedy, it
+# pulls it in 1032 of 1989 rounds.  Recorded at commit 5b22b4c, before that
+# update existed, so the shortcut must reproduce the full update's bytes.
+NULL_ARM = """
+environment.family = fixed_linear
+environment.m = 10
+environment.K = 3
+environment.d = 4
+environment.T = 2000
+environment.B = T/4
+environment.noise_variance = 0.2
+environment.mode = replication
+environment.null_arm = true
+algorithm.list = glmtron, ogd, linucb, twostage
+algorithm.bound_scale = 0.01
+algorithm.confidence = 0.0
+seeds.count = 1
+seeds.base = 7
+"""
+NULL_ARM_SHA256 = "c07c5b22636d53626966218f95a88c12959f5364cd2f599f0ed1a525b0b50ef8"
+
 
 def reduced_sweep_digest(name: str, directory: str) -> tuple[str, list]:
     """sha256 of the reduced sweep's CSV, and the errors of its failed cells."""
@@ -92,6 +118,25 @@ def test_tight_budget_twostage_csv_bytes(tmp_path, recorded_on):
     assert digest == TIGHT_BUDGET_SHA256, recorded_on
 
 
+def test_null_arm_sweep_csv_bytes(tmp_path, recorded_on):
+    digest, errors = sweep_digest(parse_config(NULL_ARM), str(tmp_path))
+    assert errors == []
+    assert digest == NULL_ARM_SHA256, recorded_on
+
+
+def test_seeded_shipped_sweep_emits_no_runtime_warning():
+    # The oracle steps let overflow run to inf and repair it; the loops that
+    # drive them, not each step, silence those warnings, and a shipped
+    # sweep raises none anywhere else.
+    with open(os.path.join(CONFIG_DIR, "sweep_t_large_dim.conf")) as fh:
+        config = replace(parse_config(fh.read()), seeds_count=1, sweep_values=(1000,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_sweep(config, parallelism=1)
+    assert [r.error for r in result.rows] == [None] * len(result.rows)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(SHIPPED):
@@ -99,3 +144,5 @@ if __name__ == "__main__":
             print(f'    "{name}": ({SHIPPED[name][0]!r}, "{digest}"),', errors or "")
         digest, errors = sweep_digest(parse_config(TIGHT_BUDGET), tmp)
         print(f'TIGHT_BUDGET_SHA256 = "{digest}"', errors or "")
+        digest, errors = sweep_digest(parse_config(NULL_ARM), tmp)
+        print(f'NULL_ARM_SHA256 = "{digest}"', errors or "")
