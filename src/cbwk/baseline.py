@@ -4,11 +4,9 @@ Ridge regression per target (reward plus each cost coordinate) with ellipsoid
 confidence widths: the arm maximizing optimistic reward plus priced pessimistic
 budget slack is pulled deterministically.  All targets are regressed on the
 same pulled features, so they share one inverse Gram matrix and one set of
-confidence widths.  A pull of an arm whose features are all zero, such as the
-null arm, with finite outcomes leaves the ridge statistics exactly as they
-are, so it skips their update.  The round itself (dual prices, Lagrangian scores, budget stopping
-and the dual update) is the IGW policy's ``run_rounds``; only the estimator
-and the argmax chooser are LinUCB's own.
+confidence widths.  The round itself (dual prices, Lagrangian scores, budget
+stopping and the dual update) is the IGW policy's ``run_rounds``; only the
+estimator and the argmax chooser are LinUCB's own.
 """
 
 import math
@@ -53,7 +51,6 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     b_vec = np.zeros((1 + d, r))
     one_hot = np.eye(K)
     optimism = np.r_[1.0, np.full(d, -1.0)]  # optimistic reward, pessimistic costs
-    zero_rows = ~Phi.any(axis=1)  # arms, such as the null arm, whose pull teaches nothing
 
     def estimate(t):
         theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, r)
@@ -68,8 +65,6 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
 
     def learn(arm, y):
         nonlocal a_inv, b_vec
-        if zero_rows[arm] and math.isfinite(np.add.reduce(y)):
-            return  # phi = 0 adds exactly 0 to b_vec and to a_inv, whose entries lie in [-1, 1]
         phi = Phi[arm]
         q = a_inv @ phi
         a_inv -= q[:, None] * q / (1.0 + q @ phi)

@@ -21,10 +21,7 @@ neither A nor A^{-1}, and its gradient term is 0, so the step is only its norm
 check; ``update`` computes just that.  Every step that moves theta assigns a
 new array and never writes into the previous one, so while ``theta`` is the
 same array the parameters have not moved, and a caller may keep the
-predictions it made from them.  The steps let overflow run to inf and repair
-the rows it reaches; the loops that drive an oracle (``online_to_batch`` and
-``policy.run_squarecbwk``) silence those floating-point warnings once around
-the whole loop, not once per step.
+predictions it made from them.
 """
 
 import math
@@ -166,10 +163,12 @@ class VectorPredictor:
         its repairs.  theta is replaced only when a row moves.
         """
         theta = self.theta
-        if not math.isfinite(np.vdot(y, y) + np.vdot(theta, theta)):
-            return False  # a target or a parameter is not finite, or near overflow
-        if self.kind == "glmtron" and not math.isfinite(
-                np.add.reduce(self.A + self.A_inv, axis=None)):
+        # each sum of squares is inf or NaN if an entry is, or near overflow;
+        # tested apart, so that no test itself overflows and warns
+        if not (math.isfinite(np.vdot(y, y)) and math.isfinite(np.vdot(theta, theta))):
+            return False
+        if self.kind == "glmtron" and not (math.isfinite(np.vdot(self.A, self.A))
+                                           and math.isfinite(np.vdot(self.A_inv, self.A_inv))):
             return False
         squares = np.add.reduce(theta * theta, axis=-1)  # as in _row_norms
         if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the full step's top row norm
@@ -178,7 +177,8 @@ class VectorPredictor:
                 self.theta = theta / np.maximum(norms, 1.0)[:, :, None]
             else:
                 v = theta.copy()
-                self._project(v, norms)
+                with np.errstate(over="ignore", invalid="ignore"):  # as in _glmtron_step
+                    self._project(v, norms)
                 self.theta = v
         self.t += 1
         return True
@@ -207,32 +207,33 @@ class VectorPredictor:
     def _glmtron_step(self, phi, y):
         link = _LINKS[self.link][0]
         col, row = phi[:, :, None], phi[:, None, :]
-        resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
-        grad = resid[:, :, None] * row
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
+            grad = resid[:, :, None] * row
 
-        q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
-        denom = 1.0 + row @ q
-        self.A += col * row
-        # tested in Python: S floats are cheaper to test than an array
-        bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
-        unstable = any(bad)
-        if unstable:
-            denom[bad] = 1.0
-        self.A_inv -= q * q.swapaxes(1, 2) / denom
-        both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
-        if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
-            self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
+            q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
+            denom = 1.0 + row @ q
+            self.A += col * row
+            # tested in Python: S floats are cheaper to test than an array
+            bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
+            unstable = any(bad)
+            if unstable:
+                denom[bad] = 1.0
+            self.A_inv -= q * q.swapaxes(1, 2) / denom
+            both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
+            if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
+                self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
 
-        v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
-        norms = _row_norms(v)
-        top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
-        if not math.isfinite(top):  # some row may be non-finite
-            norms = _zero_nonfinite_rows(v, norms)
-            top = np.maximum.reduce(norms, axis=None)
-        if top > 1.0:
-            self._project(v, norms)
-        self.theta = v
-        self.t += 1
+            v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
+            norms = _row_norms(v)
+            top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
+            if not math.isfinite(top):  # some row may be non-finite
+                norms = _zero_nonfinite_rows(v, norms)
+                top = np.maximum.reduce(norms, axis=None)
+            if top > 1.0:
+                self._project(v, norms)
+            self.theta = v
+            self.t += 1
 
     def _project(self, v, norms):
         """Project, stack by stack, every row of v outside the unit ball in its stack's A-norm."""
@@ -354,10 +355,9 @@ def online_to_batch(kind: str, features, targets, *, link: str = "identity") -> 
     M, stacks, dim = features.shape
     oracle = VectorPredictor(kind, targets.shape[2], dim, stacks=stacks, link=link)
     params = np.empty((stacks, targets.shape[2], M, dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # the step repairs what overflows
-        for i in range(M):
-            params[:, :, i] = oracle.theta
-            oracle.update(features[i], targets[i])
+    for i in range(M):
+        params[:, :, i] = oracle.theta
+        oracle.update(features[i], targets[i])
     return BatchPredictor(params, link)
 
 

@@ -171,6 +171,5 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     def learn(arm, y):
         oracle.update(samples[arm], y)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the oracle repairs what overflows
-        return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
-                          gamma=gamma, dual_radius=Z)
+    return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
+                      gamma=gamma, dual_radius=Z)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ def test_glmtron_reinitialization_path():
         o.update(rng.normal(size=4) / 2, [0.5])
     assert np.isfinite(predict(o, phi))
     assert 0.0 <= predict(o, phi) <= 1.0
+
+
+def test_glmtron_repairs_overflow_under_its_own_errstate():
+    # The step silences only its own floating-point errors: a caller that
+    # raises on overflow, or turns warnings into errors, still gets a
+    # repaired A with its matching inverse, and the zero-feature step's
+    # projection repairs its row the same way.
+    o = VectorPredictor("glmtron", 1, 4)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        o.update(np.full(4, 1e170), [1.0])  # A overflows and restarts
+        assert o.reinit_count == 1
+        assert (o.A == np.eye(4)).all() and (o.A_inv == np.eye(4)).all()
+        o.theta = np.full((1, 1, 4), 2.0)  # a row outside the unit ball
+        o.A[0] = 0.0  # zeroed from outside: the projection divides 0 by 0
+        o.update(np.zeros(4), [0.5])
+    assert (o.theta == 0.0).all() and o.t == 2
 
 
 def test_ogd_recovers_from_a_nan_target():

@@ -55,10 +55,10 @@ seeds.base = 4000
 TIGHT_BUDGET_SHA256 = "e923888970182848b03087604c96a85d40de4d7862046b722fd6334da3151e3c"
 
 # A null arm in replication mode at B = T/4 for all four algorithms: many
-# rounds pull the null arm, whose zero features take the oracles' and
-# LinUCB's zero-feature update.  LinUCB runs greedy (confidence 0), because
-# with any width its optimism never picks the width-0 null arm; greedy, it
-# pulls it in 1032 of 1989 rounds.  Recorded at commit 5b22b4c, before that
+# rounds pull the null arm, whose zero features take the oracles'
+# zero-feature update.  LinUCB runs greedy (confidence 0), because with any
+# width its optimism never picks the width-0 null arm; greedy, it pulls it in
+# 1032 of 1989 rounds.  Recorded at commit 5b22b4c, before that
 # update existed, so the shortcut must reproduce the full update's bytes.
 NULL_ARM = """
 environment.family = fixed_linear
@@ -125,9 +125,8 @@ def test_null_arm_sweep_csv_bytes(tmp_path, recorded_on):
 
 
 def test_seeded_shipped_sweep_emits_no_runtime_warning():
-    # The oracle steps let overflow run to inf and repair it; the loops that
-    # drive them, not each step, silence those warnings, and a shipped
-    # sweep raises none anywhere else.
+    # GLMtron's step lets overflow run to inf and repairs it under its own
+    # np.errstate; nothing else in a shipped sweep overflows or warns.
     with open(os.path.join(CONFIG_DIR, "sweep_t_large_dim.conf")) as fh:
         config = replace(parse_config(fh.read()), seeds_count=1, sweep_values=(1000,))
     with warnings.catch_warnings(record=True) as caught:
