@@ -1,12 +1,14 @@
 """LinUCB-with-knapsacks comparison baseline.
 
 Ridge regression per target (reward plus each cost coordinate) with ellipsoid
-confidence widths: the arm maximizing optimistic reward plus priced pessimistic
-budget slack is pulled deterministically.  All targets are regressed on the
-same pulled features, so they share one inverse Gram matrix and one set of
-confidence widths.  The round itself (dual prices, Lagrangian scores, budget
-stopping and the dual update) is the IGW policy's ``run_rounds``; only the
-estimator and the argmax chooser are LinUCB's own.
+confidence widths: the arm maximizing optimistic reward plus priced optimistic
+budget slack is pulled deterministically.  Optimism in the costs means their
+lower confidence bound, the estimate minus the width (Agrawal & Devanur 2016).
+All targets are regressed on the same pulled features, so they share one
+inverse Gram matrix and one set of confidence widths.  The round itself (dual
+prices, Lagrangian scores, budget stopping and the dual update) is the IGW
+policy's ``run_rounds``; only the estimator and the argmax chooser are
+LinUCB's own.
 """
 
 import math
@@ -50,7 +52,7 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
     a_inv = np.eye(r) / RIDGE
     b_vec = np.zeros((1 + d, r))
     one_hot = np.eye(K)
-    optimism = np.r_[1.0, np.full(d, -1.0)]  # optimistic reward, pessimistic costs
+    optimism = np.r_[1.0, np.full(d, -1.0)]  # upper bound on the reward, lower on the costs
 
     def estimate(t):
         theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, r)

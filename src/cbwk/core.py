@@ -235,6 +235,16 @@ def make_glm_env(instance: ProblemInstance, theta, contexts) -> EnvironmentSpec:
     )
 
 
+def _draw(env: EnvironmentSpec, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Realized outcomes around the means ``raw`` (any shape), drawn entry by entry in order."""
+    if env.link == "logistic":
+        return (rng.random(raw.shape) < raw).astype(float)
+    vals = raw + rng.normal(0.0, math.sqrt(env.noise_variance), raw.shape)
+    if env.bounded:
+        vals.clip(0.0, 1.0, out=vals)
+    return vals
+
+
 def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one round's outcome row y = [reward | costs], shape (1+d,), for the pulled arm.
 
@@ -245,15 +255,26 @@ def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> 
         raise IndexError(f"arm {arm} out of range [0, {K})")
     if env.null_arm and arm == K - 1:
         return np.zeros(1 + d)
+    return _draw(env, env.outcome_means[arm], rng)
 
-    raw = env.outcome_means[arm]
-    if env.link == "logistic":
-        vals = (rng.random(1 + d) < raw).astype(float)
-    else:
-        vals = raw + rng.normal(0.0, math.sqrt(env.noise_variance), 1 + d)
-        if env.bounded:
-            vals.clip(0.0, 1.0, out=vals)
-    return vals
+
+def sample_outcomes(env: EnvironmentSpec, arms: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Outcome rows for a schedule of pulls, shape (len(arms), 1+d), in one draw.
+
+    The rows and the generator's state equal those of calling
+    ``sample_outcome`` once per entry of ``arms``, in order: the null arm's
+    rows are zero and draw nothing, and the other rows draw their 1+d values
+    each in turn from one block.
+    """
+    K, d = env.instance.K, env.instance.d
+    arms = np.asarray(arms, dtype=np.int64)
+    if arms.size and not (0 <= arms.min() and arms.max() < K):
+        raise IndexError(f"arms out of range [0, {K})")
+    out = np.zeros((arms.size, 1 + d))
+    drawn = arms != K - 1 if env.null_arm else slice(None)
+    out[drawn] = _draw(env, env.outcome_means[arms[drawn]], rng)
+    return out
 
 
 @dataclass

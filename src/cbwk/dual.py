@@ -10,6 +10,11 @@ shift and one normalizing exp: the weights after t updates are
 exp(-eta * sum of gradients) up to normalization, however small a weight gets.
 A weight whose log-weight falls more than about 745 below the largest reads
 exactly 0, but its log-weight is kept, and it recovers when the gradients turn.
+
+The d+1 coordinates are Python floats: at this size NumPy's per-call cost
+exceeds the arithmetic.  The step is the array formula term by term, except
+that ``math.exp`` and a left-to-right sum may differ from NumPy's in the last
+bit.  The prices Z * w[:-1] are computed once per step and cached.
 """
 
 import math
@@ -22,26 +27,33 @@ from .errors import ConfigurationError, raise_if_any, range_violations
 
 @dataclass
 class DualState:
-    logw: np.ndarray  # (d+1,) unnormalized log-weights; last entry is the slack
+    logw: list  # (d+1,) unnormalized log-weights as floats; last entry is the slack
     Z: float
     eta: float
     t: int = 0
-    weights: np.ndarray = field(init=False)  # (d+1,) normalized exp(logw)
+    lam: np.ndarray = field(init=False)  # (d,) prices Z * weights[:-1]; read, never written
 
     def __post_init__(self):
-        self.logw = np.array(self.logw, dtype=float)
+        self.logw = np.asarray(self.logw, dtype=float).tolist()
         self._normalize()
 
     def _normalize(self) -> None:
-        logw = self.logw
-        logw -= np.maximum.reduce(logw)
-        w = np.exp(logw)
-        w /= np.add.reduce(w)
-        self.weights = w
+        top = max(self.logw)
+        logw = self.logw = [x - top for x in self.logw]
+        w = [math.exp(x) for x in logw]
+        total = sum(w)
+        self._w = w = [x / total for x in w]
+        Z = self.Z
+        self.lam = np.array([Z * x for x in w[:-1]])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(d+1,) normalized exp(logw), the slack last."""
+        return np.array(self._w)
 
     @property
     def d(self) -> int:
-        return self.logw.size - 1
+        return len(self.logw) - 1
 
 
 def dual_init(d: int, Z: float, T: int) -> DualState:
@@ -49,12 +61,15 @@ def dual_init(d: int, Z: float, T: int) -> DualState:
     raise_if_any(range_violations({"d": d, "Z": Z, "T": T},
                                   (("d", ">=", 1), ("Z", ">", 0), ("T", ">=", 1))))
     eta = math.sqrt(math.log(d + 1) / T)
-    return DualState(logw=np.zeros(d + 1), Z=float(Z), eta=eta)
+    return DualState(logw=[0.0] * (d + 1), Z=float(Z), eta=eta)
 
 
 def dual_lambda(state: DualState) -> np.ndarray:
-    """Current prices: Z times the resource coordinates of the simplex point."""
-    return state.Z * state.weights[:-1]
+    """Current prices: Z times the resource coordinates of the simplex point.
+
+    The array is the state's cached ``lam``; the next update replaces it.
+    """
+    return state.lam
 
 
 def dual_update(state: DualState, cost: np.ndarray, budget_rate: float) -> None:
@@ -62,11 +77,17 @@ def dual_update(state: DualState, cost: np.ndarray, budget_rate: float) -> None:
 
     Over-consumption (c > B/T) raises the corresponding price: the resource
     log-weights move by -eta (B/T - c), the slack's by zero, and the weights
-    are renormalized after shifting the largest log-weight to 0.
+    are renormalized after shifting the largest log-weight to 0.  A cost
+    that is NaN or infinite raises instead of turning every price into NaN.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (state.d,):
         raise ConfigurationError(f"cost has shape {cost.shape}, expected ({state.d},)")
-    state.logw[:-1] += state.eta * (cost - budget_rate)
+    cost = cost.tolist()
+    if not all(map(math.isfinite, cost)):
+        raise ValueError(f"cost {cost} is not finite")
+    logw, eta = state.logw, state.eta
+    for i, c in enumerate(cost):
+        logw[i] += eta * (c - budget_rate)
     state._normalize()
     state.t += 1

@@ -116,6 +116,7 @@ class VectorPredictor:
         self.theta = np.zeros((stacks, d, dim))
         self.t = 0
         self.reinit_count = 0  # rebuilds of some stack's inverse Gram matrix
+        self._settled = None  # the theta a zero-feature step last found finite and inside 1
         if kind == "glmtron":
             self.A = np.tile(np.eye(dim), (stacks, 1, 1))
             self.A_inv = self.A.copy()
@@ -161,25 +162,35 @@ class VectorPredictor:
         and (GLMtron) A and A^{-1} are finite; OGD also needs 2 (link(0) - y)
         finite, which y.y finite implies.  Otherwise the full step runs, with
         its repairs.  theta is replaced only when a row moves.
+
+        A and A^{-1} change only inside a step that also assigns theta, so
+        the checks of theta, A and A^{-1} and the top row norm hold for as
+        long as ``theta`` is the array they were made on; ``_settled`` keeps
+        that array, and a later zero-feature step checks only y.
         """
-        theta = self.theta
         # each sum of squares is inf or NaN if an entry is, or near overflow;
         # tested apart, so that no test itself overflows and warns
-        if not (math.isfinite(np.vdot(y, y)) and math.isfinite(np.vdot(theta, theta))):
+        if not math.isfinite(np.vdot(y, y)):
             return False
-        if self.kind == "glmtron" and not (math.isfinite(np.vdot(self.A, self.A))
-                                           and math.isfinite(np.vdot(self.A_inv, self.A_inv))):
-            return False
-        squares = np.add.reduce(theta * theta, axis=-1)  # as in _row_norms
-        if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the full step's top row norm
-            norms = np.sqrt(squares)
-            if self.kind == "ogd":
-                self.theta = theta / np.maximum(norms, 1.0)[:, :, None]
+        theta = self.theta
+        if theta is not self._settled:
+            if not math.isfinite(np.vdot(theta, theta)):
+                return False
+            if self.kind == "glmtron" and not (math.isfinite(np.vdot(self.A, self.A))
+                                               and math.isfinite(np.vdot(self.A_inv, self.A_inv))):
+                return False
+            squares = np.add.reduce(theta * theta, axis=-1)  # as in _row_norms
+            if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the full step's top row norm
+                norms = np.sqrt(squares)
+                if self.kind == "ogd":
+                    self.theta = theta / np.maximum(norms, 1.0)[:, :, None]
+                else:
+                    v = theta.copy()
+                    with np.errstate(over="ignore", invalid="ignore"):  # as in _glmtron_step
+                        self._project(v, norms)
+                    self.theta = v
             else:
-                v = theta.copy()
-                with np.errstate(over="ignore", invalid="ignore"):  # as in _glmtron_step
-                    self._project(v, norms)
-                self.theta = v
+                self._settled = theta
         self.t += 1
         return True
 
@@ -285,14 +296,16 @@ def _project_a_norm(A, v, norms):
     if not np.isfinite(eigvals).all():  # a Gram matrix near overflow can give NaN without raising
         raise np.linalg.LinAlgError("eigenvalues are not finite")
     lz = eigvals * np.einsum("ji,rj->ri", Q, v)
-    lo = np.zeros(v.shape[0])
-    hi = eigvals[-1] * (norms - 1.0)
-    for _ in range(PROJECTION_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f = ((lz / (eigvals + mid[:, None])) ** 2).sum(axis=1)
-        above = f > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    hi = np.empty(v.shape[0])  # the upper end of each row's final bracket
+    for i, z in enumerate(lz):  # most projections move one row: bisect on Python floats
+        lo, up = 0.0, float(eigvals[-1] * (norms[i] - 1.0))
+        for _ in range(PROJECTION_BISECTIONS):
+            mid = 0.5 * (lo + up)
+            if ((z / (eigvals + mid)) ** 2).sum() > 1.0:
+                lo = mid
+            else:
+                up = mid
+        hi[i] = up
     coords = lz / (eigvals + hi[:, None])
     return np.einsum("ji,ri->rj", Q, coords)
 

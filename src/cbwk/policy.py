@@ -9,7 +9,9 @@ that round; the LinUCB baseline runs it with its own estimator and chooser.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,18 +62,31 @@ def igw_distribution(scores: np.ndarray, gamma: float) -> np.ndarray:
 
     The greedy arm (ties to the lowest index) receives the leftover mass
     1 - sum of 1/(K + gamma * gap) over the others, which is always >= 1/K.
+    It is computed on Python floats, term by term as the array formula; only
+    the leftover sum may differ from NumPy's in the last bit.  A NaN or
+    infinite score raises.
     """
-    K = scores.size
-    best = int(scores.argmax())
-    p = 1.0 / (K + gamma * (scores[best] - scores))
+    s = scores.tolist()
+    K = len(s)
+    top = max(s)
+    best = s.index(top)
+    p = [1.0 / (K + gamma * (top - x)) for x in s]
     p[best] = 0.0
-    p[best] = 1.0 - np.add.reduce(p)
-    return p
+    rest = sum(p)
+    if not (math.isfinite(top) and math.isfinite(rest) and min(s) > -math.inf):
+        raise ValueError(f"scores {s} are not all finite")
+    p[best] = 1.0 - rest
+    return np.array(p)
 
 
 def _sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The first arm whose cumulative probability reaches a uniform draw.
+
+    ``accumulate`` adds left to right as ``np.add.accumulate`` does, and
+    ``bisect_left`` is ``searchsorted``'s left side, so the arm is theirs.
+    """
     r = rng.random()
-    return min(int(np.add.accumulate(p).searchsorted(r)), p.size - 1)
+    return min(bisect_left(list(accumulate(p.tolist())), r), p.size - 1)
 
 
 def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
@@ -96,7 +111,7 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
     rhat_log = np.empty((T, K))
     lam_log = np.empty((T, d))
 
-    cum_cost = np.zeros(d)
+    cum_cost = [0.0] * d
     total_reward = 0.0
     tau = T
     exit_level = B - 1.0
@@ -115,19 +130,20 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         rhat_log[t] = est[:, 0]
         lam_log[t] = lam
 
-        total_reward += y[0]
-        cum_cost += cost
+        reward, *costs = y.tolist()
+        total_reward += reward
+        cum_cost = [c + x for c, x in zip(cum_cost, costs)]
 
         learn(arm, y)
-        dual_update(dual, cost, budget_rate)
+        dual_update(dual, cost, budget_rate)  # raises on a NaN or infinite cost
 
-        if np.fmax.reduce(cum_cost) >= exit_level:  # some resource at B - 1; NaN never is
+        if max(cum_cost) >= exit_level:  # some resource at B - 1
             tau = t + 1
             break
 
     return RunTrace(arms=arms[:tau], outcomes=outcomes[:tau], probs=probs[:tau],
                     rhat=rhat_log[:tau], lam=lam_log[:tau],
-                    tau=tau, total_reward=float(total_reward), total_cost=cum_cost,
+                    tau=tau, total_reward=total_reward, total_cost=np.array(cum_cost),
                     stopped_early=tau < T, **summary)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EnvironmentSpec, RunTrace, sample_outcome
+from .core import EnvironmentSpec, RunTrace, sample_outcome, sample_outcomes
 from .errors import ConfigurationError, raise_if_any, range_violations, type_violations
 # solve_lp is kept for perfbench/tracer.py, which patches it
 from .lp import exact_opt_fixed_context, solve_lp  # noqa: F401
@@ -94,30 +94,42 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
     before the exploration block completes; the trace is then marked
     ``stopped_early`` and ``aborted_in_exploration``.  Every round is a
     one-hot pull without estimates, so its ``rhat`` and ``lam`` rows are NaN.
+
+    The K*t0 forced pulls are drawn as one block by ``sample_outcomes``, the
+    draws a per-round loop would make, in its order; so the rows, the abort
+    round and, when the run does not abort there, the generator's state are
+    the loop's.  An abort inside the block leaves the whole block drawn.
     """
     inst = env.instance
     K, d, B = inst.K, inst.d, inst.B
     raise_if_any(exploration_violations(K, inst.T, t0))
     exit_level = B - 1.0
 
-    total_rounds = (K + 1) * t0
+    forced = K * t0  # rounds a*t0 .. (a+1)*t0 - 1 pull arm a, drawn as one block
+    total_rounds = forced + t0
     arms = np.empty(total_rounds, dtype=np.int64)
     outcomes = np.empty((total_rounds, 1 + d))
-    consumed = np.zeros(d)
+    arms[:forced] = np.repeat(np.arange(K), t0)
+    outcomes[:forced] = sample_outcomes(env, arms[:forced], rng)
+    # consumption after each forced round, added up round by round as below
+    spent = np.cumsum(np.vstack([np.zeros(d), outcomes[:forced, 1:]]), axis=0)[1:]
+    over = np.flatnonzero((spent >= exit_level).any(axis=1))
 
-    n, aborted = total_rounds, False
-    for t in range(total_rounds):
-        if t < K * t0:
-            arm = t // t0
-        else:
+    n, aborted = total_rounds, over.size > 0
+    if aborted:
+        n = int(over[0]) + 1
+        consumed = spent[n - 1]
+    else:
+        consumed = spent[-1].copy()
+        for t in range(forced, total_rounds):
             arm = K - 1 if env.null_arm else int(rng.integers(K))
-        y = sample_outcome(env, arm, rng)
-        arms[t] = arm
-        outcomes[t] = y
-        consumed += y[1:]
-        if (consumed >= exit_level).any():
-            n, aborted = t + 1, True
-            break
+            y = sample_outcome(env, arm, rng)
+            arms[t] = arm
+            outcomes[t] = y
+            consumed += y[1:]
+            if (consumed >= exit_level).any():
+                n, aborted = t + 1, True
+                break
 
     probs = np.eye(K)[arms[:n]]
     return RunTrace(arms=arms[:n], outcomes=outcomes[:n], probs=probs,

@@ -143,3 +143,36 @@ def test_log_weight_update_matches_closed_form(stream):
         zero = got[:, 0] == 0.0
         assert zero.sum() > 1000 and np.array_equal(zero, want[:, 0] == 0.0)
         assert got[-1, 0] > 0.1
+
+
+def test_float_step_matches_the_array_formula():
+    """10^5 steps: the log-weights are the array formula's bit for bit; the
+    weights and prices, which use math.exp, are within 1e-12 relative."""
+    n, d, Z, rate = 10**5, 4, 3.0, 0.4
+    costs = np.random.default_rng(42).uniform(-1.0, 2.0, size=(n, d))
+    state = dual_init(d, Z, 10**3)  # eta about 0.04: the weights roam the simplex
+    logw = np.zeros(d + 1)
+    worst = 0.0
+    for c in costs:
+        dual_update(state, c, rate)
+        logw[:-1] += state.eta * (c - rate)
+        logw -= np.maximum.reduce(logw)
+        w = np.exp(logw)
+        w /= np.add.reduce(w)
+        assert state.logw == logw.tolist()
+        got = np.concatenate([state.weights, dual_lambda(state)])
+        want = np.concatenate([w, Z * w[:-1]])
+        assert (want > 0.0).all()
+        worst = max(worst, float((np.abs(got - want) / want).max()))
+    assert worst <= 1e-12
+    assert state.t == n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cost_raises_and_leaves_the_state(bad):
+    state = dual_init(3, 2.0, 100)
+    dual_update(state, np.array([0.2, 0.9, 0.4]), 0.5)
+    logw, lam = list(state.logw), dual_lambda(state).copy()
+    with pytest.raises(ValueError, match="not finite"):
+        dual_update(state, np.array([0.2, bad, 0.4]), 0.5)
+    assert state.logw == logw and (dual_lambda(state) == lam).all() and state.t == 1

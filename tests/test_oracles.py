@@ -493,3 +493,67 @@ def test_regret_bounds_monotone_positive():
         assert all(a <= b + 1e-12 for a, b in zip(rvals, rvals[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(cvals, cvals[1:]))
 
+
+
+def _bisect_on_arrays(A, v, norms):
+    """The A-norm projection with every row's bracket bisected at once on arrays."""
+    eigvals, Q = np.linalg.eigh(A)
+    lz = eigvals * np.einsum("ji,rj->ri", Q, v)
+    lo = np.zeros(v.shape[0])
+    hi = eigvals[-1] * (norms - 1.0)
+    for _ in range(oracles.PROJECTION_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        above = ((lz / (eigvals + mid[:, None])) ** 2).sum(axis=1) > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.einsum("ji,ri->rj", Q, lz / (eigvals + hi[:, None]))
+
+
+@pytest.mark.parametrize("r", [2, 11, 51])
+def test_row_by_row_projection_is_bitwise_the_array_bisection(r):
+    rng = np.random.default_rng(r)
+    checked = 0
+    for _ in range(100):
+        X = rng.normal(size=(int(rng.integers(1, 3 * r)), r)) * rng.choice([0.1, 1.0, 10.0])
+        A = np.eye(r) + X.T @ X
+        v = rng.normal(size=(int(rng.choice([1, 1, 1, 2, 5])), r)) * rng.uniform(0.5, 20.0)
+        norms = np.linalg.norm(v, axis=1)
+        v, norms = v[norms > 1.0], norms[norms > 1.0]  # the rows a step projects
+        if not norms.size:
+            continue
+        got = oracles._project_a_norm(A, v, norms)
+        assert got.tobytes() == _bisect_on_arrays(A, v, norms).tobytes()
+        assert (np.linalg.norm(got, axis=1) <= 1.0 + 1e-12).all()
+        checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("kind", ["glmtron", "ogd"])
+def test_cached_zero_feature_checks_match_the_full_step(kind, link):
+    """A stream of zero and pulled feature rows, some of them overflowing, and
+    targets that are sometimes not finite: after every update the oracle is
+    bitwise the one that ran the full step."""
+    rng = np.random.default_rng(11)
+    S, d, dim = 2, 3, 5
+    fast = VectorPredictor(kind, d, dim, stacks=S, link=link)
+    full = VectorPredictor(kind, d, dim, stacks=S, link=link)
+    kept = 0
+    with np.errstate(all="ignore"):
+        for i in range(600):
+            zero = rng.random() < 0.7
+            phi = np.zeros((S, dim)) if zero else rng.normal(size=(S, dim)) * rng.choice(
+                [0.5, 3.0, 1e170], p=[0.6, 0.38, 0.02])
+            y = rng.choice([-2.0, 0.0, 0.5, 1.0, 3.0], size=(S, d))
+            if rng.random() < 0.03:
+                y[0, 0] = rng.choice([np.nan, np.inf, 1e200])
+            previous = fast.theta
+            fast.update(phi, y)
+            full._step(phi, y)
+            assert (fast.theta + 0.0).tobytes() == (full.theta + 0.0).tobytes(), i
+            assert (fast.t, fast.reinit_count) == (full.t, full.reinit_count)
+            if kind == "glmtron":
+                assert fast.A.tobytes() == full.A.tobytes()
+                assert fast.A_inv.tobytes() == full.A_inv.tobytes()
+            kept += zero and fast.theta is previous
+    assert kept > 200  # the cached checks were used

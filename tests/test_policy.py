@@ -320,3 +320,83 @@ def test_glmtron_traces_do_not_depend_on_m_at_fixed_gamma(bounded, B):
                                                                  first.gamma)
         for field in ("arms", "rewards", "costs", "probs", "rhat", "lam", "total_cost"):
             assert getattr(other, field).tobytes() == getattr(first, field).tobytes(), field
+
+
+def _igw_reference(scores, gamma):
+    """The IGW formula on NumPy arrays, as the policy computed it before."""
+    K = scores.size
+    best = int(scores.argmax())
+    p = 1.0 / (K + gamma * (scores[best] - scores))
+    p[best] = 0.0
+    p[best] = 1.0 - np.add.reduce(p)
+    return p
+
+
+def test_igw_on_floats_matches_the_array_formula():
+    rng = np.random.default_rng(40)
+    for _ in range(20000):
+        K = int(rng.integers(1, 13))
+        scores = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=K)
+        if K > 2 and rng.random() < 0.3:  # a tie for the top score
+            i, j = rng.choice(K, size=2, replace=False)
+            scores[j] = scores[i] = scores.max() + 1.0
+        gamma = rng.choice([0.0, rng.uniform(0, 1e4)])
+        got, want = igw_distribution(scores, gamma), _igw_reference(scores, gamma)
+        assert got.shape == (K,) and got.dtype == float
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        greedy = int(np.flatnonzero(scores == scores.max())[0])  # ties go to the lowest index
+        assert (got[np.arange(K) != greedy] == want[np.arange(K) != greedy]).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_igw_rejects_a_non_finite_score(bad, where):
+    scores = np.array([0.3, 0.1, 0.2, 0.5])
+    scores[where] = bad
+    with pytest.raises(ValueError, match="not all finite"):
+        igw_distribution(scores, 10.0)
+
+
+class _FixedDraw:
+    """A generator stand-in whose ``random()`` returns a chosen value."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def test_sample_arm_matches_searchsorted_on_and_beside_the_boundaries():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(2000):
+        K = int(rng.integers(1, 13))
+        p = igw_distribution(rng.normal(size=K), rng.uniform(0, 100))
+        if rng.random() < 0.5:
+            p = rng.dirichlet(np.full(K, 0.5))  # also sums that fall short of 1
+        cum = np.add.accumulate(p)
+        draws = [0.0, np.nextafter(1.0, 0.0)]
+        for c in cum:
+            draws += [c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)]
+        for r in draws:
+            if not 0.0 <= r < 1.0:
+                continue
+            want = min(int(cum.searchsorted(r)), K - 1)
+            assert policy._sample_arm(p, _FixedDraw(float(r))) == want
+            checked += 1
+    assert checked > 20000
+
+
+def test_a_non_finite_cost_stops_the_run(monkeypatch):
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=200, B=100)
+    draw = policy.sample_outcome
+
+    def poisoned(env, arm, rng):
+        y = draw(env, arm, rng)
+        y[2] = np.nan
+        return y
+
+    monkeypatch.setattr(policy, "sample_outcome", poisoned)
+    with pytest.raises(ValueError, match="not finite"):
+        run_squarecbwk(env, PolicyConfig(), np.random.default_rng(0))

@@ -3,11 +3,13 @@
 A ``cbwk`` module may import a name it never uses on a ``# noqa: F401``
 line only so that ``perfbench/tracer.py`` can patch it there: its
 ``_FUNCTIONS`` table wraps ``(module, attribute)`` pairs.  Once the tracer
-drops such an entry, the import is dead and this test names it.  The tracer
-is read as source, not imported.
+drops such an entry, the import is dead and this test names it.  The other
+way round, every entry of its ``_FUNCTIONS`` and ``_METHODS`` tables must
+name an attribute that exists.  The tracer is read as source, not imported.
 """
 
 import ast
+import importlib
 import os
 import re
 
@@ -19,13 +21,34 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 TRACER_ONLY = {"OnlinePredictor", "make_predictor"}
 
 
-def traced_functions() -> set:
-    """The (module, attribute) pairs of the tracer's ``_FUNCTIONS`` table."""
+def tracer_table(name: str) -> list:
+    """The entries of one of the tracer's tables, each a tuple of its leading string fields."""
     with open(TRACER) as fh:
         tree = ast.parse(fh.read())
     (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_FUNCTIONS"]]
-    return {(entry.elts[0].value, entry.elts[1].value) for entry in table.elts}
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]]
+    return [tuple(e.value for e in entry.elts
+                  if isinstance(e, ast.Constant) and isinstance(e.value, str))
+            for entry in table.elts]
+
+
+def traced_functions() -> set:
+    """The (module, attribute) pairs of the tracer's ``_FUNCTIONS`` table."""
+    return {entry[:2] for entry in tracer_table("_FUNCTIONS")}
+
+
+def test_every_tracer_target_resolves():
+    # the tracer patches these by name; a kernel change that renames or drops
+    # one would break the traced benchmark run without failing anything else
+    functions, methods = traced_functions(), tracer_table("_METHODS")
+    assert ("cbwk.policy", "_sample_arm") in functions and methods  # the tables were read
+    missing = [f"{module}.{attr}" for module, attr in sorted(functions)
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    for module, cls, attr, _ in methods:
+        owner = getattr(importlib.import_module(module), cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{cls}.{attr}")
+    assert missing == []
 
 
 def unused_noqa_imports(source: str) -> set:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cbwk import oracles
-from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
+from cbwk.core import (ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env,
+                       make_glm_env, sample_outcome, sample_outcomes)
 from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import BatchPredictor, online_to_batch
@@ -107,6 +108,86 @@ def test_explore_trace_meets_the_run_rounds_invariants():
     assert np.isnan(full.rhat).all() and np.isnan(full.lam).all()
     aborted = explore(_two_arm_env(cost_value=1.0, T=20, B=6.0), 3, np.random.default_rng(2))
     _assert_trace_invariants(aborted, 2, 2)
+
+
+def _explore_reference(env, t0, rng):
+    """Phase one as a plain loop: one ``sample_outcome`` per round, the B - 1 test each round."""
+    K, d, B = env.instance.K, env.instance.d, env.instance.B
+    arms, rows, consumed = [], [], np.zeros(d)
+    for t in range((K + 1) * t0):
+        if t < K * t0:
+            arm = t // t0
+        else:
+            arm = K - 1 if env.null_arm else int(rng.integers(K))
+        y = sample_outcome(env, arm, rng)
+        arms.append(arm)
+        rows.append(y)
+        consumed += y[1:]
+        if (consumed >= B - 1.0).any():
+            return np.array(arms), np.array(rows), consumed, True
+    return np.array(arms), np.array(rows), consumed, False
+
+
+def _explore_envs(T, B):
+    rng = np.random.default_rng(5)
+    contexts = rng.normal(size=(3, 4))
+    contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
+    theta = rng.normal(size=(3, 4))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True) * 1.2
+    return {
+        "replication": make_fixed_linear_env(10, 3, 4, 0.2, T=T, B=B),
+        "bounded-null": make_fixed_linear_env(12, 5, 4, 0.2, T=T, B=B, bounded=True,
+                                              null_arm=True),
+        "logistic": make_glm_env(ProblemInstance(T=T, B=B, d=2, K=3), theta, contexts),
+    }
+
+
+def _assert_explore_is_the_loop(env, t0, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trace = explore(env, t0, rng)
+    arms, rows, consumed, aborted = _explore_reference(env, t0, ref_rng)
+    assert np.array_equal(trace.arms, arms)
+    assert trace.outcomes.tobytes() == rows.tobytes()
+    assert trace.total_cost.tobytes() == consumed.tobytes()
+    assert trace.total_reward == float(rows[:, 0].sum())
+    assert trace.tau == arms.size
+    assert trace.aborted_in_exploration == trace.stopped_early == aborted
+    if not aborted:
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return trace
+
+
+@pytest.mark.parametrize("name", ["replication", "bounded-null", "logistic"])
+def test_explore_is_bitwise_the_per_round_loop(name):
+    t0 = 30
+    env = _explore_envs(T=2000, B=2000)[name]
+    full = _assert_explore_is_the_loop(env, t0, seed=7)
+    K = env.instance.K
+    assert not full.aborted_in_exploration and full.tau == (K + 1) * t0
+    spent = np.cumsum(full.costs, axis=0).max(axis=1)  # the binding resource's consumption
+    # an exit level reached inside the forced block, and one reached only among the
+    # arbitrary pulls (which the null arm never spends on)
+    levels = {"forced": spent[K * t0 // 2]}
+    if not env.null_arm:
+        levels["arbitrary"] = spent[K * t0 + t0 // 2]
+    for block, level in levels.items():
+        cut = _assert_explore_is_the_loop(replace(env, instance=replace(env.instance, B=level + 1.0)),
+                                          t0, seed=7)
+        assert cut.aborted_in_exploration
+        assert (cut.tau <= K * t0) == (block == "forced")
+
+
+def test_sample_outcomes_draws_what_sample_outcome_draws():
+    env = _explore_envs(T=2000, B=2000)["bounded-null"]
+    arms = np.random.default_rng(0).integers(0, env.instance.K, size=200)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = sample_outcomes(env, arms, rng)
+    want = np.array([sample_outcome(env, int(a), ref_rng) for a in arms])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (got[arms == env.instance.K - 1] == 0.0).all()
+    with pytest.raises(IndexError):
+        sample_outcomes(env, [0, env.instance.K], rng)
 
 
 def test_m_t0_hand_values():
