@@ -9,8 +9,10 @@ The emitted CSV therefore contains no wall-clock data: the runtime_ms column
 is fixed to 0 and measured runtimes stay on the in-memory result rows.
 """
 
+import contextlib
 import ctypes
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -291,36 +293,57 @@ def _run_cell(spec: dict) -> SweepRow:
     return row
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run every OpenBLAS loaded in this worker on one thread.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS loaded in this process on one thread inside the block.
 
-    The sweep's cells are its unit of parallelism, so BLAS threads inside a
-    worker only oversubscribe the cores.  A forked worker has numpy loaded
-    already and no longer reads OPENBLAS_NUM_THREADS, so the count is set at
-    run time through the library's own setter.  Without /proc or OpenBLAS
-    this does nothing: an initializer that raises breaks the whole pool.
+    Each library not already at one thread is pinned on entry and gets its
+    count back on exit, also when the block raises.  numpy has loaded them
+    already and OPENBLAS_NUM_THREADS is not read again, so they are found
+    through /proc/self/maps; without /proc or OpenBLAS this does nothing.
     """
+    pinned = []
     try:
         with open("/proc/self/maps") as fh:
-            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
-        for path in sorted(libs):
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
+        for path in sorted(paths):
             lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-                setter = getattr(lib, name, None)
-                if setter is not None:
+            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                                   ("scipy_openblas_", ""), ("openblas_", "")):
+                getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if getter is not None and setter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
                     setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
+                    threads = getter()
+                    if threads != 1:
+                        setter(1)
+                        pinned.append((setter, threads))
                     break
     except OSError:
         pass
+    try:
+        yield
+    finally:
+        for setter, threads in pinned:
+            setter(threads)
 
 
 def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
     """Execute every (algorithm, value, seed) cell; canonical row order.
 
-    With ``parallelism`` > 1 the cells run in a process pool whose workers
-    use one OpenBLAS thread each; the calling process is left as it is.
+    With ``parallelism`` > 1 the cells run in a process pool, and the calling
+    process runs OpenBLAS on one thread while the pool lives.  The cells are
+    the unit of parallelism, so BLAS threads would only oversubscribe the
+    cores.  The workers inherit the count of 1 through fork, so the fork
+    context is passed explicitly where the platform has it (Python 3.14 makes
+    forkserver the POSIX default).  A fork shuts OpenBLAS's server thread
+    down, and setting the count, even to 1, rebuilds it, spinning for about
+    0.1 s of CPU before it sleeps: so nothing sets the count inside a worker.
+    The caller's count is restored after the pool has joined, which rebuilds
+    the caller's server thread once; restored earlier, that thread would spin
+    beside the last cells.  If an earlier fork left the caller's server
+    thread down, the pin itself rebuilds it.
     """
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1 (got {parallelism})")
@@ -335,8 +358,10 @@ def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
     if parallelism == 1:
         rows = [_run_cell(s) for s in specs]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism,
-                                 initializer=_one_blas_thread) as pool:
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=parallelism,
+                                                     mp_context=context) as pool:
             rows = list(pool.map(_run_cell, specs, chunksize=1))
     result = SweepResult(sweep_param=config.sweep_param, rows=rows)
     result.recompute_aggregates()

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +333,45 @@ def test_parallel_sweep_leaves_caller_blas_threads():
         for _, set_threads in libs:
             set_threads(2)  # not 1, so a pin that leaked into the caller would show
         run_sweep(parse_config(TINY_CONFIG), parallelism=2)
+        assert _openblas_threads() == [2] * len(libs)
+    finally:
+        for (_, set_threads), threads in zip(libs, before):
+            set_threads(threads)
+
+
+def _task_count_cell(spec):
+    """Stands in for a sweep cell: runs a 52x52 eigh, the projection size of
+    m = 52, then reports the worker's OS thread count as tau."""
+    a = np.arange(52 * 52, dtype=float).reshape(52, 52)
+    np.linalg.eigh(a + a.T)
+    return SweepRow(algorithm=spec["algorithm"], sweep_param="m",
+                    sweep_value=spec["value"], seed=spec["seed"], regret=0.0,
+                    tau=len(os.listdir("/proc/self/task")), total_reward=0.0)
+
+
+@needs_openblas
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+def test_sweep_workers_start_no_blas_server_thread(monkeypatch):
+    # setting the count inside a forked worker would rebuild OpenBLAS's server thread
+    monkeypatch.setattr(harness, "_run_cell", _task_count_cell)
+    result = run_sweep(parse_config(TINY_CONFIG), parallelism=2)
+    assert [r.tau for r in result.rows] == [1] * 8
+
+
+def _exit_cell(spec):
+    os._exit(3)
+
+
+@needs_openblas
+def test_broken_pool_restores_caller_blas_threads(monkeypatch):
+    libs = _openblas_libs()
+    before = _openblas_threads()
+    monkeypatch.setattr(harness, "_run_cell", _exit_cell)
+    try:
+        for _, set_threads in libs:
+            set_threads(2)  # not 1, so a pin left in place would show
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(parse_config(TINY_CONFIG), parallelism=2)
         assert _openblas_threads() == [2] * len(libs)
     finally:
         for (_, set_threads), threads in zip(libs, before):
