@@ -24,7 +24,7 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .lp import LpProblem, LpSolution, exact_opt_fixed_context, solve_lp
+from .lp import LpSolution, exact_opt_fixed_context, solve_lp
 from .oracles import (
     BatchPredictor,
     VectorPredictor,

@@ -15,7 +15,7 @@ import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class ExperimentConfig:
     parameter's base value, so it is not checked.  A violation every cell
     shares is reported once, the others as ``sweep value v: ...``.
     ``twostage.policy`` is the one policy config: glmtron and ogd cells run it
-    with their own oracle, two-stage cells with z unset, so that phase one
-    estimates the radius.
+    with their own oracle, and two-stage cells run it in phase 2 at the radius
+    phase one estimates, whatever its z.
     """
 
     family: str
@@ -246,16 +246,18 @@ class SweepRow:
 class SweepResult:
     sweep_param: str
     rows: list
-    aggregates: list = field(default_factory=list)  # (algorithm, value, mean, std)
 
-    def recompute_aggregates(self) -> None:
-        self.aggregates = []
+    @property
+    def aggregates(self) -> list:
+        """(algorithm, value, mean, std) of the finite regrets, in first-row order."""
+        out = []
         for alg, value in dict.fromkeys((r.algorithm, r.sweep_value) for r in self.rows):
             regrets = np.array([r.regret for r in self.rows
                                 if r.algorithm == alg and r.sweep_value == value])
             finite = regrets[np.isfinite(regrets)]
             stats = (float(finite.mean()), float(finite.std())) if finite.size else (math.nan,) * 2
-            self.aggregates.append((alg, value, *stats))
+            out.append((alg, value, *stats))
+        return out
 
 
 def build_env(config: ExperimentConfig, value=None):
@@ -277,13 +279,12 @@ def _run_cell(spec: dict) -> SweepRow:
     try:
         env = build_env(config, value)
         rng = np.random.default_rng(seed)
-        policy = config.twostage.policy
         if alg == "linucb":
             trace = run_linucb(env, config.linucb, rng)
         elif alg == "twostage":
-            trace = run_twostage(env, replace(config.twostage, policy=replace(policy, z=None)), rng)
+            trace = run_twostage(env, config.twostage, rng)
         else:
-            trace = run_squarecbwk(env, replace(policy, oracle=alg), rng)
+            trace = run_squarecbwk(env, replace(config.twostage.policy, oracle=alg), rng)
         opt = exact_opt_fixed_context(env.expected_outcomes(), env.instance.budget_rate)
         regret = float(realized_regret(trace, opt, env.instance.T))
         row.regret, row.tau, row.total_reward = regret, int(trace.tau), float(trace.total_reward)
@@ -363,9 +364,7 @@ def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
         with _one_blas_thread(), ProcessPoolExecutor(max_workers=parallelism,
                                                      mp_context=context) as pool:
             rows = list(pool.map(_run_cell, specs, chunksize=1))
-    result = SweepResult(sweep_param=config.sweep_param, rows=rows)
-    result.recompute_aggregates()
-    return result
+    return SweepResult(sweep_param=config.sweep_param, rows=rows)
 
 
 def _fmt(x: float) -> str:
@@ -400,9 +399,7 @@ def read_csv(path: str) -> SweepResult:
             seed=int(parts[3]), regret=float(parts[4]), tau=int(parts[5]),
             total_reward=float(parts[6]), runtime_ms=float(parts[7]),
         ))
-    result = SweepResult(sweep_param=rows[0].sweep_param if rows else "T", rows=rows)
-    result.recompute_aggregates()
-    return result
+    return SweepResult(sweep_param=rows[0].sweep_param if rows else "T", rows=rows)
 
 
 _SERIES_COLORS = {

@@ -1,12 +1,16 @@
-"""Small dense linear programming.
+"""The static allocation program, solved exactly.
 
-A two-phase primal simplex solver (Bland's anti-cycling rule) for the modest
-problems this library generates: the per-round optimum of a fixed-context
-environment and the empirical-optimum program built from exploration data.
-Exact vertex solutions make the surrounding estimates easy to test, which is
-why this is hand-rolled rather than delegated to an interior-point code.
+Every optimum this library needs is one linear program over K arms: maximize
+sum_a p_a * r_a over the probability simplex, subject to sum_a p_a * g_aj <=
+rate for every resource j.  It gives the regret benchmark, from the
+environment's mean outcomes, and two-stage's empirical optimum, from batch
+predictions with a widened rate.  A two-phase primal simplex (Bland's
+anti-cycling rule) solves it to an exact vertex, which keeps the estimates
+built on it easy to test; that is why it is hand-rolled rather than
+delegated to an interior-point code.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,62 +21,22 @@ PIVOT_TOL = 1e-9
 MAX_PIVOTS = 10**6
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0."""
-
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        for mat_name, rhs_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-            mat, rhs = getattr(self, mat_name), getattr(self, rhs_name)
-            if (mat is None) != (rhs is None):
-                raise ConfigurationError(f"{mat_name} and {rhs_name} must be given together")
-            if mat is None:
-                continue
-            mat = np.atleast_2d(np.asarray(mat, dtype=float))
-            rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-            if mat.shape != (rhs.size, c.size):
-                raise ConfigurationError(
-                    f"{mat_name} has shape {mat.shape}, expected ({rhs.size}, {c.size})"
-                )
-            object.__setattr__(self, mat_name, mat)
-            object.__setattr__(self, rhs_name, rhs)
-        parts = [c]
-        for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
-            if arr is not None:
-                parts.append(arr.ravel())
-        if not all(np.isfinite(p).all() for p in parts):
-            raise ConfigurationError("LP data must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.c.size
-
-
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | pivot_limit
+    status: str  # optimal | infeasible | pivot_limit
     value: float | None = None
-    x: np.ndarray | None = None
+    x: np.ndarray | None = None  # the arm mixture p
     iterations: int = 0
-    dual_ub: np.ndarray | None = None  # multipliers of the inequality rows
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Make ``col`` basic in ``row`` by Gauss-Jordan elimination.
 
-    Only rows with a nonzero entry in the pivot column are updated; the
-    empirical program's equality rows are almost all zero there.  Subtracting
-    0 * pivot row would leave a skipped row's values unchanged, so the result
-    can differ from a full update only in the sign of a zero (x - 0*y turns a
-    -0.0 into +0.0).
+    Only rows with a nonzero entry in the pivot column are updated; a budget
+    row whose resource the entering arm does not consume is zero there.
+    Subtracting 0 * pivot row would leave a skipped row's values unchanged, so
+    the result can differ from a full update only in the sign of a zero
+    (x - 0*y turns a -0.0 into +0.0).
     """
     tableau[row] /= tableau[row, col]
     colvals = tableau[:, col].copy()
@@ -114,93 +78,49 @@ def _run_simplex(tableau, basis, ncols, iterations):
             return "pivot_limit", iterations
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase primal simplex. Returns status, optimum, vertex, and duals."""
-    n = problem.n
-    a_ub = problem.a_ub if problem.a_ub is not None else np.zeros((0, n))
-    b_ub = problem.b_ub if problem.b_ub is not None else np.zeros(0)
-    a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
-    b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    mi, me = b_ub.size, b_eq.size
-    m = mi + me
+def solve_lp(outcomes: np.ndarray, budget_rate: float) -> LpSolution:
+    """Two-phase simplex on the allocation program of a (K, 1+d) outcome matrix.
 
-    # Rows: [A_ub | I_slack | artificials ; A_eq | 0 | artificials], RHS >= 0.
-    rows = np.hstack([np.vstack([a_ub, a_eq]), np.vstack([np.eye(mi), np.zeros((me, mi))])])
-    rhs = np.concatenate([b_ub, b_eq])
-    flip = rhs < 0
-    rows[flip] *= -1.0
-    rhs = np.abs(rhs)
+    The tableau's rows are the d budget rows, each with its slack, then the
+    simplex row with the one artificial, then the objective.  The slacks keep
+    the simplex row independent of the budget rows, so an artificial left
+    basic at level 0 after phase one always has a nonzero entry to pivot on.
+    ``budget_rate`` must be >= 0.
+    """
+    K, d = outcomes.shape[0], outcomes.shape[1] - 1
+    art = K + d  # the artificial's column; the right-hand side is the last
+    tableau = np.zeros((d + 2, art + 2))
+    tableau[:d, :K] = outcomes[:, 1:].T
+    tableau[:d, K:art] = np.eye(d)
+    tableau[:d, -1] = budget_rate
+    tableau[d, :K] = tableau[d, art] = tableau[d, -1] = 1.0
+    basis = np.arange(K, art + 1)
 
-    # A flipped inequality's slack enters with coefficient -1, so every flipped
-    # row and every equality row needs an artificial to seed the basis.
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[:mi] = flip[:mi]
-    art_rows = np.flatnonzero(needs_art)
-    n_art = art_rows.size
-    art_block = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art_block[i, k] = 1.0
+    # Phase one: minimize the artificial, priced out of its row.
+    tableau[-1, art] = 1.0
+    tableau[-1] -= tableau[d]
+    status, iterations = _run_simplex(tableau, basis, art + 1, 0)
+    if status == "pivot_limit":
+        return LpSolution(status="pivot_limit", iterations=iterations)
+    if -tableau[-1, -1] > 1e-7:
+        return LpSolution(status="infeasible", iterations=iterations)
+    for i in np.flatnonzero(basis == art):  # drive a zero-level artificial out
+        _pivot(tableau, basis, i, int(np.argmax(np.abs(tableau[i, :art]) > PIVOT_TOL)))
 
-    ncols = n + mi + n_art
-    tableau = np.zeros((m + 1, ncols + 1))
-    tableau[:m, : n + mi] = rows
-    tableau[:m, n + mi : ncols] = art_block
-    tableau[:m, -1] = rhs
-
-    basis = np.empty(m, dtype=int)
-    basis[:mi] = n + np.arange(mi)
-    basis[art_rows] = n + mi + np.arange(n_art)
-
-    iterations = 0
-    if n_art:
-        # Phase one: minimize the sum of artificials.
-        tableau[-1, :] = 0.0
-        tableau[-1, n + mi : ncols] = 1.0
-        for i in art_rows:
-            tableau[-1] -= tableau[i]
-        status, iterations = _run_simplex(tableau, basis, ncols, iterations)
-        if status == "pivot_limit":
-            return LpSolution(status="pivot_limit", iterations=iterations)
-        if -tableau[-1, -1] > 1e-7:
-            return LpSolution(status="infeasible", iterations=iterations)
-        # Drive leftover artificials out of the basis where possible.
-        for i in range(m):
-            if basis[i] >= n + mi:
-                for j in range(n + mi):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        _pivot(tableau, basis, i, j)
-                        break
-
-    # Phase two on the original objective (minimize -c.x).
-    ncols2 = n + mi
-    tableau2 = np.delete(tableau, np.s_[n + mi : ncols], axis=1)
-    degenerate = [i for i in range(m) if basis[i] >= ncols2]  # redundant rows
-    if degenerate:
-        tableau2 = np.delete(tableau2, degenerate, axis=0)
-        basis = np.delete(basis, degenerate)
-        m = basis.size
-    tableau2[-1, :] = 0.0
-    tableau2[-1, :n] = -problem.c
-    for i in range(m):
-        if basis[i] < n:
-            tableau2[-1] -= tableau2[-1, basis[i]] * tableau2[i]
-    status, iterations = _run_simplex(tableau2, basis, ncols2, iterations)
+    # Phase two on the rewards (minimize -r.p); the artificial column is left
+    # out of the pricing and never enters again.
+    tableau[-1] = 0.0
+    tableau[-1, :K] = -outcomes[:, 0]
+    for i in range(d + 1):
+        if basis[i] < K:
+            tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
+    status, iterations = _run_simplex(tableau, basis, art, iterations)
     if status != "optimal":
         return LpSolution(status=status, iterations=iterations)
-
-    x = np.zeros(ncols2)
-    x[basis] = tableau2[:-1, -1]
-    # Reduced costs under the slack columns are the inequality multipliers.  A
-    # row flipped for b < 0 negates both its slack column and its multiplier,
-    # so the reduced cost needs no sign correction.
-    dual_ub = tableau2[-1, n : n + mi].copy()
-    return LpSolution(
-        status="optimal",
-        value=float(problem.c @ x[:n]),
-        x=x[:n],
-        iterations=iterations,
-        dual_ub=dual_ub,
-    )
+    x = np.zeros(art + 1)
+    x[basis] = tableau[:-1, -1]
+    return LpSolution(status="optimal", value=float(outcomes[:, 0] @ x[:K]), x=x[:K],
+                      iterations=iterations)
 
 
 def exact_opt_fixed_context(outcomes, budget_rate: float) -> float:
@@ -209,24 +129,21 @@ def exact_opt_fixed_context(outcomes, budget_rate: float) -> float:
     ``outcomes`` is (K, 1+d), each arm's [reward | costs] row: maximize
     sum_a p_a * outcomes[a, 0] over the probability simplex, subject to
     sum_a p_a * outcomes[a, 1 + j] <= budget_rate for every resource j.
+    The outcomes must be finite and the rate finite and >= 0.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.ndim != 2 or outcomes.shape[1] < 2:
         raise ConfigurationError(
             f"outcomes has shape {outcomes.shape}, expected (K, 1+d) with d >= 1"
         )
-    K, n = outcomes.shape
-    problem = LpProblem(
-        c=outcomes[:, 0],
-        a_ub=outcomes[:, 1:].T,
-        b_ub=np.full(n - 1, float(budget_rate)),
-        a_eq=np.ones((1, K)),
-        b_eq=np.array([1.0]),
-    )
-    sol = solve_lp(problem)
+    if not np.isfinite(outcomes).all():
+        raise ConfigurationError("outcomes must be finite")
+    budget_rate = float(budget_rate)
+    if not (math.isfinite(budget_rate) and budget_rate >= 0):
+        raise ConfigurationError(f"budget_rate must be finite and >= 0 (got {budget_rate})")
+    sol = solve_lp(outcomes, budget_rate)
     if sol.status == "infeasible":
         raise InfeasibleError("no arm mixture satisfies the budget rate")
     if sol.status != "optimal":
         raise RuntimeError(f"LP solver returned status {sol.status}")
     return sol.value
-

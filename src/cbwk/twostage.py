@@ -29,7 +29,8 @@ class TwoStageConfig:
 
     ``policy`` serves both phases: its oracle family fits phase one and
     learns in phase 2, and its gamma and bound_scale size phase 2's learning
-    rate.  A set ``policy.z`` replaces the phase-one radius in phase 2.
+    rate.  Phase 2 always runs at phase one's radius, so ``policy.z`` is
+    ignored.
     """
 
     t0: int | None = None  # per-arm exploration length; default from t0_default
@@ -235,8 +236,7 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
             f"remaining budget B' = B - (K+1)T0 = {b2} is below 1; phase 2 cannot run"
         )
     env2 = replace(env, instance=type(inst)(T=t2, B=b2, d=d, K=K))
-    z = cfg.policy.z if cfg.policy.z is not None else p1.z
-    tail = run_squarecbwk(env2, replace(cfg.policy, z=z), rng)
+    tail = run_squarecbwk(env2, replace(cfg.policy, z=p1.z), rng)
 
     return replace(
         tail,

@@ -1,19 +1,19 @@
-"""Reference implementations for the LP tests.
+"""Reference implementations for the LP tests, independent of ``cbwk.lp``.
 
 ``brute_force_opt`` enumerates the vertices of the per-round allocation
 program of a tiny instance; the LP tests and acceptance criterion 3 compare
 ``cbwk.lp`` against it.  ``tiled_empirical_opt`` is the two-stage empirical
 program as the paper states it, one arm distribution per recorded context
-set, over t0 copies of a fixed context set; ``cbwk.twostage.empirical_opt``
-must reach the same optimum with K variables.
+set, over t0 copies of a fixed context set, solved by scipy's HiGHS;
+``cbwk.twostage.empirical_opt`` must reach the same optimum with K variables.
 """
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from cbwk.errors import ConfigurationError, InfeasibleError
-from cbwk.lp import LpProblem, solve_lp
 
 
 def brute_force_opt(rewards, costs, budget_rate: float, grid: int = 50) -> float:
@@ -83,17 +83,15 @@ def tiled_empirical_opt(fits, phi, t0: int, budget_rate: float, m_val: float) ->
     fhat = preds[:, :, 0].T
     ghat = preds[:, :, 1:].transpose(1, 0, 2)
 
+    linprog = pytest.importorskip("scipy.optimize").linprog
     n_vars = n_ctx * K
     a_ub = ghat.reshape(n_vars, d).T / n_ctx
     b_ub = np.full(d, budget_rate + 2.0 * m_val)
-    a_eq = np.zeros((n_ctx, n_vars))
-    for t in range(n_ctx):
-        a_eq[t, t * K : (t + 1) * K] = 1.0
-    problem = LpProblem(c=fhat.ravel() / n_ctx, a_ub=a_ub, b_ub=b_ub,
-                        a_eq=a_eq, b_eq=np.ones(n_ctx))
-    sol = solve_lp(problem)
-    if sol.status == "infeasible":
+    a_eq = np.kron(np.eye(n_ctx), np.ones((1, K)))  # one distribution per context set
+    ref = linprog(-fhat.ravel() / n_ctx, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
+                  b_eq=np.ones(n_ctx), bounds=(0, None), method="highs")
+    if ref.status == 2:
         raise InfeasibleError("empirical allocation program infeasible")
-    if sol.status != "optimal":
-        raise RuntimeError(f"LP solver returned status {sol.status}")
-    return sol.value
+    if ref.status != 0:
+        raise RuntimeError(f"HiGHS returned status {ref.status}: {ref.message}")
+    return float(-ref.fun)

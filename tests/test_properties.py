@@ -1,5 +1,5 @@
-"""Property tests over generated inputs: IGW validity, the dual simplex, LP duality,
-the oracles' zero-feature step.
+"""Property tests over generated inputs: IGW validity, the dual simplex, the
+allocation LP's weak duality, the oracles' zero-feature step.
 
 Examples are derandomized so every run checks the same inputs, and nothing is
 written to a Hypothesis example database.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from cbwk.dual import dual_init, dual_update  # noqa: E402
-from cbwk.lp import LpProblem, solve_lp  # noqa: E402
+from cbwk.lp import solve_lp  # noqa: E402
 from cbwk.oracles import ORACLE_KINDS, VectorPredictor  # noqa: E402
 from cbwk.policy import igw_distribution  # noqa: E402
 
@@ -58,32 +58,27 @@ def test_dual_update_stays_on_the_simplex(d, Z, T, budget_rate, data):
         assert abs(state.weights.sum() - 1.0) <= 1e-12
 
 
-@st.composite
-def bounded_feasible_lps(draw):
-    """max c.x s.t. A x <= b, x >= 0, feasible at a drawn x0 and bounded by sum x <= s."""
-    n = draw(st.integers(1, 5))
-    rows = draw(st.integers(0, 4))
-    c = draw(arrays(float, n, elements=tenths))
-    a = draw(arrays(float, (rows, n), elements=tenths))
-    x0 = draw(arrays(float, n, elements=st.integers(0, 10).map(lambda v: v / 10)))
-    slack = draw(arrays(float, rows, elements=st.integers(0, 10).map(lambda v: v / 10)))
-    s = x0.sum() + draw(st.integers(0, 10)) / 10
-    a_ub = np.vstack([a, np.ones((1, n))])
-    b_ub = np.concatenate([a @ x0 + slack, [s]])  # rows may have b < 0
-    return c, a_ub, b_ub
-
-
 @fixed(300)
-@given(lp=bounded_feasible_lps())
-def test_lp_strong_duality_through_dual_ub(lp):
-    c, a_ub, b_ub = lp
-    sol = solve_lp(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub))
+@given(outcomes=arrays(float, st.tuples(st.integers(1, 6), st.integers(2, 5)),
+                       elements=tenths),
+       rate=st.integers(0, 10).map(lambda v: v / 10), data=st.data())
+def test_allocation_lp_vertex_is_feasible_and_below_every_lagrangian_bound(outcomes, rate,
+                                                                          data):
+    # Feasible and no better than max_a r_a + lam.(rate - g_a) for any lam >= 0
+    # (weak duality); no worse than any arm that fits the rate alone.
+    rewards, costs = outcomes[:, 0], outcomes[:, 1:]
+    sol = solve_lp(outcomes, rate)
+    fits_alone = (costs <= rate).all(axis=1)
+    if sol.status == "infeasible":
+        assert not fits_alone.any()
+        return
     assert sol.status == "optimal"
-    y = sol.dual_ub
-    assert (y >= -1e-9).all()                        # dual feasible: y >= 0
-    assert (a_ub.T @ y >= c - 1e-9).all()            # and A^T y >= c
-    assert (a_ub @ sol.x <= b_ub + 1e-9).all() and (sol.x >= -1e-9).all()
-    assert sol.value == pytest.approx(b_ub @ y, abs=1e-9)  # no duality gap
+    assert (sol.x >= -1e-9).all() and abs(sol.x.sum() - 1.0) <= 1e-9
+    assert (costs.T @ sol.x <= rate + 1e-9).all()
+    assert sol.value == pytest.approx(rewards @ sol.x, abs=1e-12)
+    assert (sol.value >= rewards[fits_alone] - 1e-9).all()
+    lam = data.draw(arrays(float, costs.shape[1], elements=st.floats(0.0, 10.0)))
+    assert sol.value <= (rewards + (rate - costs) @ lam).max() + 1e-9
 
 
 # Row scales at and one ulp either side of the unit ball's edge, where OGD's

@@ -421,10 +421,11 @@ def test_stacked_fit_matches_one_stack_per_arm(kind, link, monkeypatch):
 
 @pytest.mark.parametrize("policy", [PolicyConfig(oracle="ogd", bound_scale=0.01),
                                     PolicyConfig(bound_scale=0.01),
-                                    PolicyConfig(gamma=40.0)])
+                                    PolicyConfig(gamma=40.0),
+                                    PolicyConfig(z=5.0, bound_scale=0.01)])
 def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     # One PolicyConfig drives both phases: phase one fits with its oracle, and
-    # phase 2 is run_squarecbwk on the rest with z = Z.
+    # phase 2 is run_squarecbwk on the rest with z = Z, whatever policy.z says.
     T, B, K, d, m, t0 = 1200, 900.0, 3, 4, 10, 40
     env = make_fixed_linear_env(m, K, d, 0.1, T=T, B=B)
     cfg = TwoStageConfig(t0=t0, policy=policy)
