@@ -4,7 +4,6 @@ experiment harness."""
 
 from .baseline import LinUcbConfig, run_linucb
 from .core import (
-    ArmFeatures,
     EnvironmentSpec,
     ProblemInstance,
     RunTrace,

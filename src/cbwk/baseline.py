@@ -45,8 +45,8 @@ def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
                rng: np.random.Generator) -> RunTrace:
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    m = env.contexts.phi.shape[1]  # the confidence width uses the declared width
-    Phi = env.contexts.span  # the ridge estimates never leave these columns
+    m = env.phi.shape[1]  # the confidence width uses the declared width
+    Phi = env.span  # the ridge estimates never leave these columns
     r = Phi.shape[1]
 
     a_inv = np.eye(r) / RIDGE

@@ -10,6 +10,7 @@ from .errors import ConfigurationError, raise_if_any, range_violations, type_vio
 
 SQRT2 = math.sqrt(2.0)
 _NOISE_RULE = (("noise_variance", ">=", 0),)  # finite too: an infinite variance draws NaN
+_ENV_RULES = _NOISE_RULE + (("norm_bound", ">", 0),)
 _INSTANCE_RULES = (("T", ">=", 1), ("d", ">=", 1), ("K", ">=", 2))
 
 
@@ -40,28 +41,54 @@ def instance_violations(T: int, B: float | None, d: int, K: int) -> list:
 
 
 @dataclass(frozen=True)
-class ArmFeatures:
-    """Per-arm feature rows: the one feature map of both reward and costs.
+class EnvironmentSpec:
+    """Generative model: true parameters, fixed context set, noise law, link.
 
-    Environments declare their own norm bound; the linear benchmark's contexts
-    have norm sqrt(3/2) while generalized-linear environments use unit balls.
+    ``theta`` holds one parameter row per outcome coordinate: row 0 is the
+    reward and rows 1..d are the costs, the [reward | costs] layout of every
+    outcome row.  ``phi`` holds arm a's feature row, the one feature map of
+    both reward and costs; every row's norm lies within ``norm_bound``: the
+    linear benchmark's feature rows have norm sqrt(3/2), generalized-linear
+    environments use unit balls.  The link sets the outcome law: ``identity``
+    draws the linear value plus N(0, noise_variance), and ``logistic`` draws
+    Bernoulli outcomes of mean sigma(<theta, phi>).  With ``bounded`` set,
+    realized gaussian outcomes are clipped to [0, 1]; the default leaves them
+    unclipped, which is what the scaling benchmarks use even though some
+    expected values exceed 1.  ``null_arm`` designates the last arm as a
+    do-nothing action with exactly zero reward and cost.  Constructing one
+    checks every field and reports every violation at once; a NaN or
+    infinite entry of ``theta`` or ``phi`` is one.
     """
 
+    instance: ProblemInstance
+    theta: np.ndarray  # (1+d, m)
     phi: np.ndarray  # (K, m)
+    noise_variance: float = 0.0
+    link: str = "identity"
+    bounded: bool = False
+    null_arm: bool = False
     norm_bound: float = SQRT2
 
     def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
         phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
+        raise_if_any(type_violations(self))  # the rules below compare numbers
+        problems = range_violations(vars(self), _ENV_RULES)
+        problems += [f"{name} must be finite (got a NaN or infinite entry)"
+                     for name, a in (("theta", theta), ("phi", phi)) if not np.isfinite(a).all()]
+        shape = (1 + self.instance.d, phi.shape[1])
+        if theta.shape != shape:
+            problems.append(f"theta has shape {theta.shape}, expected (1+d, m) = {shape}")
+        if phi.shape[0] != self.instance.K:
+            problems.append(f"phi has {phi.shape[0]} rows, expected K={self.instance.K}")
         norms = np.linalg.norm(phi, axis=1)
         if (norms > self.norm_bound + 1e-9).any():
-            raise ConfigurationError(
-                f"feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}"
-            )
-
-    @property
-    def K(self) -> int:
-        return self.phi.shape[0]
+            problems.append(f"feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}")
+        if self.link not in ("identity", "logistic"):
+            problems.append(f"unknown link {self.link!r}")
+        raise_if_any(problems)
 
     @cached_property
     def span(self) -> np.ndarray:
@@ -70,48 +97,11 @@ class ArmFeatures:
         An oracle started at 0 (and, under GLMtron, at A = I) that only ever
         sees these rows keeps zero weight on every other column, so learning
         on ``span`` gives the iterates of learning on ``phi``, restricted to
-        its columns.  Dense contexts keep every column.
+        its columns.  A dense ``phi`` keeps every column.
         """
         span = self.phi[:, (self.phi != 0.0).any(axis=0)]
         span.flags.writeable = False
         return span
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """Generative model: true parameters, fixed context set, noise law, link.
-
-    ``theta`` holds one parameter row per outcome coordinate: row 0 is the
-    reward and rows 1..d are the costs, the [reward | costs] layout of every
-    outcome row.  The link sets the outcome law: ``identity`` draws the linear
-    value plus N(0, noise_variance), and ``logistic`` draws Bernoulli outcomes
-    of mean sigma(<theta, phi>).  With ``bounded`` set, realized gaussian
-    outcomes are clipped to [0, 1]; the default leaves them unclipped, which
-    is what the scaling benchmarks use even though some expected values
-    exceed 1.  ``null_arm`` designates the last arm as a do-nothing action
-    with exactly zero reward and cost.
-    """
-
-    instance: ProblemInstance
-    theta: np.ndarray  # (1+d, m)
-    contexts: ArmFeatures
-    noise_variance: float = 0.0
-    link: str = "identity"
-    bounded: bool = False
-    null_arm: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        problems = []
-        shape = (1 + self.instance.d, self.contexts.phi.shape[1])
-        if self.theta.shape != shape:
-            problems.append(f"theta has shape {self.theta.shape}, expected (1+d, m) = {shape}")
-        if self.contexts.K != self.instance.K:
-            problems.append(f"contexts have {self.contexts.K} arms, expected K={self.instance.K}")
-        problems += range_violations(vars(self), _NOISE_RULE)
-        if self.link not in ("identity", "logistic"):
-            problems.append(f"unknown link {self.link!r}")
-        raise_if_any(problems)
 
     @cached_property
     def outcome_means(self) -> np.ndarray:
@@ -120,7 +110,7 @@ class EnvironmentSpec:
         Rows are built from per-arm products rather than one matrix product,
         so they are bitwise equal to evaluating each arm on its own.
         """
-        phi = self.contexts.phi
+        phi = self.phi
         rows = np.empty((self.instance.K, 1 + self.instance.d))
         for a in range(self.instance.K):
             rows[a] = self.theta @ phi[a]
@@ -203,25 +193,24 @@ def make_fixed_linear_env(
     for j in range(2, d):
         theta[1 + j] = e[j + 1]
 
-    contexts = e[0] / SQRT2 + e[1 : K + 1]
+    phi = e[0] / SQRT2 + e[1 : K + 1]
     if null_arm:
-        contexts = contexts.copy()
-        contexts[-1] = 0.0
+        phi[-1] = 0.0
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=K),
         theta=theta,
-        contexts=ArmFeatures(contexts, norm_bound=SQRT2),
+        phi=phi,
         noise_variance=noise_variance,
         bounded=bounded,
         null_arm=null_arm,
     )
 
 
-def make_glm_env(instance: ProblemInstance, theta, contexts) -> EnvironmentSpec:
+def make_glm_env(instance: ProblemInstance, theta, phi) -> EnvironmentSpec:
     """Generalized-linear environment: mean sigma(<theta, phi>), Bernoulli draws.
 
-    ``theta`` is (1+d, m), the reward row then the cost rows.  Every parameter
-    row and every feature row must lie in the unit ball.
+    ``theta`` is (1+d, m), the reward row then the cost rows, and ``phi`` is
+    (K, m).  Every parameter row and every feature row must lie in the unit ball.
     """
     theta = np.asarray(theta, dtype=float)
     norms = np.linalg.norm(theta, axis=-1)
@@ -230,8 +219,9 @@ def make_glm_env(instance: ProblemInstance, theta, contexts) -> EnvironmentSpec:
     return EnvironmentSpec(
         instance=instance,
         theta=theta,
-        contexts=ArmFeatures(contexts, norm_bound=1.0),
+        phi=phi,
         link="logistic",
+        norm_bound=1.0,
     )
 
 

@@ -153,7 +153,7 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
 
     The reward and the d costs are learned by one (1+d)-row oracle stack,
     row 0 the reward and rows 1..d the costs, so all targets share one Gram
-    matrix.  The stack learns on the context set's span (``ArmFeatures.span``);
+    matrix.  The stack learns on the context set's span (``EnvironmentSpec.span``);
     gamma is sized from the declared feature width m.  A round reuses the
     previous round's estimate while ``oracle.theta`` is the same array: every
     oracle step that moves the parameters must assign a new array, so the same
@@ -163,8 +163,8 @@ def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    m = env.contexts.phi.shape[1]
-    phi = env.contexts.span
+    m = env.phi.shape[1]
+    phi = env.span
 
     Z = config.z if config.z is not None else T / B
     gamma = config.gamma if config.gamma is not None else gamma_default(

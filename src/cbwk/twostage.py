@@ -89,7 +89,7 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
     Arm a's samples are rounds a*t0 .. (a+1)*t0 - 1, all at its one feature
     row.  An arbitrary pull is the null arm if the environment has one,
     otherwise a uniformly drawn arm.  The environment's context set is fixed,
-    so these rounds add no new contexts, but they spend rounds, budget and
+    so these rounds add no new feature rows, but they spend rounds, budget and
     random draws as the paper's phase 1 does.  Aborts early, with whatever
     was gathered, if some resource's cumulative consumption reaches B - 1
     before the exploration block completes; the trace is then marked
@@ -174,8 +174,8 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     """
     inst = env.instance
     K, d = inst.K, inst.d
-    m = env.contexts.phi.shape[1]
-    phi = env.contexts.span
+    m = env.phi.shape[1]
+    phi = env.span
     oracle = cfg.policy.oracle
     t0 = cfg.resolve_t0(m, d, K, inst.T)
 

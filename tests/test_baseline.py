@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
-from cbwk.core import ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env
+from cbwk.core import EnvironmentSpec, ProblemInstance, make_fixed_linear_env
 
 
 def test_zero_noise_converges_to_best_arm():
@@ -21,7 +21,7 @@ def test_zero_confidence_is_greedy_and_locks_on():
     # no optimism: rhat is the ridge mean fitted on the first `at` pulls, and
     # the pulled arm maximizes the Lagrangian score of the ridge means
     at = 50
-    Phi = env.contexts.phi
+    Phi = env.phi
     pulled = Phi[trace.arms[:at]]
     gram = np.eye(Phi.shape[1]) + pulled.T @ pulled
     means = Phi @ np.linalg.solve(gram, pulled.T @ trace.outcomes[:at])
@@ -36,11 +36,11 @@ def test_zero_confidence_is_greedy_and_locks_on():
 
 
 def test_zero_costs_and_full_budget_run_to_horizon():
-    contexts = np.eye(2)
     env = EnvironmentSpec(
         instance=ProblemInstance(T=60, B=60, d=1, K=2),
         theta=np.array([[0.9, 0.2], [0.0, 0.0]]),
-        contexts=ArmFeatures(contexts, norm_bound=1.0),
+        phi=np.eye(2),
+        norm_bound=1.0,
         noise_variance=0.0,
     )
     trace = run_linucb(env, LinUcbConfig(), np.random.default_rng(2))

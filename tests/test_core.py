@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cbwk.core import (
-    ArmFeatures,
     EnvironmentSpec,
     ProblemInstance,
     RunTrace,
@@ -50,7 +49,7 @@ def test_benchmark_env_expected_values():
     assert costs[0, 2] == pytest.approx(0.0, abs=1e-12)
     assert costs[1, 3] == pytest.approx(0.0, abs=1e-12)
     # context norms are sqrt(3/2)
-    norms = np.linalg.norm(env.contexts.phi, axis=1)
+    norms = np.linalg.norm(env.phi, axis=1)
     assert np.allclose(norms, math.sqrt(1.5), atol=1e-12)
 
 
@@ -91,21 +90,19 @@ def test_benchmark_env_dimension_guards():
 
 def test_environment_rejects_parameters_of_another_feature_width():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
-    narrow = ArmFeatures(env.contexts.phi[:, :8], norm_bound=env.contexts.norm_bound)
     with pytest.raises(ConfigurationError, match=r"expected \(1\+d, m\) = \(5, 8\)"):
-        replace(env, contexts=narrow)  # phi narrower than theta
+        replace(env, phi=env.phi[:, :8])  # phi narrower than theta
     with pytest.raises(ConfigurationError, match=r"\(5, 9\), expected \(1\+d, m\) = \(5, 10\)"):
         replace(env, theta=env.theta[:, :9])
 
 
 def test_environment_reports_wrong_d_and_wrong_k_together():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
-    two_arms = ArmFeatures(env.contexts.phi[:2], norm_bound=env.contexts.norm_bound)
     with pytest.raises(ConfigurationError) as err:
-        replace(env, theta=env.theta[:4], contexts=two_arms)  # d = 3 rows and K = 2 arms
+        replace(env, theta=env.theta[:4], phi=env.phi[:2])  # d = 3 rows and K = 2 arms
     assert err.value.violations == [
         "theta has shape (4, 10), expected (1+d, m) = (5, 10)",
-        "contexts have 2 arms, expected K=3",
+        "phi has 2 rows, expected K=3",
     ]
 
 
@@ -189,20 +186,63 @@ def test_bounded_mode_clips_and_adjusts_means():
     assert env.expected_outcomes()[0, 0] < HALF_PLUS_INV_SQRT2
 
 
+def _two_arm_spec(phi, theta=np.zeros((2, 2)), **kwargs):
+    return EnvironmentSpec(instance=ProblemInstance(T=10, B=5, d=1, K=2), theta=theta,
+                           phi=phi, **kwargs)
+
+
 def test_feature_norm_bound_enforced():
     with pytest.raises(ConfigurationError):
-        ArmFeatures(np.array([[2.0, 0.0], [0.0, 0.0]]), norm_bound=1.0)
+        _two_arm_spec(np.array([[2.0, 0.0], [0.0, 0.0]]), norm_bound=1.0)
+
+
+def test_nan_parameters_are_rejected_by_name():
+    theta = np.array([[0.5, 0.0], [float("nan"), 0.0]])
+    with pytest.raises(ConfigurationError, match="theta must be finite"):
+        _two_arm_spec(np.eye(2), theta)
+    with pytest.raises(ConfigurationError, match="theta must be finite"):
+        make_glm_env(ProblemInstance(T=100, B=100, d=1, K=2), theta, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_features_are_rejected_by_name(bad):
+    phi = np.array([[0.5, 0.0], [0.0, bad]])
+    with pytest.raises(ConfigurationError, match="phi must be finite"):
+        _two_arm_spec(phi)
+    with pytest.raises(ConfigurationError, match="phi must be finite"):
+        make_glm_env(ProblemInstance(T=100, B=100, d=1, K=2), np.zeros((2, 2)), phi)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), 0.0])
+def test_norm_bound_must_be_positive(bound):
+    with pytest.raises(ConfigurationError, match="norm_bound > 0 violated"):
+        _two_arm_spec(np.eye(2) * 0.5, norm_bound=bound)
+
+
+def test_environment_number_fields_are_type_checked():
+    with pytest.raises(ConfigurationError, match="noise_variance must be a number"):
+        _two_arm_spec(np.eye(2) * 0.5, noise_variance="0.2")  # not a TypeError
+
+
+def test_phase_two_environment_keeps_features_and_means():
+    # run_twostage hands phase 2 replace(env, instance=...): same features, new horizon
+    env = make_fixed_linear_env(52, 10, 4, 0.2, T=2000, B=500, null_arm=True)
+    inst = env.instance
+    env2 = replace(env, instance=ProblemInstance(T=1000, B=200, d=inst.d, K=inst.K))
+    assert env2.instance.T == 1000 and env2.norm_bound == env.norm_bound
+    assert (env2.phi == env.phi).all() and (env2.span == env.span).all()
+    assert (env2.outcome_means == env.outcome_means).all()
 
 
 def test_span_keeps_the_columns_some_arm_uses():
     # fixed-linear arm a's context is e1/sqrt(2) + e_{a+1}; a null arm's row is zero
     plain = make_fixed_linear_env(52, 10, 4, 0.2, T=100, B=50)
     null = make_fixed_linear_env(52, 10, 4, 0.2, T=100, B=50, null_arm=True)
-    assert (plain.contexts.span == plain.contexts.phi[:, :11]).all()
-    assert (null.contexts.span == null.contexts.phi[:, :10]).all()
-    assert (ArmFeatures(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])).span
+    assert (plain.span == plain.phi[:, :11]).all()
+    assert (null.span == null.phi[:, :10]).all()
+    assert (_two_arm_spec(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]]), np.zeros((2, 3))).span
             == [[0.5, 0.0], [0.0, 0.5]]).all()
-    assert not plain.contexts.span.flags.writeable
+    assert not plain.span.flags.writeable
 
 
 def test_span_keeps_every_column_of_dense_contexts():
@@ -210,8 +250,8 @@ def test_span_keeps_every_column_of_dense_contexts():
     contexts = rng.normal(size=(3, 5))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
     env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.zeros((3, 5)), contexts)
-    assert env.contexts.span.shape == (3, 5)
-    assert (env.contexts.span == env.contexts.phi).all()
+    assert env.span.shape == (3, 5)
+    assert (env.span == env.phi).all()
 
 
 def _dummy_trace(total_reward, tau):

@@ -5,7 +5,6 @@ import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
 from cbwk.core import (
-    ArmFeatures,
     EnvironmentSpec,
     ProblemInstance,
     make_fixed_linear_env,
@@ -26,13 +25,13 @@ from cbwk.policy import (
 def _constant_cost_env(cost_value: float, T: int, B: float, d: int = 1,
                        reward: float = 0.5, noise: float = 0.0):
     """Two-arm linear environment where every arm costs cost_value per round."""
-    contexts = np.eye(2)
     theta = np.full((1 + d, 2), cost_value)
     theta[0] = reward
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta=theta,
-        contexts=ArmFeatures(contexts, norm_bound=1.0),
+        phi=np.eye(2),
+        norm_bound=1.0,
         noise_variance=noise,
     )
 
@@ -135,7 +134,7 @@ def test_null_arm_only_environment_runs_full_horizon():
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=30, B=30, null_arm=True)
     theta = env.theta.copy()
     theta[1:] = 0.0  # zero costs, the benchmark's reward
-    env = EnvironmentSpec(instance=env.instance, theta=theta, contexts=env.contexts,
+    env = EnvironmentSpec(instance=env.instance, theta=theta, phi=env.phi,
                           noise_variance=0.0, null_arm=True)
     trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(1))
     assert trace.tau == 30
@@ -218,13 +217,13 @@ def test_oracle_feed_discipline(monkeypatch):
     (oracle,) = made
     # the stack learns on the K+1 columns that some arm's context uses
     assert (oracle.d, oracle.dim) == (5, 4)
-    assert (env.contexts.span == env.contexts.phi[:, :4]).all()
+    assert (env.span == env.phi[:, :4]).all()
     # one update per round, including the exit round; each used the pulled
     # arm's features and the realized reward (row 0) and costs (rows 1..d)
     assert len(oracle.updates) == trace.tau
     for t, (phi, y) in enumerate(oracle.updates):
         phi, y = phi.ravel(), y.ravel()  # the one stack's sample
-        assert (phi == env.contexts.span[trace.arms[t]]).all()
+        assert (phi == env.span[trace.arms[t]]).all()
         assert (y == trace.outcomes[t]).all()
 
 
@@ -270,7 +269,7 @@ def test_all_zero_contexts_learn_on_a_zero_width_span(oracle):
     # VectorPredictor(oracle, 1+d, 0): it predicts sigma(0) = 0.5 throughout
     env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.full((3, 4), 0.5),
                        np.zeros((3, 4)))
-    assert env.contexts.span.shape == (3, 0)
+    assert env.span.shape == (3, 0)
     trace = run_squarecbwk(env, PolicyConfig(oracle=oracle), np.random.default_rng(8))
     assert trace.tau == 100 and not trace.stopped_early
     assert (trace.rhat == 0.5).all()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cbwk import oracles
-from cbwk.core import (ArmFeatures, EnvironmentSpec, ProblemInstance, make_fixed_linear_env,
-                       make_glm_env, sample_outcome, sample_outcomes)
+from cbwk.core import (EnvironmentSpec, ProblemInstance, make_fixed_linear_env, make_glm_env,
+                       sample_outcome, sample_outcomes)
 from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import BatchPredictor, online_to_batch
@@ -40,13 +40,14 @@ def test_t0_default_guard():
 
 
 def _two_arm_env(cost_value=0.5, T=60, B=60.0, d=2, noise=0.0, null_arm=False):
-    contexts = np.eye(2)
+    phi = np.eye(2)
     if null_arm:
-        contexts = np.array([[1.0, 0.0], [0.0, 0.0]])
+        phi = np.array([[1.0, 0.0], [0.0, 0.0]])
     return EnvironmentSpec(
         instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta=np.vstack([[0.8, 0.4], np.full((d, 2), cost_value)]),
-        contexts=ArmFeatures(contexts, norm_bound=1.0),
+        phi=phi,
+        norm_bound=1.0,
         noise_variance=noise,
         null_arm=null_arm,
     )
@@ -349,7 +350,7 @@ def test_phase_one_datasets_and_estimates():
     assert p1.z == pytest.approx((2000 / 1000) * (p1.opt_hat + p1.m_val))
     # one stack per arm over the span's K+1 columns; each arm's stack, and
     # each target's row of it, is what a one-stack pass over its slice gives
-    span = env.contexts.span
+    span = env.span
     assert span.shape == (3, 4) and p1.fits.params.shape == (3, 1 + 4, t0, 4)
     preds = np.empty((3, 1 + 4))
     for a in range(3):
@@ -453,7 +454,7 @@ def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     err_f, err_g = estimation_errors(policy.oracle, m, d, t0, T)
     assert p1.m_val == m_t0(t0, K, d, err_f, err_g, T)
     rows = slice(0, t0)
-    fit = online_to_batch(policy.oracle, np.tile(env.contexts.span[0], (t0, 1, 1)),
+    fit = online_to_batch(policy.oracle, np.tile(env.span[0], (t0, 1, 1)),
                           head.outcomes[rows][:, None])
     assert (p1.fits.params[0] == fit.params[0]).all()
 
