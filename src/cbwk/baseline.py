@@ -5,10 +5,10 @@ confidence widths: the arm maximizing optimistic reward plus priced optimistic
 budget slack is pulled deterministically.  Optimism in the costs means their
 lower confidence bound, the estimate minus the width (Agrawal & Devanur 2016).
 All targets are regressed on the same pulled features, so they share one
-inverse Gram matrix and one set of confidence widths.  The round itself (dual
-prices, Lagrangian scores, budget stopping and the dual update) is the IGW
-policy's ``run_rounds``; only the estimator and the argmax chooser are
-LinUCB's own.
+inverse Gram matrix, kept by GLMtron's Sherman-Morrison update, and one set
+of confidence widths.  The round itself (dual prices, Lagrangian scores,
+budget stopping and the dual update) is the IGW policy's ``run_rounds``;
+``LinUcbLearner`` holds LinUCB's own estimator and argmax chooser.
 """
 
 import math
@@ -20,6 +20,7 @@ import numpy as np
 from .core import EnvironmentSpec, RunTrace, sample_outcome  # noqa: F401
 from .dual import dual_init, dual_lambda, dual_update  # noqa: F401
 from .errors import raise_if_any, range_violations, type_violations
+from .oracles import sherman_morrison
 from .policy import run_rounds
 
 RIDGE = 1.0  # ridge regularizer: the Gram matrix starts at RIDGE * I
@@ -36,41 +37,39 @@ class LinUcbConfig:
                      or range_violations(vars(self), (("confidence_scale", ">=", 0),)))
 
 
-def confidence_width(m: int, t: int, scale: float) -> float:
-    """beta_t = scale * sqrt(m * log(1 + t))."""
-    return scale * math.sqrt(m * math.log(1.0 + t))
+class LinUcbLearner:
+    """LinUCB's run state on ``env.span``: the (1, r, r) inverse Gram stack ``a_inv`` and the
+    (1+d, r) sum ``b`` of y x^T.  The pulls are one-hot, so ``gamma`` is NaN."""
 
+    gamma = math.nan
 
-def run_linucb(env: EnvironmentSpec, config: LinUcbConfig,
-               rng: np.random.Generator) -> RunTrace:
-    inst = env.instance
-    T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    m = env.phi.shape[1]  # the confidence width uses the declared width
-    Phi = env.span  # the ridge estimates never leave these columns
-    r = Phi.shape[1]
+    def __init__(self, env: EnvironmentSpec, config: LinUcbConfig):
+        d, self.phi = env.instance.d, env.span
+        self.a_inv = np.eye(self.phi.shape[1])[None] / RIDGE
+        self.b = np.zeros((1 + d, self.phi.shape[1]))
+        self.m, self.scale = env.phi.shape[1], config.confidence_scale  # width at the declared m
+        self._one_hot = np.eye(env.instance.K)
+        self._optimism = np.r_[1.0, np.full(d, -1.0)]  # up on the reward, down on the costs
 
-    a_inv = np.eye(r) / RIDGE
-    b_vec = np.zeros((1 + d, r))
-    one_hot = np.eye(K)
-    optimism = np.r_[1.0, np.full(d, -1.0)]  # upper bound on the reward, lower on the costs
-
-    def estimate(t):
-        theta_hat = np.einsum("ij,nj->ni", a_inv, b_vec)  # (1+d, r)
+    def estimate(self, t: int) -> np.ndarray:
+        """Optimistic rows: ridge means plus beta_t = scale sqrt(m log(1 + t)) times each width."""
+        Phi, a_inv = self.phi, self.a_inv[0]
+        theta_hat = np.einsum("ij,nj->ni", a_inv, self.b)  # (1+d, r)
         means = Phi @ theta_hat.T  # (K, 1+d)
         widths = np.sqrt(np.einsum("ki,ij,kj->k", Phi, a_inv, Phi))
-        beta = confidence_width(m, t + 1, config.confidence_scale)
-        return means + (beta * widths)[:, None] * optimism
+        beta = self.scale * math.sqrt(self.m * math.log(1.0 + (t + 1)))
+        return means + (beta * widths)[:, None] * self._optimism
 
-    def choose(scores):
+    def choose(self, scores: np.ndarray):
         arm = int(scores.argmax())
-        return arm, one_hot[arm]
+        return arm, self._one_hot[arm]
 
-    def learn(arm, y):
-        nonlocal a_inv, b_vec
-        phi = Phi[arm]
-        q = a_inv @ phi
-        a_inv -= q[:, None] * q / (1.0 + q @ phi)
-        b_vec += y[:, None] * phi
+    def learn(self, arm: int, y: np.ndarray) -> None:
+        sherman_morrison(self.a_inv, self.phi[arm:arm + 1])  # a ridge denominator is >= 1
+        self.b += y[:, None] * self.phi[arm]
 
-    return run_rounds(env, dual_init(d, T / B, T), estimate, choose, learn, rng,
-                      dual_radius=T / B)
+
+def run_linucb(env: EnvironmentSpec, config: LinUcbConfig, rng: np.random.Generator) -> RunTrace:
+    inst = env.instance
+    learner = LinUcbLearner(env, config)
+    return run_rounds(env, dual_init(inst.d, inst.T / inst.B, inst.T), learner, rng)

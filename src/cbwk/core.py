@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, raise_if_any, range_violations, type_violations
+from .errors import raise_if_any, range_violations, type_violations
 
 SQRT2 = math.sqrt(2.0)
 _NOISE_RULE = (("noise_variance", ">=", 0),)  # finite too: an infinite variance draws NaN
@@ -55,9 +55,10 @@ class EnvironmentSpec:
     realized gaussian outcomes are clipped to [0, 1]; the default leaves them
     unclipped, which is what the scaling benchmarks use even though some
     expected values exceed 1.  ``null_arm`` designates the last arm as a
-    do-nothing action with exactly zero reward and cost.  Constructing one
-    checks every field and reports every violation at once; a NaN or
-    infinite entry of ``theta`` or ``phi`` is one.
+    do-nothing action with exactly zero reward, cost and means (the identity
+    link, a zero feature row); the logistic link keeps ``theta``'s rows in the
+    unit ball.  Constructing one checks every field and reports every
+    violation at once; a NaN or infinite entry of ``theta`` or ``phi`` is one.
     """
 
     instance: ProblemInstance
@@ -86,8 +87,14 @@ class EnvironmentSpec:
         norms = np.linalg.norm(phi, axis=1)
         if (norms > self.norm_bound + 1e-9).any():
             problems.append(f"feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}")
-        if self.link not in ("identity", "logistic"):
+        if self.link == "logistic":  # the generalized-linear class
+            rows = np.linalg.norm(theta, axis=-1)
+            if (rows > 1 + 1e-9).any():
+                problems.append(f"parameter row norm {rows.max():.4f} exceeds 1")
+        elif self.link != "identity":
             problems.append(f"unknown link {self.link!r}")
+        if self.null_arm and (self.link != "identity" or phi[-1].any()):  # a mean other than 0
+            problems.append("null_arm needs the identity link and a zero last phi row")
         raise_if_any(problems)
 
     @cached_property
@@ -212,17 +219,8 @@ def make_glm_env(instance: ProblemInstance, theta, phi) -> EnvironmentSpec:
     ``theta`` is (1+d, m), the reward row then the cost rows, and ``phi`` is
     (K, m).  Every parameter row and every feature row must lie in the unit ball.
     """
-    theta = np.asarray(theta, dtype=float)
-    norms = np.linalg.norm(theta, axis=-1)
-    if (norms > 1 + 1e-9).any():
-        raise ConfigurationError(f"parameter row norm {norms.max():.4f} exceeds 1")
-    return EnvironmentSpec(
-        instance=instance,
-        theta=theta,
-        phi=phi,
-        link="logistic",
-        norm_bound=1.0,
-    )
+    return EnvironmentSpec(instance=instance, theta=theta, phi=phi, link="logistic",
+                           norm_bound=1.0)
 
 
 def _draw(env: EnvironmentSpec, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -30,19 +30,20 @@ def raise_if_any(problems: list) -> None:
 
 
 def type_violations(config) -> list:
-    """``<name> must be an integer`` (or ``a number``) for each field of the dataclass
-    ``config`` annotated int (or float) that holds another type, None (unset) aside;
-    a ``tuple[int, ...]`` field is checked item by item.  An int is a number; a bool
-    is neither."""
+    """``<name> must be an integer`` (``a number``, ``True or False``) for each field of
+    the dataclass ``config`` annotated int (float, bool) that holds another type, None
+    (unset) aside; a ``tuple[int, ...]`` field is checked item by item.  An int is a
+    number; a bool is neither, and nothing else is a bool."""
     problems = []
     for f in fields(config):
         kinds, value = get_args(f.type) or (f.type,), getattr(config, f.name)
         items = value if get_origin(f.type) is tuple else (value,)
         for kind, want, what in ((int, numbers.Integral, "an integer"),
-                                 (float, numbers.Real, "a number")):
+                                 (float, numbers.Real, "a number"), (bool, bool, "True or False")):
             problems += [f"{f.name} must be {what} (got {item!r})" for item in items
                          if kind in kinds and item is not None
-                         and (isinstance(item, bool) or not isinstance(item, want))]
+                         and (isinstance(item, bool) and kind is not bool
+                              or not isinstance(item, want))]
     return problems
 
 

@@ -84,6 +84,20 @@ def _zero_nonfinite_rows(v, norms):
     return np.where(bad, 0.0, norms)
 
 
+def sherman_morrison(A_inv, phi) -> list:
+    """A^{-1} <- (A + x x^T)^{-1} in place, for each stack's (r, r) inverse and row x of phi.
+
+    A denominator 1 + x^T A^{-1} x not finite and above ``_REINIT_DENOM_TOL`` is
+    taken as 1; the S returned bools flag those stacks for the caller to rebuild."""
+    q = A_inv @ phi[:, :, None]  # (S, r, 1)
+    denom = 1.0 + phi[:, None, :] @ q  # (S, 1, 1), tested as S Python floats: cheaper
+    bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
+    if any(bad):
+        denom[bad] = 1.0
+    A_inv -= q * q.swapaxes(1, 2) / denom
+    return bad
+
+
 class VectorPredictor:
     """S stacks of d target rows of one oracle family, stepped together.
 
@@ -222,17 +236,10 @@ class VectorPredictor:
             resid = link(np.einsum("snj,sj->sn", self.theta, phi)) - y
             grad = resid[:, :, None] * row
 
-            q = self.A_inv @ col  # (S, r, 1); denom is (S, 1, 1)
-            denom = 1.0 + row @ q
             self.A += col * row
-            # tested in Python: S floats are cheaper to test than an array
-            bad = [not _REINIT_DENOM_TOL < x < math.inf for x in denom.ravel().tolist()]
-            unstable = any(bad)
-            if unstable:
-                denom[bad] = 1.0
-            self.A_inv -= q * q.swapaxes(1, 2) / denom
+            bad = sherman_morrison(self.A_inv, phi)
             both = self.A + self.A_inv  # not finite where A or A_inv is; A can overflow alone
-            if unstable or not math.isfinite(np.add.reduce(both, axis=None)):
+            if any(bad) or not math.isfinite(np.add.reduce(both, axis=None)):
                 self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
 
             v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)

@@ -5,7 +5,7 @@ into a price-penalized score, samples an arm with probability inversely
 proportional to its score gap from the greedy arm, then feeds the realized
 outcome back into the oracles and the dual update.  The run stops the first
 round any resource's cumulative consumption reaches B - 1.  ``run_rounds`` is
-that round; the LinUCB baseline runs it with its own estimator and chooser.
+that round; each algorithm gives it one learner object, here ``SquareCbLearner``.
 """
 
 import math
@@ -89,17 +89,45 @@ def _sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(bisect_left(list(accumulate(p.tolist())), r), p.size - 1)
 
 
-def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
-               rng: np.random.Generator, **summary) -> RunTrace:
+class SquareCbLearner:
+    """SquareCBwK's run state: one (1+d)-row oracle stack on ``env.span``, and the IGW draw.
+
+    ``estimate`` reuses the last estimate while ``oracle.theta`` is the same
+    array, as every oracle step that moves the parameters assigns a new one.
+    A zero-feature pull, such as the null arm's, usually keeps it: the next round predicts nothing.
+    """
+
+    def __init__(self, env: EnvironmentSpec, oracle: str, gamma: float, rng):
+        self.phi, self.gamma, self._rng = env.span, gamma, rng
+        self.oracle = make_vector_predictor(oracle, 1 + env.instance.d, self.phi.shape[1],
+                                            link=env.link)
+        self._predicted_from = self._est = None
+
+    def estimate(self, t: int) -> np.ndarray:
+        if self.oracle.theta is not self._predicted_from:
+            self._predicted_from = self.oracle.theta
+            self._est = self.oracle.predict_matrix(self.phi)[0]
+        return self._est
+
+    def choose(self, scores: np.ndarray):
+        p = igw_distribution(scores, self.gamma)
+        return _sample_arm(p, self._rng), p
+
+    def learn(self, arm: int, y: np.ndarray) -> None:
+        self.oracle.update(self.phi[arm:arm + 1], y)  # the one stack's (1, r) sample
+
+
+def run_rounds(env: EnvironmentSpec, dual: DualState, learner,
+               rng: np.random.Generator) -> RunTrace:
     """The primal-dual round shared by every policy, run until T or B - 1.
 
-    Each round ``estimate(t)`` gives every arm's [reward | costs] estimate
-    row, (K, 1+d), the dual prices turn it into Lagrangian scores,
-    ``choose(scores)`` picks an arm and its selection distribution, the
-    outcome row y = [reward | costs] is sampled, ``learn(arm, y)`` updates
-    the estimator and the dual takes its step.  The run stops the first round
-    any resource's cumulative consumption reaches B - 1.  ``summary``
-    (``gamma``, ``dual_radius``) is copied onto the trace.
+    Each round ``learner.estimate(t)`` gives every arm's [reward | costs]
+    estimate row, (K, 1+d), the dual prices turn it into Lagrangian scores,
+    ``learner.choose(scores)`` picks an arm and its selection distribution,
+    the outcome row y = [reward | costs] is sampled, ``learner.learn(arm, y)``
+    updates the estimator and the dual takes its step.  The run stops the
+    first round any resource's cumulative consumption reaches B - 1.  The
+    trace keeps the learner's ``gamma`` and the dual's radius ``Z``.
     """
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
@@ -113,16 +141,14 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
 
     cum_cost = [0.0] * d
     total_reward = 0.0
-    tau = T
     exit_level = B - 1.0
 
     for t in range(T):
-        est = estimate(t)
+        est = learner.estimate(t)
         lam = dual_lambda(dual)
         scores = lagrangian_scores(est, lam, budget_rate)
-        arm, p = choose(scores)
+        arm, p = learner.choose(scores)
         y = sample_outcome(env, arm, rng)
-        cost = y[1:]
 
         arms[t] = arm
         outcomes[t] = y
@@ -134,58 +160,26 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, estimate, choose, learn,
         total_reward += reward
         cum_cost = [c + x for c, x in zip(cum_cost, costs)]
 
-        learn(arm, y)
-        dual_update(dual, cost, budget_rate)  # raises on a NaN or infinite cost
+        learner.learn(arm, y)
+        dual_update(dual, y[1:], budget_rate)  # raises on a NaN or infinite cost
 
         if max(cum_cost) >= exit_level:  # some resource at B - 1
-            tau = t + 1
             break
+    tau = t + 1  # T >= 1, so the loop ran
 
     return RunTrace(arms=arms[:tau], outcomes=outcomes[:tau], probs=probs[:tau],
                     rhat=rhat_log[:tau], lam=lam_log[:tau],
                     tau=tau, total_reward=total_reward, total_cost=np.array(cum_cost),
-                    stopped_early=tau < T, **summary)
+                    stopped_early=tau < T, gamma=learner.gamma, dual_radius=dual.Z)
 
 
 def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
                    rng: np.random.Generator) -> RunTrace:
-    """Run the IGW policy for up to T rounds or until a budget nearly runs out.
-
-    The reward and the d costs are learned by one (1+d)-row oracle stack,
-    row 0 the reward and rows 1..d the costs, so all targets share one Gram
-    matrix.  The stack learns on the context set's span (``EnvironmentSpec.span``);
-    gamma is sized from the declared feature width m.  A round reuses the
-    previous round's estimate while ``oracle.theta`` is the same array: every
-    oracle step that moves the parameters must assign a new array, so the same
-    array means the same parameters.  A pull of a zero-feature arm, such as
-    the null arm, usually leaves the array in place, and the next round then
-    makes no prediction.
-    """
+    """The IGW policy until T or B - 1, with gamma sized from the declared width m."""
     inst = env.instance
     T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    m = env.phi.shape[1]
-    phi = env.span
-
     Z = config.z if config.z is not None else T / B
     gamma = config.gamma if config.gamma is not None else gamma_default(
-        K, T, *regret_bounds(config.oracle, m, d, T, config.bound_scale), Z)
-    oracle = make_vector_predictor(config.oracle, 1 + d, phi.shape[1], link=env.link)
-    samples = phi[:, None, :]  # arm a's row as the one stack's (1, r) sample
-    predicted_from, est = None, None
-
-    def estimate(t):
-        nonlocal predicted_from, est
-        if oracle.theta is not predicted_from:
-            predicted_from = oracle.theta
-            est = oracle.predict_matrix(phi)[0]
-        return est
-
-    def choose(scores):
-        p = igw_distribution(scores, gamma)
-        return _sample_arm(p, rng), p
-
-    def learn(arm, y):
-        oracle.update(samples[arm], y)
-
-    return run_rounds(env, dual_init(d, Z, T), estimate, choose, learn, rng,
-                      gamma=gamma, dual_radius=Z)
+        K, T, *regret_bounds(config.oracle, env.phi.shape[1], d, T, config.bound_scale), Z)
+    learner = SquareCbLearner(env, config.oracle, gamma, rng)
+    return run_rounds(env, dual_init(d, Z, T), learner, rng)

@@ -62,11 +62,13 @@ def test_expected_outcomes_are_the_sampled_means():
     assert rows.shape == (3, 5)
     assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
     assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
-    glm = replace(make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full((3, 2), 0.5),
-                               [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]]),
-                  null_arm=True)  # make_glm_env builds no null arm; the spec takes one
-    assert (glm.outcome_means[-1] == 0.5).all() and (glm.expected_outcomes()[-1] == 0.0).all()
-    assert (glm.expected_outcomes()[:2] == glm.outcome_means[:2]).all()
+    glm = make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full((3, 2), 0.5),
+                       [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]])
+    assert (glm.expected_outcomes() == glm.outcome_means).all()
+    # a zero feature row still has mean sigma(0) = 1/2, which a null arm's draws never have
+    assert (glm.outcome_means[-1] == 0.5).all()
+    with pytest.raises(ConfigurationError, match="null_arm needs the identity link"):
+        replace(glm, null_arm=True)
 
 
 def test_benchmark_env_dimension_guards():
@@ -127,6 +129,15 @@ def test_glm_env_rejects_large_parameters():
         make_glm_env(inst, np.array([[1.5, 0.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ConfigurationError, match="parameter row norm 1.2000 exceeds 1"):
         make_glm_env(inst, np.array([[0.0, 0.0], [0.0, 1.2]]), np.eye(2))  # a cost row
+
+
+def test_glm_parameter_norm_is_reported_with_every_other_violation():
+    # the unit-ball rule on theta is one more line of the environment's one report
+    inst = ProblemInstance(T=100, B=100, d=1, K=2)
+    with pytest.raises(ConfigurationError) as err:
+        make_glm_env(inst, [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.5 * np.eye(3))
+    assert err.value.violations == ["phi has 3 rows, expected K=2",
+                                    "parameter row norm 1.5000 exceeds 1"]
 
 
 def test_glm_outcomes_are_binary():
@@ -222,6 +233,22 @@ def test_norm_bound_must_be_positive(bound):
 def test_environment_number_fields_are_type_checked():
     with pytest.raises(ConfigurationError, match="noise_variance must be a number"):
         _two_arm_spec(np.eye(2) * 0.5, noise_variance="0.2")  # not a TypeError
+
+
+def test_environment_flags_are_type_checked():
+    # a truthy string would otherwise build a null-arm environment
+    with pytest.raises(ConfigurationError, match="null_arm must be True or False"):
+        make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100, null_arm="no")
+    with pytest.raises(ConfigurationError, match="bounded must be True or False"):
+        _two_arm_spec(np.eye(2) * 0.5, bounded=1)
+
+
+def test_null_arm_needs_zero_means():
+    # the null arm draws exact zeros, so its means must be exact zeros too
+    env = _two_arm_spec(np.array([[0.5, 0.0], [0.0, 0.0]]), np.full((2, 2), 0.5), null_arm=True)
+    assert (env.outcome_means[-1] == 0.0).all()
+    with pytest.raises(ConfigurationError, match="null_arm needs the identity link"):
+        _two_arm_spec(np.eye(2) * 0.5, np.full((2, 2), 0.5), null_arm=True)
 
 
 def test_phase_two_environment_keeps_features_and_means():

@@ -109,6 +109,7 @@ def test_an_invalid_experiment_config_cannot_be_built():
                             ({"T": 60.0}, "T must be an integer"),
                             ({"seeds_count": True}, "seeds_count must be an integer"),
                             ({"noise_variance": "0.2"}, "noise_variance must be a number"),
+                            ({"null_arm": "no"}, "null_arm must be True or False"),
                             ({"sweep_values": (10, 10.5)},
                              re.escape("sweep_values must be an integer (got 10.5)")),
                             # phase one's (K+1)*t0 rounds must fit in T, at a set t0
