@@ -5,7 +5,6 @@ experiment harness."""
 from .baseline import LinUcbConfig, run_linucb
 from .core import (
     EnvironmentSpec,
-    ProblemInstance,
     RunTrace,
     make_fixed_linear_env,
     make_glm_env,

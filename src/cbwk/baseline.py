@@ -44,11 +44,11 @@ class LinUcbLearner:
     gamma = math.nan
 
     def __init__(self, env: EnvironmentSpec, config: LinUcbConfig):
-        d, self.phi = env.instance.d, env.span
+        d, self.phi = env.d, env.span
         self.a_inv = np.eye(self.phi.shape[1])[None] / RIDGE
         self.b = np.zeros((1 + d, self.phi.shape[1]))
         self.m, self.scale = env.phi.shape[1], config.confidence_scale  # width at the declared m
-        self._one_hot = np.eye(env.instance.K)
+        self._one_hot = np.eye(env.K)
         self._optimism = np.r_[1.0, np.full(d, -1.0)]  # up on the reward, down on the costs
 
     def estimate(self, t: int) -> np.ndarray:
@@ -70,6 +70,5 @@ class LinUcbLearner:
 
 
 def run_linucb(env: EnvironmentSpec, config: LinUcbConfig, rng: np.random.Generator) -> RunTrace:
-    inst = env.instance
     learner = LinUcbLearner(env, config)
-    return run_rounds(env, dual_init(inst.d, inst.T / inst.B, inst.T), learner, rng)
+    return run_rounds(env, dual_init(env.d, env.T / env.B, env.T), learner, rng)

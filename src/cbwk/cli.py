@@ -18,6 +18,7 @@ from dataclasses import replace
 from .errors import ConfigurationError
 from .harness import (
     build_env,
+    check_parallelism,
     parse_config,
     read_csv,
     render_plot,
@@ -37,16 +38,20 @@ def _load_config(path: str):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         config = replace(config, seeds_count=args.seeds)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         config = replace(config, output_dir=args.out)
     return config
 
 
 def _execute(config, parallelism: int) -> int:
+    check_parallelism(parallelism)
+    try:  # an unusable output directory is a configuration error, found before any cell runs
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output.dir: cannot create {config.output_dir!r}: {exc}") from exc
     result = run_sweep(config, parallelism=parallelism)
-    os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "results.csv")
     svg_path = os.path.join(config.output_dir, "plot.svg")
     write_csv(result, csv_path)
@@ -81,9 +86,9 @@ def cmd_sweep(args) -> int:
 def cmd_opt(args) -> int:
     config = _load_config(args.config)
     env = build_env(config)
-    opt = exact_opt_fixed_context(env.expected_outcomes(), env.instance.budget_rate)
+    opt = exact_opt_fixed_context(env.expected_outcomes(), env.budget_rate)
     print(f"OPT = {opt!r}")
-    print(f"T * OPT = {env.instance.T * opt!r}")
+    print(f"T * OPT = {env.T * opt!r}")
     return 0
 
 
@@ -99,20 +104,21 @@ def main(argv=None) -> int:
                                      description="Budgeted contextual bandit experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the experiment described by a config file")
+    sweeping = argparse.ArgumentParser(add_help=False)  # the options run and sweep share
+    sweeping.add_argument("--out", default=None)
+    sweeping.add_argument("--seeds", type=int, default=None)
+    sweeping.add_argument("--parallelism", type=int, default=1)
+
+    p_run = sub.add_parser("run", parents=[sweeping],
+                           help="run the experiment described by a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seeds", type=int, default=None)
-    p_run.add_argument("--parallelism", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run with an overridden sweep grid")
+    p_sweep = sub.add_parser("sweep", parents=[sweeping],
+                             help="run with an overridden sweep grid")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, choices=("m", "K", "T"))
     p_sweep.add_argument("--values", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seeds", type=int, default=None)
-    p_sweep.add_argument("--parallelism", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("opt", help="print the exact per-round optimum")

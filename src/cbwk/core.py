@@ -10,30 +10,15 @@ from .errors import raise_if_any, range_violations, type_violations
 
 SQRT2 = math.sqrt(2.0)
 _NOISE_RULE = (("noise_variance", ">=", 0),)  # finite too: an infinite variance draws NaN
-_ENV_RULES = _NOISE_RULE + (("norm_bound", ">", 0),)
 _INSTANCE_RULES = (("T", ">=", 1), ("d", ">=", 1), ("K", ">=", 2))
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Horizon T, per-resource budget B (shared by all d resources), d, K arms."""
-
-    T: int
-    B: float
-    d: int
-    K: int
-
-    def __post_init__(self):
-        raise_if_any(type_violations(self) or instance_violations(self.T, self.B, self.d, self.K))
-
-    @property
-    def budget_rate(self) -> float:
-        return self.B / self.T
+# the largest feature norm of each link's class: the linear benchmark's rows have norm
+# sqrt(3/2), and the generalized-linear class uses unit balls
+_FEATURE_BOUND = {"identity": SQRT2, "logistic": 1.0}
 
 
 def instance_violations(T: int, B: float | None, d: int, K: int) -> list:
-    """Rules of a ``ProblemInstance`` broken by (T, B, d, K); B is checked only
-    against a valid T, and not at all when None (it could not be resolved)."""
+    """Rules of an instance (horizon T, budget B, d resources, K arms) broken by (T, B, d, K);
+    B is checked only against a valid T, and not at all when None (it could not be resolved)."""
     problems = range_violations({"T": T, "d": d, "K": K}, _INSTANCE_RULES)
     if B is not None and T >= 1 and not 1 <= B <= T:
         problems.append(f"1 <= B <= T violated (B={B}, T={T})")
@@ -42,51 +27,54 @@ def instance_violations(T: int, B: float | None, d: int, K: int) -> list:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Generative model: true parameters, fixed context set, noise law, link.
+    """One instance: true parameters, fixed context set, horizon, budget, noise law, link.
 
     ``theta`` holds one parameter row per outcome coordinate: row 0 is the
     reward and rows 1..d are the costs, the [reward | costs] layout of every
     outcome row.  ``phi`` holds arm a's feature row, the one feature map of
-    both reward and costs; every row's norm lies within ``norm_bound``: the
-    linear benchmark's feature rows have norm sqrt(3/2), generalized-linear
-    environments use unit balls.  The link sets the outcome law: ``identity``
-    draws the linear value plus N(0, noise_variance), and ``logistic`` draws
-    Bernoulli outcomes of mean sigma(<theta, phi>).  With ``bounded`` set,
-    realized gaussian outcomes are clipped to [0, 1]; the default leaves them
-    unclipped, which is what the scaling benchmarks use even though some
-    expected values exceed 1.  ``null_arm`` designates the last arm as a
-    do-nothing action with exactly zero reward, cost and means (the identity
-    link, a zero feature row); the logistic link keeps ``theta``'s rows in the
-    unit ball.  Constructing one checks every field and reports every
-    violation at once; a NaN or infinite entry of ``theta`` or ``phi`` is one.
+    both reward and costs.  So the d resources and K arms are the shapes of
+    ``theta`` and ``phi``, set once as the attributes ``d`` and ``K``, beside
+    ``budget_rate`` = B/T; the horizon T and the per-resource budget B,
+    shared by all d resources, are fields.  The link sets the outcome law:
+    ``identity`` draws the linear value plus N(0, noise_variance), with
+    feature norms within sqrt(2), and ``logistic`` draws Bernoulli outcomes
+    of mean sigma(<theta, phi>), with every row of ``theta`` and ``phi`` in
+    the unit ball.  With ``bounded`` set, realized gaussian outcomes are
+    clipped to [0, 1]; the default leaves them unclipped, which is what the
+    scaling benchmarks use even though some expected values exceed 1.
+    ``null_arm`` designates the last arm as a do-nothing action with exactly
+    zero reward, cost and means (the identity link, a zero feature row).
+    Constructing one checks every field and reports every violation at once;
+    a NaN or infinite entry of ``theta`` or ``phi`` is one.
     """
 
-    instance: ProblemInstance
     theta: np.ndarray  # (1+d, m)
     phi: np.ndarray  # (K, m)
+    T: int
+    B: float
     noise_variance: float = 0.0
     link: str = "identity"
     bounded: bool = False
     null_arm: bool = False
-    norm_bound: float = SQRT2
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
         phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        for name, value in (("theta", theta), ("phi", phi),
+                            ("d", theta.shape[0] - 1), ("K", phi.shape[0])):
+            object.__setattr__(self, name, value)
         raise_if_any(type_violations(self))  # the rules below compare numbers
-        problems = range_violations(vars(self), _ENV_RULES)
+        problems = range_violations(vars(self), _NOISE_RULE)
+        problems += instance_violations(self.T, self.B, self.d, self.K)
         problems += [f"{name} must be finite (got a NaN or infinite entry)"
                      for name, a in (("theta", theta), ("phi", phi)) if not np.isfinite(a).all()]
-        shape = (1 + self.instance.d, phi.shape[1])
-        if theta.shape != shape:
-            problems.append(f"theta has shape {theta.shape}, expected (1+d, m) = {shape}")
-        if phi.shape[0] != self.instance.K:
-            problems.append(f"phi has {phi.shape[0]} rows, expected K={self.instance.K}")
-        norms = np.linalg.norm(phi, axis=1)
-        if (norms > self.norm_bound + 1e-9).any():
-            problems.append(f"feature norm {norms.max():.6f} exceeds bound {self.norm_bound:.6f}")
+        if theta.ndim != 2 or phi.ndim != 2 or theta.shape[1] != phi.shape[1]:
+            problems.append(f"theta {theta.shape} and phi {phi.shape} must be matrices of "
+                            "one width m")
+        norms = np.linalg.norm(phi, axis=-1)
+        bound = _FEATURE_BOUND.get(self.link, math.inf)
+        if (norms > bound + 1e-9).any():
+            problems.append(f"feature norm {norms.max():.6f} exceeds bound {bound:.6f}")
         if self.link == "logistic":  # the generalized-linear class
             rows = np.linalg.norm(theta, axis=-1)
             if (rows > 1 + 1e-9).any():
@@ -96,6 +84,7 @@ class EnvironmentSpec:
         if self.null_arm and (self.link != "identity" or phi[-1].any()):  # a mean other than 0
             problems.append("null_arm needs the identity link and a zero last phi row")
         raise_if_any(problems)
+        object.__setattr__(self, "budget_rate", self.B / self.T)
 
     @cached_property
     def span(self) -> np.ndarray:
@@ -114,12 +103,14 @@ class EnvironmentSpec:
     def outcome_means(self) -> np.ndarray:
         """Pre-noise [reward | costs] of every arm, link applied, shape (K, 1+d).
 
-        Rows are built from per-arm products rather than one matrix product,
-        so they are bitwise equal to evaluating each arm on its own.
+        Rows are built from per-arm products rather than one ``phi @ theta.T``
+        product: the two agree on the fixed-linear environments, but a dense
+        logistic environment's rows differ in the last bits, and the pinned
+        logistic runs were recorded from these.
         """
         phi = self.phi
-        rows = np.empty((self.instance.K, 1 + self.instance.d))
-        for a in range(self.instance.K):
+        rows = np.empty((self.K, 1 + self.d))
+        for a in range(self.K):
             rows[a] = self.theta @ phi[a]
         if self.link == "logistic":
             rows = 1.0 / (1.0 + np.exp(-rows))
@@ -203,24 +194,17 @@ def make_fixed_linear_env(
     phi = e[0] / SQRT2 + e[1 : K + 1]
     if null_arm:
         phi[-1] = 0.0
-    return EnvironmentSpec(
-        instance=ProblemInstance(T=T, B=B, d=d, K=K),
-        theta=theta,
-        phi=phi,
-        noise_variance=noise_variance,
-        bounded=bounded,
-        null_arm=null_arm,
-    )
+    return EnvironmentSpec(theta, phi, T, B, noise_variance=noise_variance, bounded=bounded,
+                           null_arm=null_arm)
 
 
-def make_glm_env(instance: ProblemInstance, theta, phi) -> EnvironmentSpec:
+def make_glm_env(theta, phi, T: int, B: float) -> EnvironmentSpec:
     """Generalized-linear environment: mean sigma(<theta, phi>), Bernoulli draws.
 
     ``theta`` is (1+d, m), the reward row then the cost rows, and ``phi`` is
     (K, m).  Every parameter row and every feature row must lie in the unit ball.
     """
-    return EnvironmentSpec(instance=instance, theta=theta, phi=phi, link="logistic",
-                           norm_bound=1.0)
+    return EnvironmentSpec(theta, phi, T, B, link="logistic")
 
 
 def _draw(env: EnvironmentSpec, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -238,7 +222,7 @@ def sample_outcome(env: EnvironmentSpec, arm: int, rng: np.random.Generator) -> 
 
     The draws are added to the arm's cached row of ``env.outcome_means``.
     """
-    K, d = env.instance.K, env.instance.d
+    K, d = env.K, env.d
     if not 0 <= arm < K:
         raise IndexError(f"arm {arm} out of range [0, {K})")
     if env.null_arm and arm == K - 1:
@@ -255,7 +239,7 @@ def sample_outcomes(env: EnvironmentSpec, arms: np.ndarray,
     rows are zero and draw nothing, and the other rows draw their 1+d values
     each in turn from one block.
     """
-    K, d = env.instance.K, env.instance.d
+    K, d = env.K, env.d
     arms = np.asarray(arms, dtype=np.int64)
     if arms.size and not (0 <= arms.min() and arms.max() < K):
         raise IndexError(f"arms out of range [0, {K})")

@@ -285,8 +285,8 @@ def _run_cell(spec: dict) -> SweepRow:
             trace = run_twostage(env, config.twostage, rng)
         else:
             trace = run_squarecbwk(env, replace(config.twostage.policy, oracle=alg), rng)
-        opt = exact_opt_fixed_context(env.expected_outcomes(), env.instance.budget_rate)
-        regret = float(realized_regret(trace, opt, env.instance.T))
+        opt = exact_opt_fixed_context(env.expected_outcomes(), env.budget_rate)
+        regret = float(realized_regret(trace, opt, env.T))
         row.regret, row.tau, row.total_reward = regret, int(trace.tau), float(trace.total_reward)
     except Exception as exc:  # per-row failure, never fatal to the sweep
         row.error = f"{type(exc).__name__}: {exc}"
@@ -330,6 +330,11 @@ def _one_blas_thread():
             setter(threads)
 
 
+def check_parallelism(parallelism: int) -> None:
+    if parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1 (got {parallelism})")
+
+
 def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
     """Execute every (algorithm, value, seed) cell; canonical row order.
 
@@ -346,8 +351,7 @@ def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
     beside the last cells.  If an earlier fork left the caller's server
     thread down, the pin itself rebuilds it.
     """
-    if parallelism < 1:
-        raise ConfigurationError(f"parallelism must be >= 1 (got {parallelism})")
+    check_parallelism(parallelism)
     specs = []
     index = 0
     for alg in config.algorithms:
@@ -387,18 +391,25 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_csv(path: str) -> SweepResult:
+    """The rows of a results CSV; a malformed row is reported as ``<path> line N: ...``."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigurationError(f"{path} does not start with the expected header")
-    rows = []
-    for ln in lines[1:]:
+    rows, problems, columns = [], [], CSV_HEADER.count(",") + 1
+    for n, ln in lines[1:]:
         parts = ln.split(",")
-        rows.append(SweepRow(
-            algorithm=parts[0], sweep_param=parts[1], sweep_value=int(parts[2]),
-            seed=int(parts[3]), regret=float(parts[4]), tau=int(parts[5]),
-            total_reward=float(parts[6]), runtime_ms=float(parts[7]),
-        ))
+        try:
+            if len(parts) != columns:
+                raise ValueError(f"expected {columns} fields, got {len(parts)}")
+            rows.append(SweepRow(
+                algorithm=parts[0], sweep_param=parts[1], sweep_value=int(parts[2]),
+                seed=int(parts[3]), regret=float(parts[4]), tau=int(parts[5]),
+                total_reward=float(parts[6]), runtime_ms=float(parts[7]),
+            ))
+        except ValueError as exc:
+            problems.append(f"{path} line {n}: {exc}")
+    raise_if_any(problems)
     return SweepResult(sweep_param=rows[0].sweep_param if rows else "T", rows=rows)
 
 

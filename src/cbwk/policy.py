@@ -99,8 +99,7 @@ class SquareCbLearner:
 
     def __init__(self, env: EnvironmentSpec, oracle: str, gamma: float, rng):
         self.phi, self.gamma, self._rng = env.span, gamma, rng
-        self.oracle = make_vector_predictor(oracle, 1 + env.instance.d, self.phi.shape[1],
-                                            link=env.link)
+        self.oracle = make_vector_predictor(oracle, 1 + env.d, self.phi.shape[1], link=env.link)
         self._predicted_from = self._est = None
 
     def estimate(self, t: int) -> np.ndarray:
@@ -129,9 +128,8 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, learner,
     first round any resource's cumulative consumption reaches B - 1.  The
     trace keeps the learner's ``gamma`` and the dual's radius ``Z``.
     """
-    inst = env.instance
-    T, B, d, K = inst.T, inst.B, inst.d, inst.K
-    budget_rate = inst.budget_rate
+    T, B, d, K = env.T, env.B, env.d, env.K
+    budget_rate = env.budget_rate
 
     arms = np.empty(T, dtype=np.int64)
     outcomes = np.empty((T, 1 + d))
@@ -176,8 +174,7 @@ def run_rounds(env: EnvironmentSpec, dual: DualState, learner,
 def run_squarecbwk(env: EnvironmentSpec, config: PolicyConfig,
                    rng: np.random.Generator) -> RunTrace:
     """The IGW policy until T or B - 1, with gamma sized from the declared width m."""
-    inst = env.instance
-    T, B, d, K = inst.T, inst.B, inst.d, inst.K
+    T, B, d, K = env.T, env.B, env.d, env.K
     Z = config.z if config.z is not None else T / B
     gamma = config.gamma if config.gamma is not None else gamma_default(
         K, T, *regret_bounds(config.oracle, env.phi.shape[1], d, T, config.bound_scale), Z)

@@ -101,9 +101,8 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
     round and, when the run does not abort there, the generator's state are
     the loop's.  An abort inside the block leaves the whole block drawn.
     """
-    inst = env.instance
-    K, d, B = inst.K, inst.d, inst.B
-    raise_if_any(exploration_violations(K, inst.T, t0))
+    K, d, B = env.K, env.d, env.B
+    raise_if_any(exploration_violations(K, env.T, t0))
     exit_level = B - 1.0
 
     forced = K * t0  # rounds a*t0 .. (a+1)*t0 - 1 pull arm a, drawn as one block
@@ -172,15 +171,14 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     pass over t0 samples, on the context set's span; t0 and the error radius
     are sized from the declared feature width m.
     """
-    inst = env.instance
-    K, d = inst.K, inst.d
+    T, K, d = env.T, env.K, env.d
     m = env.phi.shape[1]
     phi = env.span
     oracle = cfg.policy.oracle
-    t0 = cfg.resolve_t0(m, d, K, inst.T)
+    t0 = cfg.resolve_t0(m, d, K, T)
 
-    err_f, err_g = estimation_errors(oracle, m, d, t0, inst.T, cfg.err_scale)
-    m_val = m_t0(t0, K, d, err_f, err_g, inst.T)
+    err_f, err_g = estimation_errors(oracle, m, d, t0, T, cfg.err_scale)
+    m_val = m_t0(t0, K, d, err_f, err_g, T)
 
     expl = explore(env, t0, rng)
     if expl.aborted_in_exploration:
@@ -192,8 +190,8 @@ def phase_one(env: EnvironmentSpec, cfg: TwoStageConfig,
     fits = online_to_batch(oracle, np.broadcast_to(phi, (t0,) + phi.shape), targets,
                            link=env.link)
 
-    opt_hat = empirical_opt(fits, phi, inst.budget_rate, m_val)
-    z = z_estimate(opt_hat, m_val, inst.T, inst.B)
+    opt_hat = empirical_opt(fits, phi, env.budget_rate, m_val)
+    z = z_estimate(opt_hat, m_val, T, env.B)
     return PhaseOneResult(t0=t0, exploration=expl, fits=fits, opt_hat=opt_hat,
                           m_val=m_val, z=z)
 
@@ -208,8 +206,7 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
     The phase-1 trace from ``explore`` is joined to the phase-2 run of
     ``run_squarecbwk`` with ``cfg.policy`` and the phase-one radius.
     """
-    inst = env.instance
-    T, B, d, K = inst.T, inst.B, inst.d, inst.K
+    T, B, K = env.T, env.B, env.K
 
     p1 = phase_one(env, cfg, rng)
     t0 = p1.t0
@@ -235,8 +232,7 @@ def run_twostage(env: EnvironmentSpec, cfg: TwoStageConfig,
         raise ConfigurationError(
             f"remaining budget B' = B - (K+1)T0 = {b2} is below 1; phase 2 cannot run"
         )
-    env2 = replace(env, instance=type(inst)(T=t2, B=b2, d=d, K=K))
-    tail = run_squarecbwk(env2, replace(cfg.policy, z=p1.z), rng)
+    tail = run_squarecbwk(replace(env, T=t2, B=b2), replace(cfg.policy, z=p1.z), rng)
 
     return replace(
         tail,

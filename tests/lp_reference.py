@@ -6,6 +6,7 @@ program of a tiny instance; the LP tests and acceptance criterion 3 compare
 program as the paper states it, one arm distribution per recorded context
 set, over t0 copies of a fixed context set, solved by scipy's HiGHS;
 ``cbwk.twostage.empirical_opt`` must reach the same optimum with K variables.
+``highs_opt`` is that program given the predictions themselves.
 """
 
 from itertools import combinations
@@ -76,17 +77,24 @@ def tiled_empirical_opt(fits, phi, t0: int, budget_rate: float, m_val: float) ->
     budget rows are relaxed by twice the estimation radius.
     """
     context_sets = np.tile(np.asarray(phi, dtype=float), (t0, 1, 1))
-    n_ctx, K = context_sets.shape[:2]
-    d = fits.params.shape[1] - 1
-
     preds = fits.predict_matrix(context_sets.transpose(1, 0, 2))  # arm a at its t0 rows
-    fhat = preds[:, :, 0].T
-    ghat = preds[:, :, 1:].transpose(1, 0, 2)
+    return highs_opt(preds[:, :, 0].T, preds[:, :, 1:].transpose(1, 0, 2),
+                     budget_rate + 2.0 * m_val)
 
+
+def highs_opt(fhat, ghat, budget_rate: float) -> float:
+    """Best average reward of one arm distribution per context set, solved by HiGHS.
+
+    ``fhat`` (n_ctx, K) and ``ghat`` (n_ctx, K, d) are each context set's
+    arm rewards and costs; the average cost of every resource is at most
+    ``budget_rate``.
+    """
+    fhat, ghat = np.asarray(fhat, dtype=float), np.asarray(ghat, dtype=float)
+    n_ctx, K, d = ghat.shape
     linprog = pytest.importorskip("scipy.optimize").linprog
     n_vars = n_ctx * K
     a_ub = ghat.reshape(n_vars, d).T / n_ctx
-    b_ub = np.full(d, budget_rate + 2.0 * m_val)
+    b_ub = np.full(d, budget_rate)
     a_eq = np.kron(np.eye(n_ctx), np.ones((1, K)))  # one distribution per context set
     ref = linprog(-fhat.ravel() / n_ctx, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
                   b_eq=np.ones(n_ctx), bounds=(0, None), method="highs")

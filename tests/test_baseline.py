@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
-from cbwk.core import EnvironmentSpec, ProblemInstance, make_fixed_linear_env
+from cbwk.core import EnvironmentSpec, make_fixed_linear_env
 
 
 def test_zero_noise_converges_to_best_arm():
@@ -26,7 +26,7 @@ def test_zero_confidence_is_greedy_and_locks_on():
     gram = np.eye(Phi.shape[1]) + pulled.T @ pulled
     means = Phi @ np.linalg.solve(gram, pulled.T @ trace.outcomes[:at])
     assert np.abs(trace.rhat[at] - means[:, 0]).max() <= 1e-9
-    scores = means[:, 0] + (env.instance.budget_rate - means[:, 1:]) @ trace.lam[at]
+    scores = means[:, 0] + (env.budget_rate - means[:, 1:]) @ trace.lam[at]
     assert trace.arms[at] == np.argmax(scores)
     late = trace.arms[200:]
     assert np.unique(late).size == 1
@@ -37,10 +37,10 @@ def test_zero_confidence_is_greedy_and_locks_on():
 
 def test_zero_costs_and_full_budget_run_to_horizon():
     env = EnvironmentSpec(
-        instance=ProblemInstance(T=60, B=60, d=1, K=2),
         theta=np.array([[0.9, 0.2], [0.0, 0.0]]),
         phi=np.eye(2),
-        norm_bound=1.0,
+        T=60,
+        B=60,
         noise_variance=0.0,
     )
     trace = run_linucb(env, LinUcbConfig(), np.random.default_rng(2))

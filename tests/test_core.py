@@ -6,7 +6,6 @@ import pytest
 
 from cbwk.core import (
     EnvironmentSpec,
-    ProblemInstance,
     RunTrace,
     clipped_gaussian_mean,
     make_fixed_linear_env,
@@ -20,17 +19,18 @@ HALF_PLUS_INV_SQRT2 = 0.5 + 1.0 / math.sqrt(2.0)  # 1.20710678...
 
 
 def test_problem_instance_invariants():
-    ProblemInstance(T=10, B=5, d=1, K=2)
+    # d and K are the row counts of theta (1+d, m) and phi (K, m)
+    _two_arm_spec(np.eye(2), T=10, B=5)
     with pytest.raises(ConfigurationError):
-        ProblemInstance(T=0, B=1, d=1, K=2)
+        _two_arm_spec(np.eye(2), T=0, B=1)
     with pytest.raises(ConfigurationError):
-        ProblemInstance(T=10, B=11, d=1, K=2)
+        _two_arm_spec(np.eye(2), T=10, B=11)
     with pytest.raises(ConfigurationError):
-        ProblemInstance(T=10, B=0.5, d=1, K=2)
+        _two_arm_spec(np.eye(2), T=10, B=0.5)
     with pytest.raises(ConfigurationError):
-        ProblemInstance(T=10, B=5, d=0, K=2)
+        _two_arm_spec(np.eye(2), np.zeros((1, 2)), T=10, B=5)  # d = 0
     with pytest.raises(ConfigurationError):
-        ProblemInstance(T=10, B=5, d=1, K=1)
+        _two_arm_spec(np.eye(2)[:1], T=10, B=5)  # K = 1
 
 
 def test_benchmark_env_expected_values():
@@ -62,8 +62,7 @@ def test_expected_outcomes_are_the_sampled_means():
     assert rows.shape == (3, 5)
     assert (rows[:2] == clipped_gaussian_mean(bounded.outcome_means[:2], 0.2)).all()
     assert (rows[-1] == 0.0).all() and clipped_gaussian_mean(0.0, 0.2) > 0.0
-    glm = make_glm_env(ProblemInstance(T=100, B=50, d=2, K=3), np.full((3, 2), 0.5),
-                       [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]])
+    glm = make_glm_env(np.full((3, 2), 0.5), [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]], T=100, B=50)
     assert (glm.expected_outcomes() == glm.outcome_means).all()
     # a zero feature row still has mean sigma(0) = 1/2, which a null arm's draws never have
     assert (glm.outcome_means[-1] == 0.5).all()
@@ -92,57 +91,51 @@ def test_benchmark_env_dimension_guards():
 
 def test_environment_rejects_parameters_of_another_feature_width():
     env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
-    with pytest.raises(ConfigurationError, match=r"expected \(1\+d, m\) = \(5, 8\)"):
+    with pytest.raises(ConfigurationError, match=r"theta \(5, 10\) and phi \(3, 8\) must be"):
         replace(env, phi=env.phi[:, :8])  # phi narrower than theta
-    with pytest.raises(ConfigurationError, match=r"\(5, 9\), expected \(1\+d, m\) = \(5, 10\)"):
+    with pytest.raises(ConfigurationError, match=r"theta \(5, 9\) and phi \(3, 10\) must be"):
         replace(env, theta=env.theta[:, :9])
 
 
-def test_environment_reports_wrong_d_and_wrong_k_together():
-    env = make_fixed_linear_env(10, 3, 4, 0.2, T=100, B=100)
-    with pytest.raises(ConfigurationError) as err:
-        replace(env, theta=env.theta[:4], phi=env.phi[:2])  # d = 3 rows and K = 2 arms
-    assert err.value.violations == [
-        "theta has shape (4, 10), expected (1+d, m) = (5, 10)",
-        "phi has 2 rows, expected K=3",
-    ]
-
-
 def test_glm_env_zero_parameter_means_half():
-    inst = ProblemInstance(T=100, B=100, d=2, K=2)
-    env = make_glm_env(inst, np.zeros((3, 3)), np.eye(3)[:2] * 0.9)
+    env = make_glm_env(np.zeros((3, 3)), np.eye(3)[:2] * 0.9, T=100, B=100)
     assert env.expected_outcomes().shape == (2, 3)
     assert np.allclose(env.expected_outcomes(), 0.5)
 
 
 def test_glm_env_logistic_mean():
-    inst = ProblemInstance(T=100, B=100, d=1, K=2)
     contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    env = make_glm_env(inst, np.array([[1.0, 0.0], [0.0, 0.0]]), contexts)
+    env = make_glm_env(np.array([[1.0, 0.0], [0.0, 0.0]]), contexts, T=100, B=100)
     assert env.expected_outcomes()[0, 0] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-9)
     assert env.expected_outcomes()[0, 0] == pytest.approx(0.73106, abs=1e-5)
 
 
 def test_glm_env_rejects_large_parameters():
-    inst = ProblemInstance(T=100, B=100, d=1, K=2)
     with pytest.raises(ConfigurationError, match="parameter row norm 1.5000 exceeds 1"):
-        make_glm_env(inst, np.array([[1.5, 0.0], [0.0, 0.0]]), np.eye(2))
+        make_glm_env(np.array([[1.5, 0.0], [0.0, 0.0]]), np.eye(2), T=100, B=100)
     with pytest.raises(ConfigurationError, match="parameter row norm 1.2000 exceeds 1"):
-        make_glm_env(inst, np.array([[0.0, 0.0], [0.0, 1.2]]), np.eye(2))  # a cost row
+        make_glm_env(np.array([[0.0, 0.0], [0.0, 1.2]]), np.eye(2), T=100, B=100)  # a cost row
 
 
 def test_glm_parameter_norm_is_reported_with_every_other_violation():
     # the unit-ball rule on theta is one more line of the environment's one report
-    inst = ProblemInstance(T=100, B=100, d=1, K=2)
     with pytest.raises(ConfigurationError) as err:
-        make_glm_env(inst, [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.5 * np.eye(3))
-    assert err.value.violations == ["phi has 3 rows, expected K=2",
+        make_glm_env([[1.5, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.5 * np.eye(3), T=100, B=101)
+    assert err.value.violations == ["1 <= B <= T violated (B=101, T=100)",
                                     "parameter row norm 1.5000 exceeds 1"]
 
 
+def test_logistic_features_lie_in_the_unit_ball():
+    # the feature bound follows the link: 1 under the logistic link, sqrt(2) under the identity
+    phi = np.array([[1.3, 0.0], [0.0, 0.5]])
+    with pytest.raises(ConfigurationError, match="feature norm 1.300000 exceeds bound 1.000000"):
+        EnvironmentSpec(np.zeros((2, 2)), phi, T=100, B=100, link="logistic")
+    assert EnvironmentSpec(np.zeros((2, 2)), phi, T=100, B=100).K == 2
+
+
 def test_glm_outcomes_are_binary():
-    inst = ProblemInstance(T=100, B=100, d=2, K=2)
-    env = make_glm_env(inst, np.array([[0.5, 0.0], [0.3, 0.3], [0.3, 0.3]]), np.eye(2) * 0.8)
+    env = make_glm_env(np.array([[0.5, 0.0], [0.3, 0.3], [0.3, 0.3]]), np.eye(2) * 0.8,
+                       T=100, B=100)
     rng = np.random.default_rng(0)
     for _ in range(50):
         y = sample_outcome(env, 0, rng)
@@ -198,13 +191,12 @@ def test_bounded_mode_clips_and_adjusts_means():
 
 
 def _two_arm_spec(phi, theta=np.zeros((2, 2)), **kwargs):
-    return EnvironmentSpec(instance=ProblemInstance(T=10, B=5, d=1, K=2), theta=theta,
-                           phi=phi, **kwargs)
+    return EnvironmentSpec(theta, phi, **{"T": 10, "B": 5, **kwargs})
 
 
 def test_feature_norm_bound_enforced():
     with pytest.raises(ConfigurationError):
-        _two_arm_spec(np.array([[2.0, 0.0], [0.0, 0.0]]), norm_bound=1.0)
+        _two_arm_spec(np.array([[2.0, 0.0], [0.0, 0.0]]))
 
 
 def test_nan_parameters_are_rejected_by_name():
@@ -212,7 +204,7 @@ def test_nan_parameters_are_rejected_by_name():
     with pytest.raises(ConfigurationError, match="theta must be finite"):
         _two_arm_spec(np.eye(2), theta)
     with pytest.raises(ConfigurationError, match="theta must be finite"):
-        make_glm_env(ProblemInstance(T=100, B=100, d=1, K=2), theta, np.eye(2))
+        make_glm_env(theta, np.eye(2), T=100, B=100)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -221,13 +213,7 @@ def test_non_finite_features_are_rejected_by_name(bad):
     with pytest.raises(ConfigurationError, match="phi must be finite"):
         _two_arm_spec(phi)
     with pytest.raises(ConfigurationError, match="phi must be finite"):
-        make_glm_env(ProblemInstance(T=100, B=100, d=1, K=2), np.zeros((2, 2)), phi)
-
-
-@pytest.mark.parametrize("bound", [float("nan"), 0.0])
-def test_norm_bound_must_be_positive(bound):
-    with pytest.raises(ConfigurationError, match="norm_bound > 0 violated"):
-        _two_arm_spec(np.eye(2) * 0.5, norm_bound=bound)
+        make_glm_env(np.zeros((2, 2)), phi, T=100, B=100)
 
 
 def test_environment_number_fields_are_type_checked():
@@ -252,11 +238,11 @@ def test_null_arm_needs_zero_means():
 
 
 def test_phase_two_environment_keeps_features_and_means():
-    # run_twostage hands phase 2 replace(env, instance=...): same features, new horizon
+    # run_twostage hands phase 2 replace(env, T=..., B=...): same features, new horizon
     env = make_fixed_linear_env(52, 10, 4, 0.2, T=2000, B=500, null_arm=True)
-    inst = env.instance
-    env2 = replace(env, instance=ProblemInstance(T=1000, B=200, d=inst.d, K=inst.K))
-    assert env2.instance.T == 1000 and env2.norm_bound == env.norm_bound
+    env2 = replace(env, T=1000, B=200)
+    assert (env2.T, env2.B, env2.d, env2.K) == (1000, 200, env.d, env.K)
+    assert env2.budget_rate == 0.2
     assert (env2.phi == env.phi).all() and (env2.span == env.span).all()
     assert (env2.outcome_means == env.outcome_means).all()
 
@@ -276,7 +262,7 @@ def test_span_keeps_every_column_of_dense_contexts():
     rng = np.random.default_rng(9)
     contexts = rng.normal(size=(3, 5))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
-    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.zeros((3, 5)), contexts)
+    env = make_glm_env(np.zeros((3, 5)), contexts, T=100, B=100)
     assert env.span.shape == (3, 5)
     assert (env.span == env.phi).all()
 

@@ -581,6 +581,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert len(read_csv(str(out / "results.csv")).rows) == 4
 
 
+def test_cli_unusable_output_dir_fails_before_any_cell(tmp_path, monkeypatch, capsys):
+    from cbwk.cli import main
+
+    calls = []
+    run_cell = harness._run_cell
+    monkeypatch.setattr(harness, "_run_cell", lambda spec: calls.append(spec) or run_cell(spec))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert main(["run", _write_tiny(tmp_path), "--out", str(blocker / "out"),
+                 "--parallelism", "1"]) == 1
+    assert calls == []
+    assert "config error: output.dir: cannot create" in capsys.readouterr().err
+
+
+def test_cli_plot_names_a_malformed_csv_line(tmp_path, capsys):
+    from cbwk.cli import main
+
+    good = "ogd,m,10,7,1.5,60,30.0,0"
+    for bad, message in (("ogd,m,10,7,1.5", "line 3: expected 8 fields, got 5"),
+                         ("ogd,m,ten,7,1.5,60,30.0,0", "line 3: invalid literal for int()")):
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join([CSV_HEADER, good, bad]) + "\n")
+        capsys.readouterr()
+        assert main(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 1
+        assert f"config error: {path} {message}" in capsys.readouterr().err
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     cfg = _write_tiny(tmp_path)
     out = str(tmp_path / "sub")

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from cbwk.baseline import LinUcbConfig, run_linucb
-from cbwk.core import ProblemInstance, make_fixed_linear_env, make_glm_env
+from cbwk.core import make_fixed_linear_env, make_glm_env
 from cbwk.oracles import VectorPredictor
 from cbwk.policy import PolicyConfig, run_squarecbwk
 from cbwk.twostage import TwoStageConfig, run_twostage
@@ -35,7 +35,6 @@ def _bounded_null():
 
 
 def _logistic():
-    inst = ProblemInstance(T=400, B=200, d=2, K=3)
     rng = np.random.default_rng(5)
     contexts = rng.normal(size=(3, 4))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
@@ -43,7 +42,7 @@ def _logistic():
     theta_r /= np.linalg.norm(theta_r) * 1.2
     theta_c = rng.normal(size=(2, 4))
     theta_c /= np.linalg.norm(theta_c, axis=1, keepdims=True) * 1.2
-    return make_glm_env(inst, np.vstack([theta_r, theta_c]), contexts)
+    return make_glm_env(np.vstack([theta_r, theta_c]), contexts, T=400, B=200)
 
 
 def _squarecb(oracle, env_fn):

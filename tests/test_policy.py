@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from cbwk.baseline import LinUcbConfig, run_linucb
 from cbwk.core import (
     EnvironmentSpec,
-    ProblemInstance,
     make_fixed_linear_env,
     make_glm_env,
 )
@@ -28,10 +28,10 @@ def _constant_cost_env(cost_value: float, T: int, B: float, d: int = 1,
     theta = np.full((1 + d, 2), cost_value)
     theta[0] = reward
     return EnvironmentSpec(
-        instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta=theta,
         phi=np.eye(2),
-        norm_bound=1.0,
+        T=T,
+        B=B,
         noise_variance=noise,
     )
 
@@ -130,11 +130,21 @@ def test_budget_never_binds_with_zero_costs():
     assert not trace.stopped_early
 
 
+def test_parameters_of_fewer_resources_run_to_the_budget_stop():
+    # d is theta's row count, so replacing theta alone changes the number of resources
+    env = make_fixed_linear_env(10, 3, 4, 0.2, T=300, B=100)
+    env2 = replace(env, theta=env.theta[:3])  # the reward and the first two cost rows
+    assert env2.d == 2
+    trace = run_squarecbwk(env2, PolicyConfig(bound_scale=0.01), np.random.default_rng(3))
+    assert trace.costs.shape == (trace.tau, 2) and trace.lam.shape == (trace.tau, 2)
+    assert trace.stopped_early and trace.total_cost.max() >= 100 - 1
+
+
 def test_null_arm_only_environment_runs_full_horizon():
     env = make_fixed_linear_env(10, 3, 4, 0.0, T=30, B=30, null_arm=True)
     theta = env.theta.copy()
     theta[1:] = 0.0  # zero costs, the benchmark's reward
-    env = EnvironmentSpec(instance=env.instance, theta=theta, phi=env.phi,
+    env = EnvironmentSpec(theta=theta, phi=env.phi, T=env.T, B=env.B,
                           noise_variance=0.0, null_arm=True)
     trace = run_squarecbwk(env, PolicyConfig(), np.random.default_rng(1))
     assert trace.tau == 30
@@ -190,7 +200,7 @@ def test_estimate_is_reused_while_theta_is_unchanged(oracle, monkeypatch):
         return run_squarecbwk(env, config, np.random.default_rng(6)), made[0]
 
     trace, o = run(_CountingVector)
-    null = trace.arms == env.instance.K - 1
+    null = trace.arms == env.K - 1
     assert 0.5 * trace.tau < null.sum() < trace.tau
     replaced = np.array(o.replaced)
     assert replaced[~null].all()  # a pulled feature row always moves theta
@@ -247,7 +257,6 @@ def test_policy_config_validation():
 
 
 def test_policy_on_bernoulli_environment():
-    inst = ProblemInstance(T=150, B=150, d=2, K=3)
     rng = np.random.default_rng(5)
     contexts = rng.normal(size=(3, 4))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True) * 1.1
@@ -255,7 +264,7 @@ def test_policy_on_bernoulli_environment():
     theta_r /= np.linalg.norm(theta_r) * 1.2
     theta_c = rng.normal(size=(2, 4))
     theta_c /= np.linalg.norm(theta_c, axis=1, keepdims=True) * 1.2
-    env = make_glm_env(inst, np.vstack([theta_r, theta_c]), contexts)
+    env = make_glm_env(np.vstack([theta_r, theta_c]), contexts, T=150, B=150)
     trace = run_squarecbwk(env, PolicyConfig(oracle="glmtron"),
                            np.random.default_rng(6))
     assert trace.tau <= 150
@@ -267,8 +276,7 @@ def test_policy_on_bernoulli_environment():
 def test_all_zero_contexts_learn_on_a_zero_width_span(oracle):
     # every context is 0, so the span has no columns and the stack is
     # VectorPredictor(oracle, 1+d, 0): it predicts sigma(0) = 0.5 throughout
-    env = make_glm_env(ProblemInstance(T=100, B=100, d=2, K=3), np.full((3, 4), 0.5),
-                       np.zeros((3, 4)))
+    env = make_glm_env(np.full((3, 4), 0.5), np.zeros((3, 4)), T=100, B=100)
     assert env.span.shape == (3, 0)
     trace = run_squarecbwk(env, PolicyConfig(oracle=oracle), np.random.default_rng(8))
     assert trace.tau == 100 and not trace.stopped_early

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cbwk import oracles
-from cbwk.core import (EnvironmentSpec, ProblemInstance, make_fixed_linear_env, make_glm_env,
-                       sample_outcome, sample_outcomes)
+from cbwk.core import (EnvironmentSpec, make_fixed_linear_env, make_glm_env, sample_outcome,
+                       sample_outcomes)
 from cbwk.errors import ConfigurationError, InfeasibleError
 from cbwk.lp import exact_opt_fixed_context
 from cbwk.oracles import BatchPredictor, online_to_batch
@@ -44,10 +44,10 @@ def _two_arm_env(cost_value=0.5, T=60, B=60.0, d=2, noise=0.0, null_arm=False):
     if null_arm:
         phi = np.array([[1.0, 0.0], [0.0, 0.0]])
     return EnvironmentSpec(
-        instance=ProblemInstance(T=T, B=B, d=d, K=2),
         theta=np.vstack([[0.8, 0.4], np.full((d, 2), cost_value)]),
         phi=phi,
-        norm_bound=1.0,
+        T=T,
+        B=B,
         noise_variance=noise,
         null_arm=null_arm,
     )
@@ -113,7 +113,7 @@ def test_explore_trace_meets_the_run_rounds_invariants():
 
 def _explore_reference(env, t0, rng):
     """Phase one as a plain loop: one ``sample_outcome`` per round, the B - 1 test each round."""
-    K, d, B = env.instance.K, env.instance.d, env.instance.B
+    K, d, B = env.K, env.d, env.B
     arms, rows, consumed = [], [], np.zeros(d)
     for t in range((K + 1) * t0):
         if t < K * t0:
@@ -139,7 +139,7 @@ def _explore_envs(T, B):
         "replication": make_fixed_linear_env(10, 3, 4, 0.2, T=T, B=B),
         "bounded-null": make_fixed_linear_env(12, 5, 4, 0.2, T=T, B=B, bounded=True,
                                               null_arm=True),
-        "logistic": make_glm_env(ProblemInstance(T=T, B=B, d=2, K=3), theta, contexts),
+        "logistic": make_glm_env(theta, contexts, T, B),
     }
 
 
@@ -163,7 +163,7 @@ def test_explore_is_bitwise_the_per_round_loop(name):
     t0 = 30
     env = _explore_envs(T=2000, B=2000)[name]
     full = _assert_explore_is_the_loop(env, t0, seed=7)
-    K = env.instance.K
+    K = env.K
     assert not full.aborted_in_exploration and full.tau == (K + 1) * t0
     spent = np.cumsum(full.costs, axis=0).max(axis=1)  # the binding resource's consumption
     # an exit level reached inside the forced block, and one reached only among the
@@ -172,23 +172,22 @@ def test_explore_is_bitwise_the_per_round_loop(name):
     if not env.null_arm:
         levels["arbitrary"] = spent[K * t0 + t0 // 2]
     for block, level in levels.items():
-        cut = _assert_explore_is_the_loop(replace(env, instance=replace(env.instance, B=level + 1.0)),
-                                          t0, seed=7)
+        cut = _assert_explore_is_the_loop(replace(env, B=level + 1.0), t0, seed=7)
         assert cut.aborted_in_exploration
         assert (cut.tau <= K * t0) == (block == "forced")
 
 
 def test_sample_outcomes_draws_what_sample_outcome_draws():
     env = _explore_envs(T=2000, B=2000)["bounded-null"]
-    arms = np.random.default_rng(0).integers(0, env.instance.K, size=200)
+    arms = np.random.default_rng(0).integers(0, env.K, size=200)
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     got = sample_outcomes(env, arms, rng)
     want = np.array([sample_outcome(env, int(a), ref_rng) for a in arms])
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert (got[arms == env.instance.K - 1] == 0.0).all()
+    assert (got[arms == env.K - 1] == 0.0).all()
     with pytest.raises(IndexError):
-        sample_outcomes(env, [0, env.instance.K], rng)
+        sample_outcomes(env, [0, env.K], rng)
 
 
 def test_m_t0_hand_values():
@@ -436,7 +435,7 @@ def test_run_twostage_is_phase_one_then_squarecbwk(policy):
     rng = np.random.default_rng(9)
     p1 = phase_one(env, cfg, rng)
     n1 = (K + 1) * t0
-    env2 = replace(env, instance=ProblemInstance(T=T - n1, B=B - n1, d=d, K=K))
+    env2 = replace(env, T=T - n1, B=B - n1)
     tail = run_squarecbwk(env2, replace(policy, z=p1.z), rng)
     head = p1.exploration
 
