@@ -74,6 +74,8 @@ class ExperimentConfig:
                      for alg in self.algorithms if alg not in KNOWN_ALGORITHMS]
         if not self.algorithms:
             problems.append("algorithm.list is empty")
+        for key, values in (("algorithm.list", self.algorithms), ("sweep.values", self.sweep_values)):
+            problems += [f"{key} repeats {v!r}" for v in dict.fromkeys(values) if values.count(v) > 1]
         if self.seeds_count < 1:
             problems.append(f"seeds.count must be >= 1 (got {self.seeds_count})")
         if self.seeds_base < 0:
@@ -391,9 +393,16 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_csv(path: str) -> SweepResult:
-    """The rows of a results CSV; a malformed row is reported as ``<path> line N: ...``."""
-    with open(path) as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    """The rows of a results CSV; an unreadable file or a malformed row is a ConfigurationError.
+
+    Each malformed row is reported as ``<path> line N: ...``.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigurationError(f"{path} does not start with the expected header")
     rows, problems, columns = [], [], CSV_HEADER.count(",") + 1

@@ -17,11 +17,11 @@ and online-to-batch fits the K arms of two-stage's phase one as K stacks in one
 pass.  A scalar oracle is one stack of one row: ``VectorPredictor(kind, 1, dim)``.
 
 A sample whose feature rows are all zero, such as the null arm's, changes
-neither A nor A^{-1}, and its gradient term is 0, so the step is only its norm
-check; ``update`` computes just that.  Every step that moves theta assigns a
-new array and never writes into the previous one, so while ``theta`` is the
-same array the parameters have not moved, and a caller may keep the
-predictions it made from them.
+neither A nor A^{-1}, and its gradient term is 0, so the step is only its
+tail, ``_bound``, on the current rows; ``update`` computes just that.  Every
+step that moves theta assigns a new array and never writes into the previous
+one, so while ``theta`` is the same array the parameters have not moved, and
+a caller may keep the predictions it made from them.
 """
 
 import math
@@ -70,18 +70,6 @@ def _rows(arr, shape, what):
 def _row_norms(v):
     """Euclidean norm of each row: np.linalg.norm(v, axis=-1) without its dispatch cost."""
     return np.sqrt(np.add.reduce(v * v, axis=-1))
-
-
-def _zero_nonfinite_rows(v, norms):
-    """Reset to 0 every row of v whose norm is NaN or inf; return the new norms.
-
-    A row with a NaN or inf entry has such a norm, and so has a finite row
-    whose norm overflows.  Left in place, either would make every later
-    iterate of that row NaN.
-    """
-    bad = ~np.isfinite(norms)
-    v[bad] = 0.0
-    return np.where(bad, 0.0, norms)
 
 
 def sherman_morrison(A_inv, phi) -> list:
@@ -170,9 +158,9 @@ class VectorPredictor:
         """The step on all-zero feature rows, if it is exact; else False and no change.
 
         With phi = 0 the gradient term (resid x phi) is 0, and A and A^{-1}
-        gain exactly 0, so the step reduces to its norm check on the current
-        rows: OGD divides each row by max(||theta||, 1), and GLMtron projects
-        in the A-norm every row above 1.  That holds while the targets, theta
+        gain exactly 0, so the step reduces to ``_bound`` on a copy of the
+        current rows, which moves them only if some row lies above 1, and
+        otherwise to counting the step.  That holds while the targets, theta
         and (GLMtron) A and A^{-1} are finite; OGD also needs 2 (link(0) - y)
         finite, which y.y finite implies.  Otherwise the full step runs, with
         its repairs.  theta is replaced only when a row moves.
@@ -194,17 +182,11 @@ class VectorPredictor:
                                                and math.isfinite(np.vdot(self.A_inv, self.A_inv))):
                 return False
             squares = np.add.reduce(theta * theta, axis=-1)  # as in _row_norms
-            if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the full step's top row norm
-                norms = np.sqrt(squares)
-                if self.kind == "ogd":
-                    self.theta = theta / np.maximum(norms, 1.0)[:, :, None]
-                else:
-                    v = theta.copy()
-                    with np.errstate(over="ignore", invalid="ignore"):  # as in _glmtron_step
-                        self._project(v, norms)
-                    self.theta = v
-            else:
-                self._settled = theta
+            if math.sqrt(max(squares.ravel().tolist())) > 1.0:  # the tail's top row norm
+                with np.errstate(over="ignore", invalid="ignore"):  # as in _glmtron_step
+                    self._bound(theta.copy())
+                return True
+            self._settled = theta
         self.t += 1
         return True
 
@@ -217,17 +199,11 @@ class VectorPredictor:
     def _ogd_step(self, phi, y):
         link, slope = _LINKS[self.link]
         z = np.einsum("snj,sj->sn", self.theta, phi)
-        self.t += 1
-        eta = 1.0 / math.sqrt(self.t)
+        eta = 1.0 / math.sqrt(self.t + 1)
         coeff = eta * 2.0 * (link(z) - y)
         if slope is not None:
             coeff *= slope(z)
-        theta = self.theta - coeff[:, :, None] * phi[:, None, :]
-        norms = _row_norms(theta)
-        if not math.isfinite(np.add.reduce(norms, axis=None)):  # some row may be non-finite
-            norms = _zero_nonfinite_rows(theta, norms)
-        theta /= np.maximum(norms, 1.0)[:, :, None]
-        self.theta = theta
+        self._bound(self.theta - coeff[:, :, None] * phi[:, None, :])
 
     def _glmtron_step(self, phi, y):
         link = _LINKS[self.link][0]
@@ -242,16 +218,31 @@ class VectorPredictor:
             if any(bad) or not math.isfinite(np.add.reduce(both, axis=None)):
                 self._reinitialize(np.array(bad) | ~np.isfinite(both).all(axis=(1, 2)))
 
-            v = self.theta - np.einsum("sij,snj->sni", self.A_inv, grad)
-            norms = _row_norms(v)
-            top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
-            if not math.isfinite(top):  # some row may be non-finite
-                norms = _zero_nonfinite_rows(v, norms)
-                top = np.maximum.reduce(norms, axis=None)
-            if top > 1.0:
+            self._bound(self.theta - np.einsum("sij,snj->sni", self.A_inv, grad))
+
+    def _bound(self, v):
+        """End a step: v's rows put back in the unit ball become theta, and the step counts.
+
+        A row whose norm is NaN or inf, as is a row with a NaN or inf entry or
+        a finite row whose norm overflows, restarts at 0; left in place it
+        would make every later iterate of that row NaN.  If some row lies
+        outside the ball, OGD divides each row by max(||theta||, 1) and
+        GLMtron projects in its stack's A-norm.  v is written in place.
+        """
+        norms = _row_norms(v)
+        top = np.maximum.reduce(norms, axis=None)  # NaN if some row's norm is
+        if not math.isfinite(top):
+            bad = ~np.isfinite(norms)
+            v[bad] = 0.0
+            norms = np.where(bad, 0.0, norms)
+            top = np.maximum.reduce(norms, axis=None)
+        if top > 1.0:
+            if self.kind == "ogd":
+                v /= np.maximum(norms, 1.0)[:, :, None]
+            else:
                 self._project(v, norms)
-            self.theta = v
-            self.t += 1
+        self.theta = v
+        self.t += 1
 
     def _project(self, v, norms):
         """Project, stack by stack, every row of v outside the unit ball in its stack's A-norm."""

@@ -97,44 +97,36 @@ def explore(env: EnvironmentSpec, t0: int, rng: np.random.Generator) -> RunTrace
     one-hot pull without estimates, so its ``rhat`` and ``lam`` rows are NaN.
 
     The K*t0 forced pulls are drawn as one block by ``sample_outcomes``, the
-    draws a per-round loop would make, in its order; so the rows, the abort
-    round and, when the run does not abort there, the generator's state are
-    the loop's.  An abort inside the block leaves the whole block drawn.
+    t0 arbitrary pulls one round at a time after them, all in the order a
+    per-round loop draws them; then one cumulative sum over every round finds
+    the first that reaches the exit level.  So the rows and the abort round
+    are the loop's, and so is the generator's state when the run does not
+    abort.  An aborted run has still drawn all (K+1)*t0 rounds; nothing reads
+    the generator after an abort, because ``phase_one`` and ``run_twostage``
+    then return this trace.
     """
-    K, d, B = env.K, env.d, env.B
+    K, d = env.K, env.d
     raise_if_any(exploration_violations(K, env.T, t0))
-    exit_level = B - 1.0
 
     forced = K * t0  # rounds a*t0 .. (a+1)*t0 - 1 pull arm a, drawn as one block
-    total_rounds = forced + t0
-    arms = np.empty(total_rounds, dtype=np.int64)
-    outcomes = np.empty((total_rounds, 1 + d))
+    arms = np.empty(forced + t0, dtype=np.int64)
+    outcomes = np.empty((forced + t0, 1 + d))
     arms[:forced] = np.repeat(np.arange(K), t0)
     outcomes[:forced] = sample_outcomes(env, arms[:forced], rng)
-    # consumption after each forced round, added up round by round as below
-    spent = np.cumsum(np.vstack([np.zeros(d), outcomes[:forced, 1:]]), axis=0)[1:]
-    over = np.flatnonzero((spent >= exit_level).any(axis=1))
+    for t in range(forced, forced + t0):
+        arm = K - 1 if env.null_arm else int(rng.integers(K))
+        arms[t], outcomes[t] = arm, sample_outcome(env, arm, rng)
 
-    n, aborted = total_rounds, over.size > 0
-    if aborted:
-        n = int(over[0]) + 1
-        consumed = spent[n - 1]
-    else:
-        consumed = spent[-1].copy()
-        for t in range(forced, total_rounds):
-            arm = K - 1 if env.null_arm else int(rng.integers(K))
-            y = sample_outcome(env, arm, rng)
-            arms[t] = arm
-            outcomes[t] = y
-            consumed += y[1:]
-            if (consumed >= exit_level).any():
-                n, aborted = t + 1, True
-                break
+    # consumption after each round, added up round by round
+    spent = np.cumsum(outcomes[:, 1:], axis=0)
+    over = np.flatnonzero((spent >= env.B - 1.0).any(axis=1))
+    aborted = over.size > 0
+    n = int(over[0]) + 1 if aborted else forced + t0
 
     probs = np.eye(K)[arms[:n]]
     return RunTrace(arms=arms[:n], outcomes=outcomes[:n], probs=probs,
                     rhat=np.full((n, K), np.nan), lam=np.full((n, d), np.nan),
-                    tau=n, total_reward=float(outcomes[:n, 0].sum()), total_cost=consumed,
+                    tau=n, total_reward=float(outcomes[:n, 0].sum()), total_cost=spent[n - 1],
                     stopped_early=aborted, aborted_in_exploration=aborted)
 
 

@@ -110,6 +110,10 @@ def test_an_invalid_experiment_config_cannot_be_built():
                             ({"seeds_count": True}, "seeds_count must be an integer"),
                             ({"noise_variance": "0.2"}, "noise_variance must be a number"),
                             ({"null_arm": "no"}, "null_arm must be True or False"),
+                            # each repeat once, the repeated cells never run
+                            ({"algorithms": ("ogd", "linucb", "ogd", "ogd")},
+                             "^algorithm\\.list repeats 'ogd'$"),
+                            ({"sweep_values": (10, 12, 10)}, "^sweep\\.values repeats 10$"),
                             ({"sweep_values": (10, 10.5)},
                              re.escape("sweep_values must be an integer (got 10.5)")),
                             # phase one's (K+1)*t0 rounds must fit in T, at a set t0
@@ -506,7 +510,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("environment.family = fixed_linear\n")
     assert main(["run", str(bad)]) == 1
     missing_csv = str(tmp_path / "nope.csv")
-    assert main(["plot", missing_csv, "--out", str(tmp_path / "x.svg")]) == 2
+    capsys.readouterr()
+    assert main(["plot", missing_csv, "--out", str(tmp_path / "x.svg")]) == 1
+    assert f"config error: cannot read CSV {missing_csv}: " in capsys.readouterr().err
 
     # an overridden sweep grid goes through the config validator: K = 1 is
     # rejected before any cell runs
@@ -607,6 +613,24 @@ def test_cli_plot_names_a_malformed_csv_line(tmp_path, capsys):
         capsys.readouterr()
         assert main(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 1
         assert f"config error: {path} {message}" in capsys.readouterr().err
+
+
+def test_a_repeated_algorithm_or_sweep_value_is_refused_before_any_cell(
+        tmp_path, monkeypatch, capsys):
+    from cbwk.cli import main
+
+    calls = []
+    run_cell = harness._run_cell
+    monkeypatch.setattr(harness, "_run_cell", lambda spec: calls.append(spec) or run_cell(spec))
+    repeated = tmp_path / "repeated.conf"
+    repeated.write_text(TINY_CONFIG.replace("ogd, linucb", "ogd, ogd"))
+    capsys.readouterr()
+    assert main(["run", str(repeated), "--out", str(tmp_path / "a")]) == 1
+    assert "config error: algorithm.list repeats 'ogd'" in capsys.readouterr().err
+    assert main(["sweep", _write_tiny(tmp_path), "--param", "m", "--values", "10,10",
+                 "--out", str(tmp_path / "b")]) == 1
+    assert "config error: sweep.values repeats 10" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -166,15 +166,17 @@ def test_explore_is_bitwise_the_per_round_loop(name):
     K = env.K
     assert not full.aborted_in_exploration and full.tau == (K + 1) * t0
     spent = np.cumsum(full.costs, axis=0).max(axis=1)  # the binding resource's consumption
-    # an exit level reached inside the forced block, and one reached only among the
-    # arbitrary pulls (which the null arm never spends on)
-    levels = {"forced": spent[K * t0 // 2]}
+    # exit levels reached at a round inside the forced block, at its last round, at the
+    # first and a middle arbitrary pull (which the null arm never spends on), and at the
+    # last round; the stop may come earlier, where the consumption first reaches the level
+    levels = {"forced": K * t0 // 2, "last forced": K * t0 - 1, "last": (K + 1) * t0 - 1}
     if not env.null_arm:
-        levels["arbitrary"] = spent[K * t0 + t0 // 2]
-    for block, level in levels.items():
-        cut = _assert_explore_is_the_loop(replace(env, B=level + 1.0), t0, seed=7)
-        assert cut.aborted_in_exploration
-        assert (cut.tau <= K * t0) == (block == "forced")
+        levels.update({"first arbitrary": K * t0, "arbitrary": K * t0 + t0 // 2})
+    for block, t in levels.items():
+        cut = _assert_explore_is_the_loop(replace(env, B=spent[t] + 1.0), t0, seed=7)
+        assert cut.aborted_in_exploration and cut.tau <= t + 1
+        if block in ("forced", "arbitrary"):
+            assert (cut.tau <= K * t0) == (block == "forced")
 
 
 def test_sample_outcomes_draws_what_sample_outcome_draws():
