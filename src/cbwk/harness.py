@@ -14,7 +14,6 @@ import ctypes
 import math
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -337,21 +336,48 @@ def check_parallelism(parallelism: int) -> None:
         raise ConfigurationError(f"parallelism must be >= 1 (got {parallelism})")
 
 
+def _claimed_rows(specs: list, counter) -> list:
+    """Run the cells whose indices this process claims from ``counter``, in
+    claim order, until none is left; returns their (index, row) pairs."""
+    pairs = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value += 1
+        if index >= len(specs):
+            return pairs
+        pairs.append((index, _run_cell(specs[index])))
+
+
+def _cell_runner(specs: list, counter, send) -> None:
+    """A forked worker's life: claim and run cells, then send their rows once."""
+    send.send(_claimed_rows(specs, counter))
+
+
 def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
     """Execute every (algorithm, value, seed) cell; canonical row order.
 
-    With ``parallelism`` > 1 the cells run in a process pool, and the calling
-    process runs OpenBLAS on one thread while the pool lives.  The cells are
-    the unit of parallelism, so BLAS threads would only oversubscribe the
+    With ``parallelism`` P > 1 the caller is one of P cell runners: it forks
+    P - 1 workers (at most one fewer than there are cells), and the caller and
+    the workers claim cell indices in canonical order from one shared counter
+    until none is left.  Each worker sends its (index, row) pairs once, over a
+    one-way pipe, and the caller puts every row in its place.  A worker that
+    exits without sending fails the sweep with a RuntimeError naming its exit
+    code, and every worker is terminated and joined on the way out, whatever
+    the caller raises.  A cell that ends its own process ends the caller too
+    when the caller ran it.
+
+    While the workers live, the caller runs OpenBLAS on one thread.  The cells
+    are the unit of parallelism, so BLAS threads would only oversubscribe the
     cores.  The workers inherit the count of 1 through fork, so the fork
-    context is passed explicitly where the platform has it (Python 3.14 makes
-    forkserver the POSIX default).  A fork shuts OpenBLAS's server thread
-    down, and setting the count, even to 1, rebuilds it, spinning for about
-    0.1 s of CPU before it sleeps: so nothing sets the count inside a worker.
-    The caller's count is restored after the pool has joined, which rebuilds
-    the caller's server thread once; restored earlier, that thread would spin
-    beside the last cells.  If an earlier fork left the caller's server
-    thread down, the pin itself rebuilds it.
+    context is asked for explicitly where the platform has it (Python 3.14
+    makes forkserver the POSIX default).  A fork shuts OpenBLAS's server
+    thread down, and setting the count, even to 1, rebuilds it, spinning for
+    about 0.1 s of CPU before it sleeps: so nothing sets the count inside a
+    worker.  The caller's count is restored after the workers have joined,
+    which rebuilds the caller's server thread once; restored earlier, that
+    thread would spin beside the last cells.  If an earlier fork left the
+    caller's server thread down, the pin itself rebuilds it.
     """
     check_parallelism(parallelism)
     specs = []
@@ -363,13 +389,33 @@ def run_sweep(config: ExperimentConfig, parallelism: int = 1) -> SweepResult:
                               "seed": config.seeds_base + index})
                 index += 1
     if parallelism == 1:
-        rows = [_run_cell(s) for s in specs]
-    else:
-        context = (multiprocessing.get_context("fork")
-                   if "fork" in multiprocessing.get_all_start_methods() else None)
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=parallelism,
-                                                     mp_context=context) as pool:
-            rows = list(pool.map(_run_cell, specs, chunksize=1))
+        return SweepResult(sweep_param=config.sweep_param, rows=[_run_cell(s) for s in specs])
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    counter = context.Value("q", 0)
+    workers = []
+    with _one_blas_thread():
+        try:
+            for _ in range(min(parallelism, len(specs)) - 1):
+                receive, send = context.Pipe(duplex=False)
+                worker = context.Process(target=_cell_runner, args=(specs, counter, send))
+                worker.start()
+                workers.append((worker, receive))
+                send.close()  # the worker holds the only send end: its death reads as EOF
+            pairs = _claimed_rows(specs, counter)
+            for worker, receive in workers:
+                try:
+                    pairs += receive.recv()
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(f"a sweep worker exited with code {worker.exitcode} "
+                                       f"before sending its rows") from None
+        finally:
+            for worker, receive in workers:
+                worker.terminate()
+                worker.join()
+                receive.close()
+    rows = [row for _, row in sorted(pairs, key=lambda pair: pair[0])]
     return SweepResult(sweep_param=config.sweep_param, rows=rows)
 
 

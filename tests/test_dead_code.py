@@ -62,3 +62,13 @@ def test_every_private_module_name_is_read_somewhere():
     unread = [f"{p.name}:{line} {name}" for p in MODULES
               for name, line in _defined_private(_tree(p)) if name not in reads]
     assert unread == []
+
+
+def test_no_module_imports_an_executor_or_threads():
+    """A parallel sweep forks its own workers and the caller runs cells beside them:
+    no executor and no helper thread, whose threads would wait on the GIL."""
+    found = [f"{p.name}:{node.lineno} {name}" for p in MODULES for node in ast.walk(_tree(p))
+             for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                          [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+             if name.split(".")[0] in ("concurrent", "threading")]
+    assert found == []

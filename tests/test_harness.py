@@ -1,9 +1,11 @@
 import ctypes
+import functools
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +287,72 @@ def test_determinism_and_parallelism_invariance(tmp_path):
     assert paths[0] == paths[1] == paths[2]
 
 
+_REAL_RUN_CELL = harness._run_cell
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="workers inherit a patched _run_cell only through fork")
+
+
+def _row(spec, tau=1):
+    return SweepRow(algorithm=spec["algorithm"], sweep_param="m", sweep_value=spec["value"],
+                    seed=spec["seed"], regret=0.0, tau=tau, total_reward=0.0)
+
+
+def _wait_for(condition, timeout=30.0):
+    """Poll ``condition`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _recording_cell(caller, directory, spec):
+    """Runs the real cell and records the pid that ran it as the file <seed>-<pid>.
+    A cell the caller runs waits until a worker has recorded one, so both run cells."""
+    row = _REAL_RUN_CELL(spec)
+    (directory / f"{spec['seed']}-{os.getpid()}").touch()
+    if os.getpid() == caller:
+        _wait_for(lambda: any(not p.name.endswith(f"-{caller}") for p in directory.iterdir()))
+    return row
+
+
+@needs_fork
+@pytest.mark.parametrize("parallelism", [2, 3])
+def test_the_caller_and_the_workers_run_cells(tmp_path, monkeypatch, parallelism):
+    config = parse_config(TINY_CONFIG)
+    write_csv(run_sweep(config), str(tmp_path / "serial.csv"))
+    cells = tmp_path / "cells"
+    cells.mkdir()
+    monkeypatch.setattr(harness, "_run_cell",
+                        functools.partial(_recording_cell, os.getpid(), cells))
+    result = run_sweep(config, parallelism=parallelism)
+    ran = [tuple(int(x) for x in p.name.split("-")) for p in cells.iterdir()]
+    assert sorted(seed for seed, _ in ran) == list(range(7, 15))  # each cell ran once
+    pids = {pid for _, pid in ran}
+    assert os.getpid() in pids and len(pids) >= 2
+    write_csv(result, str(tmp_path / "parallel.csv"))  # the serial rows are in canonical order
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@needs_fork
+@pytest.mark.parametrize("parallelism, cells, forks", [(5, 2, 1), (2, 1, 0), (3, 8, 2)])
+def test_at_most_one_worker_fewer_than_cells_is_forked(monkeypatch, parallelism, cells, forks):
+    config = parse_config(TINY_CONFIG)
+    if cells < 8:
+        config = replace(config, algorithms=("ogd",), sweep_values=(10,), seeds_count=cells)
+    serial = run_sweep(config)
+    children, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    result = run_sweep(config, parallelism=parallelism)
+    assert len(children) == forks
+    assert [r.regret for r in result.rows] == [r.regret for r in serial.rows]
+
+
 def _openblas_libs():
     """(getter, setter) of the thread count of every OpenBLAS loaded in this process."""
     try:
@@ -314,17 +382,31 @@ def _openblas_threads():
 needs_openblas = pytest.mark.skipif(not _openblas_libs(), reason="no OpenBLAS library is loaded")
 
 
+def _sweep_leaves_caller_as_it_was(sweep):
+    """Run ``sweep`` with the caller's OpenBLAS at 2 threads (not 1, so a pin left in
+    place would show); afterwards no worker is left and the count is 2 again."""
+    libs = _openblas_libs()
+    before = _openblas_threads()
+    try:
+        for _, set_threads in libs:
+            set_threads(2)
+        sweep()
+        assert multiprocessing.active_children() == []
+        assert _openblas_threads() == [2] * len(libs)
+    finally:
+        for (_, set_threads), threads in zip(libs, before):
+            set_threads(threads)
+
+
 def _threads_cell(spec):
-    """Stands in for a sweep cell and reports the worker's OpenBLAS threads as tau."""
+    """Stands in for a sweep cell and reports its process's OpenBLAS threads as tau."""
     (threads,) = set(_openblas_threads())
-    return SweepRow(algorithm=spec["algorithm"], sweep_param="m",
-                    sweep_value=spec["value"], seed=spec["seed"], regret=0.0,
-                    tau=threads, total_reward=0.0)
+    return _row(spec, tau=threads)
 
 
 @needs_openblas
 def test_sweep_workers_run_one_blas_thread(monkeypatch):
-    # forked workers inherit the patched module, so each cell runs the probe
+    # forked workers inherit the patched module, so each cell, the caller's too, runs the probe
     monkeypatch.setattr(harness, "_run_cell", _threads_cell)
     result = run_sweep(parse_config(TINY_CONFIG), parallelism=2)
     assert [r.tau for r in result.rows] == [1] * 8
@@ -332,26 +414,15 @@ def test_sweep_workers_run_one_blas_thread(monkeypatch):
 
 @needs_openblas
 def test_parallel_sweep_leaves_caller_blas_threads():
-    libs = _openblas_libs()
-    before = _openblas_threads()
-    try:
-        for _, set_threads in libs:
-            set_threads(2)  # not 1, so a pin that leaked into the caller would show
-        run_sweep(parse_config(TINY_CONFIG), parallelism=2)
-        assert _openblas_threads() == [2] * len(libs)
-    finally:
-        for (_, set_threads), threads in zip(libs, before):
-            set_threads(threads)
+    _sweep_leaves_caller_as_it_was(lambda: run_sweep(parse_config(TINY_CONFIG), parallelism=2))
 
 
 def _task_count_cell(spec):
     """Stands in for a sweep cell: runs a 52x52 eigh, the projection size of
-    m = 52, then reports the worker's OS thread count as tau."""
+    m = 52, then reports its process's OS thread count as tau."""
     a = np.arange(52 * 52, dtype=float).reshape(52, 52)
     np.linalg.eigh(a + a.T)
-    return SweepRow(algorithm=spec["algorithm"], sweep_param="m",
-                    sweep_value=spec["value"], seed=spec["seed"], regret=0.0,
-                    tau=len(os.listdir("/proc/self/task")), total_reward=0.0)
+    return _row(spec, tau=len(os.listdir("/proc/self/task")))
 
 
 @needs_openblas
@@ -363,24 +434,56 @@ def test_sweep_workers_start_no_blas_server_thread(monkeypatch):
     assert [r.tau for r in result.rows] == [1] * 8
 
 
-def _exit_cell(spec):
-    os._exit(3)
+def _exit_cell(caller, claimed, spec):
+    """Ends a worker that runs it with exit code 3, after touching ``claimed``.  In
+    the caller it returns a row once ``claimed`` exists, so a worker claims a cell."""
+    if os.getpid() != caller:
+        claimed.touch()
+        os._exit(3)
+    _wait_for(claimed.exists)
+    return _row(spec)
 
 
+@needs_fork
 @needs_openblas
-def test_broken_pool_restores_caller_blas_threads(monkeypatch):
-    libs = _openblas_libs()
-    before = _openblas_threads()
-    monkeypatch.setattr(harness, "_run_cell", _exit_cell)
-    try:
-        for _, set_threads in libs:
-            set_threads(2)  # not 1, so a pin left in place would show
-        with pytest.raises(BrokenProcessPool):
+def test_broken_pool_restores_caller_blas_threads(tmp_path, monkeypatch, capsys):
+    from cbwk.cli import main
+
+    def sweep():
+        with pytest.raises(RuntimeError, match="a sweep worker exited with code 3"):
             run_sweep(parse_config(TINY_CONFIG), parallelism=2)
-        assert _openblas_threads() == [2] * len(libs)
-    finally:
-        for (_, set_threads), threads in zip(libs, before):
-            set_threads(threads)
+
+    monkeypatch.setattr(harness, "_run_cell",
+                        functools.partial(_exit_cell, os.getpid(), tmp_path / "claimed"))
+    _sweep_leaves_caller_as_it_was(sweep)
+    monkeypatch.setattr(harness, "_run_cell",
+                        functools.partial(_exit_cell, os.getpid(), tmp_path / "claimed2"))
+    assert main(["run", _write_tiny(tmp_path), "--out", str(tmp_path / "out"),
+                 "--parallelism", "2"]) == 2
+    assert "a sweep worker exited with code 3" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def _interrupted_cell(caller, spec):
+    """Raises KeyboardInterrupt in the caller; a worker sleeps in its first cell,
+    so the caller claims one."""
+    if os.getpid() == caller:
+        raise KeyboardInterrupt
+    time.sleep(60)
+    return _row(spec)
+
+
+@needs_fork
+@needs_openblas
+def test_an_interrupted_caller_leaves_no_worker_behind(monkeypatch):
+    def sweep():
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(parse_config(TINY_CONFIG), parallelism=3)
+        assert time.monotonic() - started < 30  # the sleeping workers were terminated
+
+    monkeypatch.setattr(harness, "_run_cell", functools.partial(_interrupted_cell, os.getpid()))
+    _sweep_leaves_caller_as_it_was(sweep)
 
 
 def test_csv_format(tmp_path):
